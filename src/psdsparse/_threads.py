@@ -1,12 +1,15 @@
 """Worker-count resolution for optional intra-step parallelism.
 
 PSDSPARSE_THREADS caps parallelism: 0 means auto (cpu count), unset means 1.
+A negative or unparsable setting raises DomainError rather than falling back.
 Results never depend on the worker count; it only affects scheduling.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import DomainError
 
 ENV_VAR = "PSDSPARSE_THREADS"
 
@@ -20,7 +23,11 @@ def thread_count(explicit: int | None = None) -> int:
         try:
             explicit = int(raw)
         except ValueError:
-            return 1
+            raise DomainError(f"{ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
+        if explicit < 0:
+            raise DomainError(f"{ENV_VAR} must be a nonnegative integer, got {raw!r}")
+    elif explicit < 0:
+        raise DomainError(f"thread count must be nonnegative, got {explicit!r}")
     if explicit == 0:
         return os.cpu_count() or 1
-    return max(1, explicit)
+    return explicit

@@ -5,7 +5,8 @@ machine-parseable line on stderr: "error: <Kind>: <detail>"), 2 when a run
 violates a proved bound, which indicates a bug rather than bad input.
 
 The environment variable PSDSPARSE_THREADS caps internal parallelism
-(unset = 1, 0 = all cores); results are identical for any setting.
+(unset = 1, 0 = all cores); results are identical for any setting, and a
+negative or unparsable value is a DomainError.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,21 +154,29 @@ class GreedyTrace:
     running_sum: SymMatrix
 
 
-def _candidate_scores(y: np.ndarray, xs: np.ndarray, delta: float, n_threads: int):
+@contextmanager
+def _scoring_pool(n_threads: int, m: int):
+    """One worker pool for a caller's whole lifetime, or None when scoring runs serially."""
+    if n_threads <= 1 or m < 2 * n_threads:
+        yield None
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            yield pool
+
+
+def _candidate_scores(y, xs, delta, buf, pool=None, n_chunks=1):
     """Log-potential of y + x for every family member, plus the eigenvalues.
 
-    Chunked across threads when allowed; per-row results are independent of
-    the chunking, so the scores are identical for any thread count.
+    The candidates are formed in buf, an (m, d, d) scratch array. With a
+    pool, the eigendecompositions run on n_chunks row blocks of buf; per-row
+    results are independent of the chunking, so the scores are identical for
+    any thread count.
     """
-    cands = y[np.newaxis] + xs
-    m = cands.shape[0]
-    if n_threads <= 1 or m < 2 * n_threads:
-        eigs = _eigvalsh(cands)
+    np.add(xs, y, out=buf)
+    if pool is None:
+        eigs = _eigvalsh(buf)
     else:
-        splits = np.array_split(np.arange(m), n_threads)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(lambda ix: _eigvalsh(cands[ix]), splits))
-        eigs = np.concatenate(parts, axis=0)
+        eigs = np.concatenate(list(pool.map(_eigvalsh, np.array_split(buf, n_chunks))))
     return log_potential_from_eigenvalues(eigs, delta), eigs
 
 
@@ -185,7 +194,10 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise DomainError(f"delta must be positive, got {delta!r}")
     if fam.m < 1:
         raise EmptyFamily("family has no members")
-    scores, _ = _candidate_scores(y.entries, fam.stack(), delta, thread_count())
+    xs = fam.stack()
+    n_threads = thread_count()
+    with _scoring_pool(n_threads, fam.m) as pool:
+        scores, _ = _candidate_scores(y.entries, xs, delta, np.empty(xs.shape), pool, n_threads)
     best = _pick(scores)
     return best + 1, float(scores[best])
 
@@ -223,53 +235,63 @@ def run(
             f"instance's {inst.norm_bound!r}: guarantees would not apply"
         )
 
+    n_threads = thread_count(threads)
     fam = center(inst)
     xs = fam.stack()
     m_bound = schedule.norm_bound
-    n_threads = thread_count(threads)
 
     y = np.zeros((inst.d, inst.d))
+    buf = np.empty(xs.shape)
+    counts = np.zeros(fam.m)
     prev_eigs = np.zeros(inst.d)
+    delta = log_phi = None
     indices: list[int] = []
     records: list[StepRecord] = []
 
-    for k in range(1, k_max + 1):
-        delta = schedule.delta(k)
-        prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
-        scores, cand_eigs = _candidate_scores(y, xs, delta, n_threads)
-        best = _pick(scores)
-        log_phi = float(scores[best])
+    with _scoring_pool(n_threads, fam.m) as pool:
+        for k in range(1, k_max + 1):
+            prev_delta, delta = delta, schedule.delta(k)
+            if delta == prev_delta:
+                # the last step's chosen score is log Phi_delta(Y_{k-1}), from the same eigenvalues
+                prev_log_phi = log_phi
+            else:
+                prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
+            scores, cand_eigs = _candidate_scores(y, xs, delta, buf, pool, n_threads)
+            best = _pick(scores)
+            log_phi = float(scores[best])
 
-        step_cap = m_bound * psi_value(m_bound, delta) + prev_log_phi
-        if log_phi > step_cap + STEP_TOL:
-            raise PotentialGrowthViolation(
-                k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
+            step_cap = m_bound * psi_value(m_bound, delta) + prev_log_phi
+            if log_phi > step_cap + STEP_TOL:
+                raise PotentialGrowthViolation(
+                    k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
+                )
+
+            indices.append(best + 1)
+            counts[best] += 1
+            y = _symmetrize(buf[best])
+            prev_eigs = cand_eigs[best]
+            error = float(np.max(np.abs(prev_eigs))) / k
+            cap = schedule.bound(k)
+            if error > cap * (1.0 + BOUND_RTOL):
+                raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
+            records.append(
+                StepRecord(
+                    k=k,
+                    delta=delta,
+                    prev_log_potential=prev_log_phi,
+                    log_potential=log_phi,
+                    error=error,
+                    bound=cap,
+                    regime=schedule.regime(k),
+                )
             )
 
-        indices.append(best + 1)
-        y = _symmetrize(y + xs[best])
-        prev_eigs = cand_eigs[best]
-        error = float(np.max(np.abs(prev_eigs))) / k
-        cap = schedule.bound(k)
-        if error > cap * (1.0 + BOUND_RTOL):
-            raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
-        records.append(
-            StepRecord(
-                k=k,
-                delta=delta,
-                prev_log_potential=prev_log_phi,
-                log_potential=log_phi,
-                error=error,
-                bound=cap,
-                regime=schedule.regime(k),
-            )
-        )
-
-        if k % AUDIT_INTERVAL == 0:
-            resummed = _symmetrize(np.add.reduce(xs[np.asarray(indices) - 1]))
-            drift = float(np.linalg.norm(resummed - y))
-            if drift > AUDIT_TOL * k:
-                raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")
+            if k % AUDIT_INTERVAL == 0:
+                # O(m d^2) from the per-member counts, however long the run
+                resummed = _symmetrize((counts @ xs.reshape(fam.m, -1)).reshape(y.shape))
+                drift = float(np.linalg.norm(resummed - y))
+                if drift > AUDIT_TOL * k:
+                    raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")
 
     return GreedyTrace(
         schedule=schedule,

@@ -154,10 +154,13 @@ def validate(raw: dict) -> Instance:
     if not isinstance(raw, dict):
         raise FormatError(f"expected a JSON object, got {type(raw).__name__}")
     try:
-        d = int(raw["d"])
+        d = raw["d"]
         items = raw["items"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise FormatError("payload must carry integer 'd' and a list 'items'") from exc
+    # a JSON integer only: int() would turn true into 1 and 2.7 or "2" into 2
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise FormatError(f"'d' must be an integer, got {d!r}")
     if d < 1:
         raise DimensionMismatch(f"dimension must be positive, got {d}")
     if not isinstance(items, list) or not items:

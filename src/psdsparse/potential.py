@@ -11,10 +11,10 @@ and governs the per-step growth exponent of greedy runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, Overflow
 from .symmat import SymMatrix, _eigvalsh
@@ -53,14 +53,39 @@ def psi_value(m1: float, delta: float) -> float:
         raise Overflow(f"delta*m1 = {u:.4g} exceeds {EXP_ARG_MAX:g}")
     if u < SERIES_CUTOFF:
         remainder = 0.5 * u * u * (1.0 + u / 3.0 + u * u / 12.0 + u * u * u / 60.0)
-    else:
-        remainder = math.expm1(u) - u
-    return remainder / (m1 * m1)
+        value = remainder / (m1 * m1)
+        if delta > 0 and min(remainder, value) < sys.float_info.min:
+            # Below the normal range the quotient loses its relative precision
+            # and can round under delta^2/2, or to 0. Return delta^2/2 (the
+            # series' value at such u) rounded up: psi only loosens the cap.
+            value = math.nextafter(0.5 * delta * delta, math.inf)
+        return value
+    return (math.expm1(u) - u) / (m1 * m1)
 
 
 def psi(m1: float, delta: float) -> PsiValue:
     """Normalized quadratic remainder (e^{delta m1} - 1 - delta m1) / m1^2."""
     return PsiValue(m1=float(m1), delta=float(delta), value=psi_value(m1, delta))
+
+
+def logsumexp(a, b=None) -> np.ndarray | float:
+    """log(sum_j b_j e^{a_j}) over the last axis of a; b = None weighs every entry 1.
+
+    Weights must be nonnegative, with at least one positive per row. The
+    exponents are shifted by the largest a_j whose weight is positive, so
+    every exponential lies in [0, 1]: nothing overflows, and a zero-weight
+    entry drops out however large its exponent. Each row of a stacked call
+    equals the call on that row alone, bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if b is not None:
+        a = np.where(np.asarray(b) > 0, a, -np.inf)
+    shift = np.max(a, axis=-1, keepdims=True)
+    terms = np.exp(a - shift)
+    if b is not None:
+        terms *= b
+    out = np.log(np.sum(terms, axis=-1)) + shift[..., 0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.ndarray | float:
@@ -70,9 +95,7 @@ def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.
     Exact to relative ~1e-15 even when delta * max|mu| exceeds 700.
     """
     z = delta * np.asarray(eigenvalues, dtype=np.float64)
-    exponents = np.concatenate([z, -z], axis=-1)
-    out = logsumexp(exponents, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return logsumexp(np.concatenate([z, -z], axis=-1))
 
 
 def log_potential(y: SymMatrix, delta: float) -> LogPotential:

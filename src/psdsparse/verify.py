@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .instance import center, gen_random_psd
-from .potential import log_potential_from_eigenvalues, psi_value, scalar_exp_bound_gap
+from .potential import log_potential_from_eigenvalues, logsumexp, psi_value, scalar_exp_bound_gap
 from .symmat import SymMatrix, _eigvalsh, _symmetrize, sym_apply
 
 SUITES = ("one-step", "mgf", "gt", "interp", "lower", "scalar", "psi")

@@ -112,6 +112,15 @@ def test_run_maps_bound_violation_to_exit_2(tmp_path, capsys, monkeypatch):
     assert "BoundViolation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-3", "many"])
+def test_run_rejects_bad_thread_setting(tmp_path, capsys, monkeypatch, value):
+    path = _write_canonical(tmp_path)
+    monkeypatch.setenv("PSDSPARSE_THREADS", value)
+    assert cli.main(["run", str(path), "--mode", "all-steps", "--out", "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and "PSDSPARSE_THREADS" in err
+
+
 def test_generate_bases_round_trip(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert cli.main(["generate", "--kind", "bases", "--d", "4", "--bases", "2",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
+from psdsparse import greedy
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 
 from conftest import raw_payload
@@ -271,6 +272,50 @@ def test_run_thread_count_does_not_change_results(monkeypatch):
     direct = ps.run(inst, sched, k_max=100, threads=8)
     assert serial.indices == threaded.indices == direct.indices
     assert serial.records == threaded.records == direct.records
+
+
+@pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])
+def test_run_builds_at_most_one_pool(monkeypatch, threads, pools):
+    built = []
+
+    class CountingPool(greedy.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "ThreadPoolExecutor", CountingPool)
+    inst = ps.gen_bases(4, 2, seed=0)
+    ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=20, threads=threads)
+    assert len(built) == pools
+
+
+@pytest.mark.parametrize("value", ["-3", "abc", "1.5"])
+def test_bad_thread_setting_raises(monkeypatch, canonical, value):
+    monkeypatch.setenv("PSDSPARSE_THREADS", value)
+    with pytest.raises(ps.DomainError, match="PSDSPARSE_THREADS"):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+    with pytest.raises(ps.DomainError):
+        ps.select_next(ps.SymMatrix.zeros(2), 0.5, ps.center(canonical))
+
+
+def test_negative_explicit_thread_count_raises(canonical):
+    with pytest.raises(ps.DomainError):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4, threads=-3)
+
+
+def test_constant_delta_reuses_last_score_as_prev_potential():
+    inst = ps.gen_random_psd(6, 12, 2, 1e4, seed=3)
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=80))
+    assert trace.records[0].prev_log_potential == pytest.approx(math.log(12), rel=1e-15)
+    for before, rec in zip(trace.records, trace.records[1:]):
+        assert rec.prev_log_potential == before.log_potential
+
+
+def test_audit_catches_running_sum_drift(monkeypatch, canonical):
+    exact = greedy._symmetrize
+    monkeypatch.setattr(greedy, "_symmetrize", lambda a: exact(a) + 1e-7)
+    with pytest.raises(ps.AuditFailed, match="step 64"):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=64)
 
 
 def test_run_permutation_covariance():

@@ -48,6 +48,14 @@ def test_validate_rejects_malformed_payloads():
         ps.validate(raw)
 
 
+@pytest.mark.parametrize("d", [True, 2.7, "2", 2.0, None])
+def test_validate_rejects_non_integer_dimension(d):
+    raw = canonical_raw()
+    raw["d"] = d
+    with pytest.raises(ps.FormatError):
+        ps.validate(raw)
+
+
 def test_validate_rejects_nonfinite_entries():
     raw = canonical_raw()
     raw["items"][0]["A"] = [[math.inf, 0.0], [0.0, 0.0]]

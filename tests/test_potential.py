@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
+from psdsparse.potential import logsumexp
 
 from conftest import rng_for
 
@@ -55,6 +60,9 @@ def test_psi_dataclass_carries_inputs():
 
 @given(st.floats(0.05, 20.0), st.floats(0.0, 5.0))
 @settings(max_examples=200, deadline=None)
+# subnormal delta^2, where the series once rounded under delta^2/2 (to 0 in the first)
+@example(m1=0.0625, u=1.3850690591430747e-163)
+@example(m1=1.0, u=6.333138100199483e-158)
 def test_psi_two_sided_quadratic_bounds(m1, u):
     delta = u / m1
     v = ps.psi_value(m1, delta)
@@ -143,6 +151,64 @@ def test_log_potential_from_eigenvalues_batches():
     assert out.shape == (2,)
     assert out[0] == pytest.approx(math.log(4.0), rel=1e-15)
     assert out[1] == pytest.approx(1.8200751916029178, rel=1e-15)
+
+
+def _log_potential_reference(eigs, delta):
+    """Shifted log-sum-exp over {+-delta*mu_j} with an exactly rounded sum."""
+    z = [delta * float(mu) for mu in eigs]
+    z += [-x for x in z]
+    shift = max(z)
+    return shift + math.log(math.fsum(math.exp(x - shift) for x in z))
+
+
+def test_log_potential_from_eigenvalues_matches_fsum_reference():
+    rng = rng_for(10)
+    # scale * delta reaches ~5e4, far past the exp overflow threshold of ~709
+    for scale, delta in [(1.0, 1e-6), (1.0, 0.7), (3.0, 2.0), (100.0, 10.0), (800.0, 60.0)]:
+        for _ in range(40):
+            d = int(rng.integers(1, 33))
+            eigs = rng.standard_normal(d) * scale
+            got = ps.log_potential_from_eigenvalues(eigs, delta)
+            assert got == pytest.approx(_log_potential_reference(eigs, delta), rel=1e-14)
+
+
+def test_log_potential_batch_rows_equal_single_calls_bitwise():
+    # greedy reuses a batch row as the next step's single-row potential
+    rng = rng_for(12)
+    for m, d in [(1, 1), (2, 3), (7, 16), (32, 16), (33, 5), (128, 64)]:
+        for delta in (1e-3, 0.1, 3.0):
+            eigs = rng.standard_normal((m, d)) * rng.uniform(0.1, 50.0)
+            batch = ps.log_potential_from_eigenvalues(eigs, delta)
+            for i in range(m):
+                assert batch[i] == ps.log_potential_from_eigenvalues(eigs[i], delta)
+
+
+def test_weighted_logsumexp_matches_scipy():
+    # the weighted form behind verify's one-step suite
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = rng_for(14)
+    for _ in range(100):
+        n = int(rng.integers(1, 20))
+        values = rng.standard_normal(n) * rng.uniform(0.1, 300.0)
+        weights = rng.random(n)
+        weights[rng.random(n) < 0.3] = 0.0
+        weights[int(rng.integers(0, n))] = rng.uniform(0.1, 1.0)
+        want = float(scipy_logsumexp(values, b=weights))
+        assert logsumexp(values, b=weights) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    # a zero-weight entry far above the rest must not overflow the sum
+    values, weights = np.array([1.0, 800.0, 2.0]), np.array([0.5, 0.0, 0.5])
+    want = float(scipy_logsumexp(values, b=weights))
+    assert logsumexp(values, b=weights) == pytest.approx(want, rel=1e-14)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, psdsparse; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_scalar_gap_at_zero_is_exact_zero():
