@@ -121,5 +121,9 @@ class PotentialGrowthViolation(BoundViolation):
     """The per-step potential inequality failed during a run (also a bug)."""
 
 
+class PruningCertificateFailed(PsdSparseError):
+    """A greedy step's candidate bounds did not hold, so skipping candidates was unsafe (a bug)."""
+
+
 class AuditFailed(PsdSparseError):
     """The incremental running sum drifted from its recomputation."""

@@ -5,6 +5,16 @@ whose addition minimizes the symmetric exponential potential of the running
 centered sum. Two step-size schedules are provided: a per-step decaying one
 whose prefix errors obey a closed-form bound at every k, and a constant one
 tuned to a known sparsity target N.
+
+Each step scores exactly only the members that could still be picked. One
+eigendecomposition of the running sum Y gives, for every member, a lower
+bound on log Phi_delta(Y + X_i) from the convexity of log Phi and an upper
+bound from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson. A
+member whose lower bound exceeds the smallest upper bound by more than the
+tie tolerance cannot win and is skipped; the rest are scored with one batched
+eigvalsh. The picks and recorded potentials are those of scoring every
+member, bit for bit, and every step checks that its smallest exact score
+meets the smallest upper bound.
 """
 
 from __future__ import annotations
@@ -22,13 +32,16 @@ from .errors import (
     BoundViolation,
     DomainError,
     EmptyFamily,
+    NonFinite,
     PotentialGrowthViolation,
+    PruningCertificateFailed,
 )
 from .instance import CenteredFamily, Instance, center
 from .potential import log_potential_from_eigenvalues, psi_value
-from .symmat import SymMatrix, _eigvalsh, _symmetrize
+from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
 
 TIE_TOL = 1e-12
+PRUNE_RTOL = 1e-9   # rounding margin on the candidate bounds, relative to 1 + |log Phi(Y)|
 STEP_TOL = 1e-9
 BOUND_RTOL = 1e-9
 AUDIT_INTERVAL = 64
@@ -137,6 +150,12 @@ def default_k_max(norm_bound: float, d: int) -> int:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One greedy step; ``evaluated`` counts the members scored exactly (at most m).
+
+    ``evaluated`` depends only on the instance and the schedule, never on the
+    thread count; the members it leaves out were proven unable to win.
+    """
+
     k: int
     delta: float
     prev_log_potential: float   # log Phi_{delta_k}(Y_{k-1})
@@ -144,10 +163,13 @@ class StepRecord:
     error: float                # ||Y_k|| / k
     bound: float
     regime: str
+    evaluated: int              # candidates whose eigenvalues were computed
 
 
 @dataclass(frozen=True, eq=False)
 class GreedyTrace:
+    """A finished run: the 1-based picks, one StepRecord per step, and the final Y."""
+
     schedule: Schedule
     indices: tuple[int, ...]    # 1-based into the instance family
     records: tuple[StepRecord, ...]
@@ -165,15 +187,16 @@ def _scoring_pool(n_threads: int, m: int):
 
 
 def _candidate_scores(y, xs, delta, buf, pool=None, n_chunks=1):
-    """Log-potential of y + x for every family member, plus the eigenvalues.
+    """Log-potential of y + x for every row x of xs, plus the eigenvalues.
 
-    The candidates are formed in buf, an (m, d, d) scratch array. With a
-    pool, the eigendecompositions run on n_chunks row blocks of buf; per-row
-    results are independent of the chunking, so the scores are identical for
-    any thread count.
+    The candidates are formed in buf, an array shaped like xs (xs itself is
+    allowed). With a pool and at least two rows per chunk, the
+    eigendecompositions run on n_chunks row blocks of buf; per-row results
+    are independent of the chunking, so the scores are identical for any
+    thread count.
     """
     np.add(xs, y, out=buf)
-    if pool is None:
+    if pool is None or len(buf) < 2 * n_chunks:
         eigs = _eigvalsh(buf)
     else:
         eigs = np.concatenate(list(pool.map(_eigvalsh, np.array_split(buf, n_chunks))))
@@ -185,21 +208,77 @@ def _pick(scores: np.ndarray) -> int:
     return int(np.argmax(scores <= np.min(scores) + TIE_TOL))
 
 
+def _bounds(y, xs, squares, delta, psi_hi, psi_lo):
+    """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
+
+    Needs X_i <= m_hi and -X_i <= m_lo with psi_hi = psi(m_hi, delta) and
+    psi_lo = psi(m_lo, delta); squares holds the X_i^2. With y = Q diag(mu) Q^T,
+    s = delta*max|mu| and F+- = Q diag(e^{+-delta mu - s}) Q^T:
+    lower_i = log Phi(y) + delta<F+ - F-, X_i> / tr(F+ + F-), by convexity;
+    upper_i = s + log(tr(F+ + F-) + delta<F+ - F-, X_i> + <psi_hi F+ + psi_lo F-, X_i^2>),
+    by Golden-Thompson. The shift by s keeps every exponential in (0, 1].
+    """
+    mu, q = _eigh(y)
+    s = delta * max(float(mu[-1]), -float(mu[0]))
+    e = np.exp(np.multiply.outer((delta, -delta), mu) - s)   # spectra of F+ and F-
+    total = float(e.sum())
+    # f[0] = F+ - F-, f[1] = psi_hi F+ + psi_lo F-
+    w = np.array(((1.0, -1.0), (psi_hi, psi_lo))) @ e
+    f = (q * w[:, np.newaxis, :]) @ q.T
+    m = len(xs)
+    lin = delta * (xs.reshape(m, -1) @ f[0].reshape(-1))
+    quad = squares.reshape(m, -1) @ f[1].reshape(-1)
+    log_phi = s + math.log(total)
+    return log_phi + lin / total, s + np.log(total + lin + quad), PRUNE_RTOL * (1.0 + abs(log_phi))
+
+
+def _step(y, xs, squares, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
+    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
+
+    A member is skipped when its lower bound exceeds the smallest upper bound
+    by more than TIE_TOL plus the rounding margins: its score then exceeds the
+    minimum by more than TIE_TOL, so it is neither the minimum nor tied with
+    it. The rest are gathered into buf and scored exactly; each row's score
+    does not depend on which rows share the batch, so the pick and its score
+    equal those of scoring every member. The smallest exact score must not
+    exceed the smallest upper bound: that is what makes the skip sound.
+    """
+    lower, upper, margin = _bounds(y, xs, squares, delta, psi_hi, psi_lo)
+    cap = float(upper.min()) + margin
+    if not math.isfinite(cap):
+        raise NonFinite(f"candidate upper bound is {cap!r}")
+    keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
+    # keep is in range by construction; mode="clip" lets take write into buf unbuffered
+    cand = np.take(xs, keep, axis=0, out=buf[: keep.size], mode="clip")
+    scores, eigs = _candidate_scores(y, cand, delta, cand, pool, n_threads)
+    # keep is ascending, so this is _pick over all members with the skipped ones at +inf
+    j = _pick(scores)
+    if scores.min() > cap:
+        raise PruningCertificateFailed(
+            f"smallest exact score {float(scores.min())!r} exceeds the smallest upper bound {cap!r}"
+        )
+    return int(keep[j]), float(scores[j]), eigs[j], keep
+
+
 def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, float]:
     """Greedy choice: 1-based index minimizing log Phi_delta(Y + X_i), and its value.
 
-    Ties (within 1e-12 in log scale) resolve to the smallest index.
+    fam is a CenteredFamily or any family with stack() and ||X_i|| <= fam.m1;
+    delta * fam.m1 may not exceed 700. Ties (within 1e-12 in log scale)
+    resolve to the smallest index.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
     if fam.m < 1:
         raise EmptyFamily("family has no members")
     xs = fam.stack()
+    p = psi_value(fam.m1, delta)
     n_threads = thread_count()
     with _scoring_pool(n_threads, fam.m) as pool:
-        scores, _ = _candidate_scores(y.entries, xs, delta, np.empty(xs.shape), pool, n_threads)
-    best = _pick(scores)
-    return best + 1, float(scores[best])
+        best, score, _, _ = _step(
+            y.entries, xs, xs @ xs, delta, p, p, np.empty(xs.shape), pool, n_threads
+        )
+    return best + 1, score
 
 
 def run(
@@ -236,19 +315,19 @@ def run(
         )
 
     n_threads = thread_count(threads)
-    fam = center(inst)
-    xs = fam.stack()
+    xs = center(inst).stack()   # the family's SymMatrix tuple is not kept
+    squares = xs @ xs
     m_bound = schedule.norm_bound
 
     y = np.zeros((inst.d, inst.d))
     buf = np.empty(xs.shape)
-    counts = np.zeros(fam.m)
+    counts = np.zeros(len(xs))
     prev_eigs = np.zeros(inst.d)
     delta = log_phi = None
     indices: list[int] = []
     records: list[StepRecord] = []
 
-    with _scoring_pool(n_threads, fam.m) as pool:
+    with _scoring_pool(n_threads, len(xs)) as pool:
         for k in range(1, k_max + 1):
             prev_delta, delta = delta, schedule.delta(k)
             if delta == prev_delta:
@@ -256,11 +335,13 @@ def run(
                 prev_log_phi = log_phi
             else:
                 prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
-            scores, cand_eigs = _candidate_scores(y, xs, delta, buf, pool, n_threads)
-            best = _pick(scores)
-            log_phi = float(scores[best])
+                # X_i <= M, and -X_i <= 1 because A_i is PSD
+                psi_hi, psi_lo = psi_value(m_bound, delta), psi_value(1.0, delta)
+            best, log_phi, prev_eigs, keep = _step(
+                y, xs, squares, delta, psi_hi, psi_lo, buf, pool, n_threads
+            )
 
-            step_cap = m_bound * psi_value(m_bound, delta) + prev_log_phi
+            step_cap = m_bound * psi_hi + prev_log_phi
             if log_phi > step_cap + STEP_TOL:
                 raise PotentialGrowthViolation(
                     k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
@@ -268,8 +349,7 @@ def run(
 
             indices.append(best + 1)
             counts[best] += 1
-            y = _symmetrize(buf[best])
-            prev_eigs = cand_eigs[best]
+            y = _symmetrize(y + xs[best])
             error = float(np.max(np.abs(prev_eigs))) / k
             cap = schedule.bound(k)
             if error > cap * (1.0 + BOUND_RTOL):
@@ -283,12 +363,13 @@ def run(
                     error=error,
                     bound=cap,
                     regime=schedule.regime(k),
+                    evaluated=keep.size,
                 )
             )
 
             if k % AUDIT_INTERVAL == 0:
                 # O(m d^2) from the per-member counts, however long the run
-                resummed = _symmetrize((counts @ xs.reshape(fam.m, -1)).reshape(y.shape))
+                resummed = _symmetrize((counts @ xs.reshape(len(xs), -1)).reshape(y.shape))
                 drift = float(np.linalg.norm(resummed - y))
                 if drift > AUDIT_TOL * k:
                     raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")

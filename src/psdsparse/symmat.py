@@ -31,6 +31,14 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (nondecreasing) and orthonormal eigenvectors (columns); batch-aware."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """A dense d x d real symmetric matrix.
@@ -114,10 +122,7 @@ def eigh(s: SymMatrix) -> Spectrum:
     a = s.entries
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix entries contain NaN or Inf")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    vals, vecs = _eigh(a)
     recon = (vecs * vals) @ vecs.T
     fro = np.linalg.norm(a)
     if np.linalg.norm(recon - a) > RECONSTRUCTION_RTOL * (1.0 + fro):

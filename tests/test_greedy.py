@@ -182,6 +182,101 @@ def test_selection_beats_weighted_average(canonical):
         assert value == pytest.approx(min(scores), rel=1e-14)
 
 
+# --- candidate pruning ------------------------------------------------------------
+
+# d=1, M=50: the coarse-regime instance of acceptance criterion 8
+_COARSE_RAW = {
+    "d": 1,
+    "items": [{"lambda": 1 / 99, "A": [[50.0]]}, {"lambda": 98 / 99, "A": [[0.5]]}],
+}
+
+_STATE_FAMILIES = {
+    "bases": lambda seed: ps.gen_bases(4, 3, seed),  # members of one basis tie exactly
+    "psd": lambda seed: ps.gen_random_psd(5, 12, 2, 1e4, seed),
+    "graph": lambda seed: ps.gen_graph_edges(ps.random_connected_edges(7, 12, seed)),
+    "coarse": lambda seed: ps.validate(_COARSE_RAW),
+}
+
+
+def _check_pruning_state(inst, y, delta):
+    """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact."""
+    xs = ps.center(inst).stack()
+    squares = xs @ xs
+    psi_hi, psi_lo = ps.psi_value(inst.norm_bound, delta), ps.psi_value(1.0, delta)
+    lower, upper, margin = greedy._bounds(y, xs, squares, delta, psi_hi, psi_lo)
+    full, _ = greedy._candidate_scores(y, xs, delta, np.empty(xs.shape))
+    assert np.all(lower - margin <= full)
+    assert np.all(full <= upper + margin)
+
+    best, score, _, keep = greedy._step(y, xs, squares, delta, psi_hi, psi_lo, np.empty(xs.shape))
+    ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
+    assert set(ties.tolist()) <= set(keep.tolist())
+    assert best == greedy._pick(full)
+    assert score == full[best]
+
+
+@given(
+    st.sampled_from(sorted(_STATE_FAMILIES)),
+    st.integers(0, 2**16),
+    st.booleans(),
+    st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruning_is_sound_on_reachable_states(kind, seed, fixed, k):
+    # run k steps and stop, then check the choice of step k+1 against full scoring
+    inst = _STATE_FAMILIES[kind](seed)
+    sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=k if fixed else None)
+    trace = ps.run(inst, sched, k_max=k)
+    assert all(1 <= r.evaluated <= inst.m for r in trace.records)
+    _check_pruning_state(inst, trace.running_sum.entries, sched.delta(k + 1))
+
+
+@pytest.mark.parametrize("t", [-40000.0, 40000.0])
+def test_pruning_is_sound_beyond_exp_overflow(t):
+    # delta*||Y|| = 800: the bounds are formed after shifting by delta*max|mu|
+    inst = ps.validate(_COARSE_RAW)
+    _check_pruning_state(inst, np.array([[t]]), 1.0 / inst.norm_bound)
+
+
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_eigvalsh_rows_do_not_depend_on_batch(d):
+    # the precondition for pruned picks to equal full ones bit for bit
+    rng = np.random.Generator(np.random.Philox(d))
+    g = rng.standard_normal((24, d, d))
+    stack = g + g.swapaxes(1, 2)
+    keep = np.flatnonzero(rng.random(24) < 0.5)
+    gathered = np.take(stack, keep, axis=0, out=np.empty((keep.size, d, d)), mode="clip")
+    assert np.array_equal(greedy._eigvalsh(gathered), greedy._eigvalsh(stack)[keep])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pruning_skips_a_large_share_of_candidates(seed):
+    # guards against a bound loosened until nothing is skipped
+    inst = ps.gen_random_psd(16, 32, 4, 1e6, seed)
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=200))
+    evaluated = [r.evaluated for r in trace.records]
+    assert max(evaluated) <= inst.m
+    assert np.mean(evaluated) <= 0.6 * inst.m
+
+
+def test_non_finite_candidate_bound_raises(canonical):
+    xs = ps.center(canonical).stack()
+    with pytest.raises(ps.NonFinite), np.errstate(invalid="ignore"):
+        greedy._step(np.zeros((2, 2)), xs, xs @ xs, 0.5, math.inf, 0.1, np.empty(xs.shape))
+
+
+def test_failed_pruning_certificate_raises(monkeypatch, canonical):
+    exact = greedy._bounds
+
+    def too_low(*args):
+        lower, upper, margin = exact(*args)
+        return lower - 1.0, upper - 1.0, margin
+
+    monkeypatch.setattr(greedy, "_bounds", too_low)
+    with pytest.raises(ps.PruningCertificateFailed):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+
+
 # --- runs -------------------------------------------------------------------------
 
 
