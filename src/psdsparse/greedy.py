@@ -7,14 +7,17 @@ whose prefix errors obey a closed-form bound at every k, and a constant one
 tuned to a known sparsity target N.
 
 Each step scores exactly only the members that could still be picked. One
-eigendecomposition of the running sum Y gives, for every member, a lower
-bound on log Phi_delta(Y + X_i) from the convexity of log Phi and an upper
-bound from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson. A
-member whose lower bound exceeds the smallest upper bound by more than the
-tie tolerance cannot win and is skipped; the rest are scored with one batched
-eigvalsh. The picks and recorded potentials are those of scoring every
-member, bit for bit, and every step checks that its smallest exact score
-meets the smallest upper bound.
+eigendecomposition of the running sum Y gives, for every member, an upper
+bound on log Phi_delta(Y + X_i) from e^{delta X} <= I + delta X + psi X^2 with
+Golden-Thompson, and a lower bound: the larger of a first-order one, from the
+convexity of log Phi, and a second-order one, from a floor on the curvature
+of Phi along Y + tX_i that needs only ||X_i||_F and the spectral bounds
+X_i <= m_hi, -X_i <= m_lo (see _bounds). A member whose lower bound exceeds
+the smallest upper bound by more than the tie tolerance cannot win and is
+skipped; the rest are scored with one batched eigvalsh. The picks and
+recorded potentials are those of scoring every member, bit for bit. Every
+step checks that its smallest exact score meets the smallest upper bound and
+that no exact score falls below its member's lower bound.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,15 +212,53 @@ def _pick(scores: np.ndarray) -> int:
     return int(np.argmax(scores <= np.min(scores) + TIE_TOL))
 
 
-def _bounds(y, xs, squares, delta, psi_hi, psi_lo):
+class _Stack(NamedTuple):
+    """A centered family as arrays, with the spectral bounds X_i <= m_hi and -X_i <= m_lo."""
+
+    xs: np.ndarray
+    squares: np.ndarray   # X_i^2
+    norms: np.ndarray     # ||X_i||_F^2 = tr X_i^2
+    m_hi: float
+    m_lo: float
+
+
+def _stack(xs, m_hi, m_lo) -> _Stack:
+    squares = xs @ xs
+    return _Stack(xs, squares, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
+
+
+def _bounds(y, stack, delta, psi_hi, psi_lo):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
-    Needs X_i <= m_hi and -X_i <= m_lo with psi_hi = psi(m_hi, delta) and
-    psi_lo = psi(m_lo, delta); squares holds the X_i^2. With y = Q diag(mu) Q^T,
-    s = delta*max|mu| and F+- = Q diag(e^{+-delta mu - s}) Q^T:
-    lower_i = log Phi(y) + delta<F+ - F-, X_i> / tr(F+ + F-), by convexity;
-    upper_i = s + log(tr(F+ + F-) + delta<F+ - F-, X_i> + <psi_hi F+ + psi_lo F-, X_i^2>),
+    Needs psi_hi = psi(stack.m_hi, delta) and psi_lo = psi(stack.m_lo, delta). With
+    y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
+    and lin_i = delta<F+ - F-, X_i>, the lower bound is the larger of
+
+    - log Phi(y) + lin_i / tr(F+ + F-), by convexity of log Phi;
+    - s + log(tr(F+ + F-) + lin_i + c ||X_i||_F^2), by the curvature of Phi.
+
+    The upper bound is s + log(tr(F+ + F-) + lin_i + <psi_hi F+ + psi_lo F-, X_i^2>),
     by Golden-Thompson. The shift by s keeps every exponential in (0, 1].
+
+    The curvature bound: let g(t) = tr e^{delta(y + tX)} + tr e^{-delta(y + tX)}.
+    The second derivative of tr e^{H + tK} is sum_jk (e^{a_j} - e^{a_k})/(a_j - a_k) |K_jk|^2
+    in the eigenbasis of H + tK (Daleckii-Krein), and each divided difference is at
+    least e^{min a}. So g''(t) >= delta^2 ||X||_F^2 (e^{delta lambda_min} + e^{-delta lambda_max})
+    of y + tX, and for t in [0, 1] the spectrum of y + tX lies in
+    [mu_min - m_lo, mu_max + m_hi]. Taylor's theorem then gives g(1) >= g(0) + g'(0)
+    + c ||X||_F^2 with c = (delta^2/2)(e^{delta(mu_min - m_lo) - s} + e^{-delta(mu_max + m_hi) - s})
+    in the e^{-s} frame. Its argument can be <= 0 when the step is large, and then
+    gives no bound. Each term of the argument may carry a relative rounding error
+    of up to the margin, so the argument is lowered by that much before the log;
+    one that could have been pushed above 0 by rounding also gives no bound.
+
+    The margin, PRUNE_RTOL * (1 + |log Phi(y)|), covers rounding. It also covers
+    what validation leaves open in run's constants m_hi = M and m_lo = 1.
+    validate accepts eigenvalues of A_i down to -PSD_TOL (1 + M), so -X_i <= 1
+    may fail by that much; with delta <= 1/M this scales c by no less than
+    e^{-2 PSD_TOL} = 1 - 2e-10. X_i <= M - 1 leaves a whole unit below m_hi, so
+    center's CENTER_NORM_TOL (1e-9) never enters. Both stay far below
+    PRUNE_RTOL = 1e-9 relative to each term.
     """
     mu, q = _eigh(y)
     s = delta * max(float(mu[-1]), -float(mu[0]))
@@ -225,14 +267,25 @@ def _bounds(y, xs, squares, delta, psi_hi, psi_lo):
     # f[0] = F+ - F-, f[1] = psi_hi F+ + psi_lo F-
     w = np.array(((1.0, -1.0), (psi_hi, psi_lo))) @ e
     f = (q * w[:, np.newaxis, :]) @ q.T
-    m = len(xs)
-    lin = delta * (xs.reshape(m, -1) @ f[0].reshape(-1))
-    quad = squares.reshape(m, -1) @ f[1].reshape(-1)
+    m = len(stack.xs)
+    lin = delta * (stack.xs.reshape(m, -1) @ f[0].reshape(-1))
+    quad = stack.squares.reshape(m, -1) @ f[1].reshape(-1)
     log_phi = s + math.log(total)
-    return log_phi + lin / total, s + np.log(total + lin + quad), PRUNE_RTOL * (1.0 + abs(log_phi))
+    margin = PRUNE_RTOL * (1.0 + abs(log_phi))
+    c = 0.5 * delta * delta * (
+        math.exp(delta * (float(mu[0]) - stack.m_lo) - s)
+        + math.exp(-delta * (float(mu[-1]) + stack.m_hi) - s)
+    )
+    # each term of the argument may be off by margin times its size, and
+    # |lin_i| <= delta max(m_hi, m_lo) tr(F+ + F-)
+    slack = margin * (1.0 + delta * max(stack.m_hi, stack.m_lo))
+    floor = lin + (1.0 - margin) * c * stack.norms + (1.0 - slack) * total
+    second = np.log(floor, out=np.full(m, -np.inf), where=floor > 0)
+    lower = np.maximum(log_phi + lin / total, s + second)
+    return lower, s + np.log(total + lin + quad), margin
 
 
-def _step(y, xs, squares, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
+def _step(y, stack, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
 
     A member is skipped when its lower bound exceeds the smallest upper bound
@@ -240,22 +293,32 @@ def _step(y, xs, squares, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
     minimum by more than TIE_TOL, so it is neither the minimum nor tied with
     it. The rest are gathered into buf and scored exactly; each row's score
     does not depend on which rows share the batch, so the pick and its score
-    equal those of scoring every member. The smallest exact score must not
-    exceed the smallest upper bound: that is what makes the skip sound.
+    equal those of scoring every member. Two checks run on the exact scores:
+    the smallest must not exceed the smallest upper bound, which is what makes
+    the skip sound, and none may fall below its member's lower bound.
     """
-    lower, upper, margin = _bounds(y, xs, squares, delta, psi_hi, psi_lo)
+    lower, upper, margin = _bounds(y, stack, delta, psi_hi, psi_lo)
     cap = float(upper.min()) + margin
     if not math.isfinite(cap):
         raise NonFinite(f"candidate upper bound is {cap!r}")
     keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
+    if keep.size == 0:
+        raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     # keep is in range by construction; mode="clip" lets take write into buf unbuffered
-    cand = np.take(xs, keep, axis=0, out=buf[: keep.size], mode="clip")
+    cand = np.take(stack.xs, keep, axis=0, out=buf[: keep.size], mode="clip")
     scores, eigs = _candidate_scores(y, cand, delta, cand, pool, n_threads)
     # keep is ascending, so this is _pick over all members with the skipped ones at +inf
     j = _pick(scores)
     if scores.min() > cap:
         raise PruningCertificateFailed(
             f"smallest exact score {float(scores.min())!r} exceeds the smallest upper bound {cap!r}"
+        )
+    excess = lower[keep] - scores
+    if excess.max() > margin:
+        worst = int(np.argmax(excess))
+        raise PruningCertificateFailed(
+            f"member {int(keep[worst]) + 1}: lower bound {float(lower[keep[worst]])!r} "
+            f"exceeds its exact score {float(scores[worst])!r}"
         )
     return int(keep[j]), float(scores[j]), eigs[j], keep
 
@@ -271,12 +334,12 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise DomainError(f"delta must be positive, got {delta!r}")
     if fam.m < 1:
         raise EmptyFamily("family has no members")
-    xs = fam.stack()
+    stack = _stack(fam.stack(), fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
     n_threads = thread_count()
     with _scoring_pool(n_threads, fam.m) as pool:
         best, score, _, _ = _step(
-            y.entries, xs, xs @ xs, delta, p, p, np.empty(xs.shape), pool, n_threads
+            y.entries, stack, delta, p, p, np.empty(stack.xs.shape), pool, n_threads
         )
     return best + 1, score
 
@@ -315,9 +378,10 @@ def run(
         )
 
     n_threads = thread_count(threads)
-    xs = center(inst).stack()   # the family's SymMatrix tuple is not kept
-    squares = xs @ xs
     m_bound = schedule.norm_bound
+    # X_i <= M, and -X_i <= 1 because A_i is PSD; the family's SymMatrix tuple is not kept
+    stack = _stack(center(inst).stack(), m_bound, 1.0)
+    xs = stack.xs
 
     y = np.zeros((inst.d, inst.d))
     buf = np.empty(xs.shape)
@@ -335,10 +399,9 @@ def run(
                 prev_log_phi = log_phi
             else:
                 prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
-                # X_i <= M, and -X_i <= 1 because A_i is PSD
-                psi_hi, psi_lo = psi_value(m_bound, delta), psi_value(1.0, delta)
+                psi_hi, psi_lo = psi_value(stack.m_hi, delta), psi_value(stack.m_lo, delta)
             best, log_phi, prev_eigs, keep = _step(
-                y, xs, squares, delta, psi_hi, psi_lo, buf, pool, n_threads
+                y, stack, delta, psi_hi, psi_lo, buf, pool, n_threads
             )
 
             step_cap = m_bound * psi_hi + prev_log_phi

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import psdsparse as ps
 from psdsparse import greedy
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
+from psdsparse.potential import log_potential_from_eigenvalues
 
 from conftest import raw_payload
 
@@ -201,14 +202,14 @@ _STATE_FAMILIES = {
 def _check_pruning_state(inst, y, delta):
     """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact."""
     xs = ps.center(inst).stack()
-    squares = xs @ xs
+    stack = greedy._stack(xs, inst.norm_bound, 1.0)   # m_hi = M, m_lo = 1, and the norms
     psi_hi, psi_lo = ps.psi_value(inst.norm_bound, delta), ps.psi_value(1.0, delta)
-    lower, upper, margin = greedy._bounds(y, xs, squares, delta, psi_hi, psi_lo)
+    lower, upper, margin = greedy._bounds(y, stack, delta, psi_hi, psi_lo)
     full, _ = greedy._candidate_scores(y, xs, delta, np.empty(xs.shape))
     assert np.all(lower - margin <= full)
     assert np.all(full <= upper + margin)
 
-    best, score, _, keep = greedy._step(y, xs, squares, delta, psi_hi, psi_lo, np.empty(xs.shape))
+    best, score, _, keep = greedy._step(y, stack, delta, psi_hi, psi_lo, np.empty(xs.shape))
     ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
     assert set(ties.tolist()) <= set(keep.tolist())
     assert best == greedy._pick(full)
@@ -238,6 +239,18 @@ def test_pruning_is_sound_beyond_exp_overflow(t):
     _check_pruning_state(inst, np.array([[t]]), 1.0 / inst.norm_bound)
 
 
+@pytest.mark.parametrize("t", [-20.0, 20.0])
+def test_curvature_bound_is_sound_where_it_is_nearly_exact(t):
+    # d=1 and X_i = -+1 at delta = 1/2: one exponential dominates and the
+    # curvature of Phi along Y + tX is known exactly, so a bound that dropped
+    # m_lo (t > 0) or m_hi (t < 0) from the spectrum's range would exceed the
+    # exact score of the member that moves Y back toward 0
+    inst = ps.validate(
+        {"d": 1, "items": [{"lambda": 0.5, "A": [[0.0]]}, {"lambda": 0.5, "A": [[2.0]]}]}
+    )
+    _check_pruning_state(inst, np.array([[t]]), 0.5)
+
+
 @pytest.mark.parametrize("d", [2, 16, 64])
 def test_eigvalsh_rows_do_not_depend_on_batch(d):
     # the precondition for pruned picks to equal full ones bit for bit
@@ -256,13 +269,13 @@ def test_pruning_skips_a_large_share_of_candidates(seed):
     trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=200))
     evaluated = [r.evaluated for r in trace.records]
     assert max(evaluated) <= inst.m
-    assert np.mean(evaluated) <= 0.6 * inst.m
+    assert np.mean(evaluated) <= 0.35 * inst.m
 
 
 def test_non_finite_candidate_bound_raises(canonical):
-    xs = ps.center(canonical).stack()
+    stack = greedy._stack(ps.center(canonical).stack(), 2.0, 1.0)
     with pytest.raises(ps.NonFinite), np.errstate(invalid="ignore"):
-        greedy._step(np.zeros((2, 2)), xs, xs @ xs, 0.5, math.inf, 0.1, np.empty(xs.shape))
+        greedy._step(np.zeros((2, 2)), stack, 0.5, math.inf, 0.1, np.empty(stack.xs.shape))
 
 
 def test_failed_pruning_certificate_raises(monkeypatch, canonical):
@@ -275,6 +288,97 @@ def test_failed_pruning_certificate_raises(monkeypatch, canonical):
     monkeypatch.setattr(greedy, "_bounds", too_low)
     with pytest.raises(ps.PruningCertificateFailed):
         ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+
+
+@pytest.mark.parametrize(
+    "raise_lower, message",
+    [
+        (lambda lower, upper: upper, "member 1: lower bound"),   # above every exact score at k = 1
+        (lambda lower, upper: upper + 1.0, "every lower bound"),  # nothing left to score
+    ],
+    ids=["above-scores", "above-every-cap"],
+)
+def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_lower, message):
+    exact = greedy._bounds
+
+    def too_high(*args):
+        lower, upper, margin = exact(*args)
+        return raise_lower(lower, upper), upper, margin
+
+    monkeypatch.setattr(greedy, "_bounds", too_high)
+    with pytest.raises(ps.PruningCertificateFailed, match=message):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+
+
+@pytest.mark.parametrize("step", [5.0, 27.0])
+def test_select_next_is_exact_where_the_curvature_bound_is_void(step):
+    # at delta*m1 > 1 the curvature bound's log argument is often <= 0 at the
+    # winner; it must give no bound there, not a NaN that skips the winner
+    fam = ps.center(ps.gen_random_psd(4, 9, 2, 1e4, 21))
+    xs = fam.stack()
+    delta = step / fam.m1
+    rngy = np.random.Generator(np.random.Philox(17))
+    for _ in range(6):
+        g = rngy.standard_normal((4, 4))
+        y = (g + g.T) / 2
+        idx, value = ps.select_next(ps.SymMatrix(y), delta, fam)
+        full, _ = greedy._candidate_scores(y, xs, delta, np.empty(xs.shape))
+        assert idx == greedy._pick(full) + 1
+        assert value == full[idx - 1]
+
+
+# 12 instances of the acceptance sweep, with its generator arguments
+_REFERENCE_FAMILIES = {
+    "bases-d2-b1": lambda: ps.gen_bases(2, 1, 400),
+    "bases-d4-b2": lambda: ps.gen_bases(4, 2, 404),
+    "bases-d8-b4": lambda: ps.gen_bases(8, 4, 408),
+    "bases-d16-b2": lambda: ps.gen_bases(16, 2, 410),
+    "psd-d2-m8-r2": lambda: ps.gen_random_psd(2, 8, 2, 1e4, 501),
+    "psd-d4-m16-r4": lambda: ps.gen_random_psd(4, 16, 4, 1e4, 505),
+    "psd-d10-m30-r2": lambda: ps.gen_random_psd(10, 30, 2, 1e4, 512),
+    "psd-d16-m48-r16": lambda: ps.gen_random_psd(16, 48, 16, 1e4, 519),
+    "graph-n3-e3": lambda: ps.gen_graph_edges(ps.random_connected_edges(3, 3, 600)),
+    "graph-n8-e12": lambda: ps.gen_graph_edges(ps.random_connected_edges(8, 12, 605)),
+    "graph-n14-e22": lambda: ps.gen_graph_edges(ps.random_connected_edges(14, 22, 611)),
+    "graph-n13-e30": lambda: ps.gen_graph_edges(ps.random_connected_edges(13, 30, 617)),
+}
+
+
+def _full_run(inst, sched, k_max):
+    """Exact greedy without pruning: every member scored at every step.
+
+    Returns the 1-based picks and the recorded log-potentials before and after
+    each step, computed as run records them.
+    """
+    xs = ps.center(inst).stack()
+    y = np.zeros((inst.d, inst.d))
+    eigs = np.zeros(inst.d)
+    indices, prev, current = [], [], []
+    for k in range(1, k_max + 1):
+        delta = sched.delta(k)
+        prev.append(float(log_potential_from_eigenvalues(eigs, delta)))
+        scores, all_eigs = greedy._candidate_scores(y, xs, delta, np.empty(xs.shape))
+        best = greedy._pick(scores)
+        indices.append(best + 1)
+        current.append(float(scores[best]))
+        eigs = all_eigs[best]
+        y = greedy._symmetrize(y + xs[best])
+    return tuple(indices), prev, current
+
+
+@pytest.mark.parametrize("label", sorted(_REFERENCE_FAMILIES))
+def test_run_matches_exact_greedy_bit_for_bit(label):
+    inst = _REFERENCE_FAMILIES[label]()
+    ml = math.ceil(inst.norm_bound * math.log(2 * inst.d))
+    for sched, k_max in (
+        (ps.Schedule(inst.norm_bound, inst.d), max(4 * ml, 256)),
+        (ps.Schedule(inst.norm_bound, inst.d, fixed_n=ml), ml),
+    ):
+        trace = ps.run(inst, sched, k_max=k_max)
+        indices, prev, current = _full_run(inst, sched, k_max)
+        assert trace.indices == indices
+        assert [r.prev_log_potential for r in trace.records] == prev
+        assert [r.log_potential for r in trace.records] == current
 
 
 # --- runs -------------------------------------------------------------------------
