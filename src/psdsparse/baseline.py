@@ -40,7 +40,7 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     cdf[-1] = 1.0  # close the simplex gap so u < 1 always lands in range
     draws = np.searchsorted(cdf, rng.random(k_max), side="right")
 
-    xs = center(inst).stack()
+    xs = center(inst).xs
     errors = np.empty(k_max)
     chunk = max(1, _CHUNK_ENTRIES // (inst.d * inst.d))
     y = np.zeros((inst.d, inst.d))

@@ -40,7 +40,7 @@ from .errors import (
     PotentialGrowthViolation,
     PruningCertificateFailed,
 )
-from .instance import CenteredFamily, Instance, center
+from .instance import NORM_FLOOR_TOL, CenteredFamily, Instance, center
 from .potential import log_potential_from_eigenvalues, psi_value
 from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
 
@@ -53,6 +53,12 @@ AUDIT_TOL = 1e-9
 
 REGIME_COARSE = "coarse"
 REGIME_FINE = "fine"
+
+
+def _check_family_constants(norm_bound: float, d: int) -> None:
+    """Reject a norm bound that is not finite or below 1 (as validation rounds it), or d < 1."""
+    if not (math.isfinite(norm_bound) and norm_bound >= 1.0 - NORM_FLOOR_TOL) or d < 1:
+        raise DomainError(f"need a finite norm bound >= 1 and d >= 1, got M={norm_bound!r}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,7 @@ class Schedule:
     fixed_n: int | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dimension must be positive, got {self.dim}")
-        if not self.norm_bound >= 1.0 - 1e-10:
-            raise DomainError(f"norm bound must be >= 1, got {self.norm_bound!r}")
+        _check_family_constants(self.norm_bound, self.dim)
         if self.fixed_n is not None and self.fixed_n < 1:
             raise DomainError(f"fixed N must be positive, got {self.fixed_n}")
 
@@ -118,8 +121,7 @@ def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if norm_bound < 1 or d < 1:
-        raise DomainError("need norm bound >= 1 and d >= 1")
+    _check_family_constants(norm_bound, d)
     ml = norm_bound * math.log(2 * d)
     if k <= ml:
         return 2.0 * ml / k
@@ -130,8 +132,7 @@ def bound_fixed_n(n: int, norm_bound: float, d: int) -> float:
     """Final-error bound of the constant schedule: 2*sqrt(ML/N) for N >= ML, else 2ML/N."""
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
-    if norm_bound < 1 or d < 1:
-        raise DomainError("need norm bound >= 1 and d >= 1")
+    _check_family_constants(norm_bound, d)
     ml = norm_bound * math.log(2 * d)
     if n >= ml:
         return 2.0 * math.sqrt(ml / n)
@@ -142,8 +143,7 @@ def required_n(epsilon: float, norm_bound: float, d: int) -> int:
     """Smallest guaranteed sparsity for target error epsilon: ceil(9*M*ln(2d)/eps^2)."""
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if norm_bound < 1 or d < 1:
-        raise DomainError("need norm bound >= 1 and d >= 1")
+    _check_family_constants(norm_bound, d)
     return int(math.ceil(9.0 * norm_bound * math.log(2 * d) / (epsilon * epsilon)))
 
 
@@ -326,15 +326,14 @@ def _step(y, stack, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
 def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, float]:
     """Greedy choice: 1-based index minimizing log Phi_delta(Y + X_i), and its value.
 
-    fam is a CenteredFamily or any family with stack() and ||X_i|| <= fam.m1;
-    delta * fam.m1 may not exceed 700. Ties (within 1e-12 in log scale)
-    resolve to the smallest index.
+    fam must have ||X_i|| <= fam.m1, and delta * fam.m1 may not exceed 700.
+    Ties (within 1e-12 in log scale) resolve to the smallest index.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
     if fam.m < 1:
         raise EmptyFamily("family has no members")
-    stack = _stack(fam.stack(), fam.m1, fam.m1)
+    stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
     n_threads = thread_count()
     with _scoring_pool(n_threads, fam.m) as pool:
@@ -379,8 +378,8 @@ def run(
 
     n_threads = thread_count(threads)
     m_bound = schedule.norm_bound
-    # X_i <= M, and -X_i <= 1 because A_i is PSD; the family's SymMatrix tuple is not kept
-    stack = _stack(center(inst).stack(), m_bound, 1.0)
+    # X_i <= M, and -X_i <= 1 because A_i is PSD
+    stack = _stack(center(inst).xs, m_bound, 1.0)
     xs = stack.xs
 
     y = np.zeros((inst.d, inst.d))

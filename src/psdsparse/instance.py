@@ -13,6 +13,7 @@ recomputed value and never replaces it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,50 +50,46 @@ MAX_TRANSFORM_RETRIES = 16
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A validated decomposition of the identity (see module docstring)."""
+    """A validated decomposition of the identity (see module docstring).
+
+    weights and the (m, d, d) array mats are read-only, and each mats[i] is
+    exactly symmetric.
+    """
 
     d: int
     m: int
     weights: np.ndarray
-    matrices: tuple[SymMatrix, ...]
+    mats: np.ndarray
     norm_bound: float
 
     def stack(self) -> np.ndarray:
-        """The family as an (m, d, d) array."""
-        return np.stack([a.entries for a in self.matrices])
+        """The family as an (m, d, d) array: mats itself, not a copy."""
+        return self.mats
 
 
 @dataclass(frozen=True, eq=False)
 class CenteredFamily:
-    """The family X_i = A_i - Id with certified mean-zero/norm/square properties."""
+    """Centered matrices X_i as a read-only (m, d, d) array, with weights and bounds.
 
-    parent: Instance
-    centered: tuple[SymMatrix, ...]
+    m1 caps each ||X_i|| and m2 caps the top eigenvalue of sum_i w_i X_i^2;
+    center() gives m1 = m2 = M.
+    """
+
+    weights: np.ndarray
+    xs: np.ndarray
+    m1: float
+    m2: float
 
     @property
     def d(self) -> int:
-        return self.parent.d
+        return self.xs.shape[1]
 
     @property
     def m(self) -> int:
-        return self.parent.m
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.parent.weights
-
-    @property
-    def m1(self) -> float:
-        """Uniform norm bound on the centered matrices."""
-        return self.parent.norm_bound
-
-    @property
-    def m2(self) -> float:
-        """Bound on the top eigenvalue of the weighted sum of squares."""
-        return self.parent.norm_bound
+        return self.xs.shape[0]
 
     def stack(self) -> np.ndarray:
-        return np.stack([x.entries for x in self.centered])
+        return self.xs
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -104,8 +101,8 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _certify(weights: np.ndarray, mats: np.ndarray) -> Instance:
     """Build an Instance, verifying every contract condition on the given arrays.
 
-    ``mats`` must already be exactly symmetric; asymmetry handling is the
-    loader's job.
+    ``mats`` must already be exactly symmetric (asymmetry handling is the
+    loader's job); it is kept as the instance's array and made read-only.
     """
     weights = np.asarray(weights, dtype=np.float64)
     mats = np.asarray(mats, dtype=np.float64)
@@ -119,6 +116,10 @@ def _certify(weights: np.ndarray, mats: np.ndarray) -> Instance:
         raise NonFinite("weights contain NaN or Inf")
     if not np.all(np.isfinite(mats)):
         raise NonFinite("matrix entries contain NaN or Inf")
+    if not np.array_equal(mats, mats.swapaxes(1, 2)):
+        asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
+        i = int(np.argmax(asym > 0))
+        raise NotSymmetric(i, float(asym[i]))
     if np.any(weights < 0):
         i = int(np.argmin(weights))
         raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
@@ -145,8 +146,18 @@ def _certify(weights: np.ndarray, mats: np.ndarray) -> Instance:
 
     weights = weights.copy()
     weights.setflags(write=False)
-    matrices = tuple(SymMatrix(mats[i]) for i in range(m))
-    return Instance(d=d, m=m, weights=weights, matrices=matrices, norm_bound=norm_bound)
+    mats.setflags(write=False)
+    return Instance(d=d, m=m, weights=weights, mats=mats, norm_bound=norm_bound)
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number as a float; a string, boolean, list or null is a FormatError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FormatError(f"{what} does not fit a float") from exc
 
 
 def validate(raw: dict) -> Instance:
@@ -165,15 +176,23 @@ def validate(raw: dict) -> Instance:
         raise DimensionMismatch(f"dimension must be positive, got {d}")
     if not isinstance(items, list) or not items:
         raise FormatError("'items' must be a non-empty list")
+    stored = raw.get("M")
+    if stored is not None:
+        stored = _json_number(stored, "'M'")
+        if not math.isfinite(stored):
+            raise FormatError(f"'M' must be finite, got {stored!r}")
 
     weights = np.empty(len(items))
     mats = np.empty((len(items), d, d))
     for i, item in enumerate(items):
         try:
-            weights[i] = float(item["lambda"])
-            a = np.asarray(item["A"], dtype=np.float64)
+            weights[i] = _json_number(item["lambda"], f"item {i}: 'lambda'")
+            a = np.asarray(item["A"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"item {i} must carry 'lambda' and a numeric matrix 'A'") from exc
+        if a.dtype.kind not in "iuf":
+            raise FormatError(f"item {i}: 'A' must be a matrix of numbers")
+        a = a.astype(np.float64, copy=False)
         if a.shape != (d, d):
             raise DimensionMismatch(f"item {i}: matrix shape {a.shape} != ({d}, {d})")
         if not np.all(np.isfinite(a)):
@@ -184,8 +203,7 @@ def validate(raw: dict) -> Instance:
         mats[i] = _symmetrize(a)
 
     inst = _certify(weights, mats)
-    if "M" in raw and raw["M"] is not None:
-        stored = float(raw["M"])
+    if stored is not None:
         if stored < inst.norm_bound - 1e-9 * (1.0 + inst.norm_bound):
             raise NormBoundTooSmall(
                 f"stored M={stored!r} is below the recomputed bound {inst.norm_bound!r}"
@@ -199,8 +217,8 @@ def to_payload(inst: Instance) -> dict:
         "d": inst.d,
         "M": inst.norm_bound,
         "items": [
-            {"lambda": float(w), "A": a.entries.tolist()}
-            for w, a in zip(inst.weights, inst.matrices)
+            {"lambda": float(w), "A": a.tolist()}
+            for w, a in zip(inst.weights, inst.mats)
         ],
     }
 
@@ -228,7 +246,7 @@ def center(inst: Instance) -> CenteredFamily:
     weighted sum of squares is dominated by M * Id.
     """
     d, mw = inst.d, inst.weights
-    xs = inst.stack() - np.eye(d)
+    xs = inst.mats - np.eye(d)
 
     mean_eigs = _eigvalsh(_symmetrize(np.einsum("i,ijk->jk", mw, xs)))
     mean_norm = float(np.max(np.abs(mean_eigs)))
@@ -245,7 +263,8 @@ def center(inst: Instance) -> CenteredFamily:
     if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
         raise CenteringCertificateFailed("square-bound")
 
-    return CenteredFamily(parent=inst, centered=tuple(SymMatrix(x) for x in xs))
+    xs.setflags(write=False)
+    return CenteredFamily(weights=mw, xs=xs, m1=inst.norm_bound, m2=inst.norm_bound)
 
 
 # --- generators ----------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +24,8 @@ SERIES_CUTOFF = 1e-4
 EXP_ARG_MAX = 700.0
 
 
-@dataclass(frozen=True)
-class PsiValue:
-    """psi evaluated at (m1, delta); value >= delta^2/2, and <= delta^2 when delta <= 1/m1."""
-
-    m1: float
-    delta: float
-    value: float
-
-
-@dataclass(frozen=True)
-class LogPotential:
-    """log(tr e^{delta Y} + tr e^{-delta Y}) together with its delta."""
-
-    delta: float
-    value: float
-
-
 def psi_value(m1: float, delta: float) -> float:
-    """Bare float value of psi; shared fast path for hot loops."""
+    """Normalized quadratic remainder psi(m1, delta) = (e^{delta m1} - 1 - delta m1) / m1^2."""
     if m1 <= 0:
         raise DomainError(f"m1 must be positive, got {m1}")
     if delta < 0:
@@ -61,11 +43,6 @@ def psi_value(m1: float, delta: float) -> float:
             value = math.nextafter(0.5 * delta * delta, math.inf)
         return value
     return (math.expm1(u) - u) / (m1 * m1)
-
-
-def psi(m1: float, delta: float) -> PsiValue:
-    """Normalized quadratic remainder (e^{delta m1} - 1 - delta m1) / m1^2."""
-    return PsiValue(m1=float(m1), delta=float(delta), value=psi_value(m1, delta))
 
 
 def logsumexp(a, b=None) -> np.ndarray | float:
@@ -98,12 +75,11 @@ def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.
     return logsumexp(np.concatenate([z, -z], axis=-1))
 
 
-def log_potential(y: SymMatrix, delta: float) -> LogPotential:
+def log_potential(y: SymMatrix, delta: float) -> float:
     """log of the symmetric exponential potential of Y at parameter delta > 0."""
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    vals = _eigvalsh(y.entries)
-    return LogPotential(delta=float(delta), value=log_potential_from_eigenvalues(vals, delta))
+    return log_potential_from_eigenvalues(_eigvalsh(y.entries), delta)
 
 
 def scalar_exp_bound_gap(x: float, delta: float, m1: float) -> float:

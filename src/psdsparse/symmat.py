@@ -7,7 +7,7 @@ are explicitly re-symmetrized to stop drift in iterated updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,49 +73,17 @@ class SymMatrix:
     def zeros(cls, d: int) -> "SymMatrix":
         return cls(np.zeros((d, d)))
 
-    def to_array(self) -> np.ndarray:
-        """A writable copy of the entries."""
-        return np.array(self.entries)
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        _check_same_dim(self, other)
-        return SymMatrix(self.entries + other.entries)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        _check_same_dim(self, other)
-        return SymMatrix(self.entries - other.entries)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self.entries)
-
-    def scaled(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.entries * float(c))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in nondecreasing order with an orthogonal eigenvector matrix.
-
-    Columns of ``eigenvectors`` pair with ``eigenvalues`` so that
-    Q diag(mu) Q^T reconstructs the input matrix.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
 
 def _check_same_dim(a: SymMatrix, b: SymMatrix) -> None:
     if a.d != b.d:
         raise DimensionMismatch(f"dimensions differ: {a.d} vs {b.d}")
 
 
-def eigh(s: SymMatrix) -> Spectrum:
-    """Full spectral decomposition with a numerical certificate.
+def eigh(s: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectral decomposition (mu, Q) with a numerical certificate.
 
-    The returned spectrum satisfies, with S the input and (mu, Q) the output:
+    mu is nondecreasing and column j of Q pairs with mu[j]; both are
+    read-only. With S the input they satisfy
     ||Q diag(mu) Q^T - S||_F <= 1e-10 * (1 + ||S||_F) and
     ||Q^T Q - Id||_F <= 1e-10 * d. Deterministic for identical input bits.
     """
@@ -132,7 +100,7 @@ def eigh(s: SymMatrix) -> Spectrum:
         raise NoConvergence("eigenvector orthogonality certificate failed")
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return vals, vecs
 
 
 def op_norm(s: SymMatrix) -> float:
@@ -162,16 +130,16 @@ def sym_apply(s: SymMatrix, f) -> SymMatrix:
     ``f`` must be defined on every eigenvalue of ``s``; a non-finite result
     raises NonFinite (e.g. exp of a matrix with huge norm).
     """
-    spec = eigh(s)
+    mu, q = eigh(s)
     # finiteness is checked below, so numpy's own NaN/overflow warnings are noise
     with np.errstate(all="ignore"):
         try:
-            mapped = np.asarray(f(spec.eigenvalues), dtype=np.float64)
-            if mapped.shape != spec.eigenvalues.shape:
+            mapped = np.asarray(f(mu), dtype=np.float64)
+            if mapped.shape != mu.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            mapped = np.array([float(f(x)) for x in spec.eigenvalues])
+            mapped = np.array([float(f(x)) for x in mu])
     if not np.all(np.isfinite(mapped)):
         raise NonFinite("scalar function produced NaN or Inf on the spectrum")
-    result = (spec.eigenvectors * mapped) @ spec.eigenvectors.T
+    result = (q * mapped) @ q.T
     return SymMatrix(result)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .instance import center, gen_random_psd
+from .instance import CenteredFamily, center, gen_random_psd
 from .potential import log_potential_from_eigenvalues, logsumexp, psi_value, scalar_exp_bound_gap
 from .symmat import SymMatrix, _eigvalsh, _symmetrize, sym_apply
 
@@ -58,33 +58,6 @@ class CheckReport:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralCenteredFamily:
-    """A centered family that need not come from a PSD decomposition.
-
-    Carries decoupled bounds: m1 caps each matrix norm, m2 caps the top
-    eigenvalue of the weighted sum of squares. The one-step and moment
-    bounds hold for any such family, not only for decompositions of the
-    identity.
-    """
-
-    weights: np.ndarray
-    mats: np.ndarray
-    m1: float
-    m2: float
-
-    @property
-    def d(self) -> int:
-        return self.mats.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.mats.shape[0]
-
-    def stack(self) -> np.ndarray:
-        return self.mats
-
-
 def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((d, d))
     return scale * 0.5 * (g + g.T)
@@ -92,8 +65,8 @@ def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 
 def random_centered_family(
     rng: np.random.Generator, max_d: int = 16, max_m: int = 12, scale: float = 2.0
-) -> GeneralCenteredFamily:
-    """Random symmetric matrices with the weighted mean projected out."""
+) -> CenteredFamily:
+    """Random symmetric matrices with the weighted mean projected out, and their bounds."""
     d = int(rng.integers(1, max_d + 1))
     m = int(rng.integers(1, max_m + 1))
     w = rng.random(m) + 1e-3
@@ -104,7 +77,8 @@ def random_centered_family(
     m1 = max(float(np.max(norms)), 1e-9)
     sq = _symmetrize(np.einsum("i,ijk->jk", w, xs @ xs))
     m2 = max(float(np.max(_eigvalsh(sq))), 0.0)
-    return GeneralCenteredFamily(weights=w, mats=xs, m1=m1, m2=m2)
+    xs.setflags(write=False)
+    return CenteredFamily(weights=w, xs=xs, m1=m1, m2=m2)
 
 
 def _psd_derived_family(rng: np.random.Generator):
@@ -120,7 +94,7 @@ def _psd_derived_family(rng: np.random.Generator):
 
 def _one_step_slack(fam, y: np.ndarray, delta: float) -> float:
     """Slack of: weighted avg of Phi(Y + X_i) <= exp(m2 * psi_{m1}(delta)) * Phi(Y)."""
-    scores = log_potential_from_eigenvalues(_eigvalsh(y[np.newaxis] + fam.stack()), delta)
+    scores = log_potential_from_eigenvalues(_eigvalsh(y[np.newaxis] + fam.xs), delta)
     lhs = float(logsumexp(scores, b=fam.weights))
     rhs = fam.m2 * psi_value(fam.m1, delta) + float(
         log_potential_from_eigenvalues(_eigvalsh(y), delta)
@@ -136,7 +110,7 @@ def check_one_step(fam, y: SymMatrix, delta: float, seed: int = 0) -> CheckRepor
 
 def _mgf_slack(fam, delta: float) -> float:
     """Spectral slack of: sum_i w_i exp(±delta X_i) <= exp(m2 psi_{m1}(delta)) Id."""
-    vals, vecs = np.linalg.eigh(fam.stack())
+    vals, vecs = np.linalg.eigh(fam.xs)
     cap = math.exp(fam.m2 * psi_value(fam.m1, delta))
     worst = math.inf
     for sign in (1.0, -1.0):

@@ -33,6 +33,13 @@ def test_required_n_rejects_bad_epsilon(capsys):
     assert err.startswith("error: DomainError:") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("m_bound", ["inf", "nan"])
+def test_required_n_rejects_non_finite_norm_bound(m_bound, capsys):
+    assert cli.main(["required-n", "--epsilon", "0.5", "--m-bound", m_bound, "--d", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and "\n" not in err.strip()
+
+
 def test_validate_ok(tmp_path, capsys):
     path = _write_canonical(tmp_path)
     assert cli.main(["validate", str(path)]) == 0
@@ -46,6 +53,16 @@ def test_validate_names_the_violation(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(path)]) == 1
     assert "NotIsotropic" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_string_norm_bound(tmp_path, capsys):
+    raw = canonical_raw()
+    raw["M"] = "abc"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError:") and "\n" not in err.strip()
 
 
 def test_validate_missing_file(tmp_path, capsys):

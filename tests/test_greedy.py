@@ -94,6 +94,24 @@ def test_bounds_reject_bad_arguments():
             fn(5, 0.5, 2)
 
 
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_non_finite_norm_bound_raises(m):
+    with pytest.raises(ps.DomainError):
+        ps.Schedule(m, 2)
+    for fn in (ps.bound_all_steps, ps.bound_fixed_n):
+        with pytest.raises(ps.DomainError):
+            fn(5, m, 2)
+    with pytest.raises(ps.DomainError):
+        ps.required_n(0.5, m, 2)
+
+
+def test_bounds_accept_every_norm_bound_a_schedule_accepts():
+    # validation keeps norm bounds down to 1 - 1e-10, and so does Schedule
+    m = 1.0 - 5e-11
+    assert ps.Schedule(m, 1).bound(1) == ps.bound_all_steps(1, m, 1)
+    assert ps.bound_fixed_n(3, m, 1) > 0 and ps.required_n(0.5, m, 1) > 0
+
+
 @given(st.integers(1, 10**5), st.floats(1.0, 64.0), st.integers(1, 128))
 @settings(max_examples=150, deadline=None)
 def test_fixed_bound_never_exceeds_all_steps_bound(n, m, d):
@@ -150,16 +168,14 @@ def test_select_next_single_member_keeps_potential():
     y = ps.SymMatrix([[0.7]])
     idx, value = ps.select_next(y, 0.3, fam)
     assert idx == 1
-    assert value == pytest.approx(ps.log_potential(y, 0.3).value, rel=1e-15)
+    assert value == pytest.approx(ps.log_potential(y, 0.3), rel=1e-15)
 
 
 def test_select_next_rejects_bad_inputs(canonical):
     fam = ps.center(canonical)
     with pytest.raises(ps.DomainError):
         ps.select_next(ps.SymMatrix.zeros(2), 0.0, fam)
-    empty = ps.GeneralCenteredFamily(
-        weights=np.empty(0), mats=np.empty((0, 2, 2)), m1=1.0, m2=1.0
-    )
+    empty = ps.CenteredFamily(weights=np.empty(0), xs=np.empty((0, 2, 2)), m1=1.0, m2=1.0)
     with pytest.raises(ps.EmptyFamily):
         ps.select_next(ps.SymMatrix.zeros(2), 0.5, empty)
 
@@ -176,7 +192,7 @@ def test_selection_beats_weighted_average(canonical):
         delta = rngy.uniform(0.01, 1.0 / fam.m1)
         idx, value = ps.select_next(y, delta, fam)
         scores = [
-            ps.log_potential(y + x, delta).value for x in fam.centered
+            ps.log_potential(ps.SymMatrix(y.entries + x), delta) for x in fam.stack()
         ]
         avg = float(logsumexp(scores, b=fam.weights))
         assert value <= avg + 1e-12

@@ -6,7 +6,9 @@ import pytest
 
 import psdsparse as ps
 
-from conftest import canonical_raw, raw_payload
+from psdsparse.instance import _certify
+
+from conftest import canonical_raw, raw_payload, rng_for
 
 
 # --- validate ---------------------------------------------------------------------
@@ -56,6 +58,37 @@ def test_validate_rejects_non_integer_dimension(d):
         ps.validate(raw)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("M", "abc"),
+        ("M", [1]),
+        ("M", math.nan),
+        ("M", math.inf),
+        ("M", True),
+        ("lambda", "0.5"),
+        ("lambda", True),
+        ("lambda", None),
+        ("A", [["2.0", "0.0"], ["0.0", "0.0"]]),
+        ("A", [[True, False], [False, False]]),
+    ],
+)
+def test_validate_rejects_non_numeric_fields(key, value):
+    raw = canonical_raw()
+    if key == "M":
+        raw["M"] = value
+    else:
+        raw["items"][0][key] = value
+    with pytest.raises(ps.FormatError):
+        ps.validate(raw)
+
+
+def test_validate_allows_null_norm_bound():
+    raw = canonical_raw()
+    raw["M"] = None
+    assert ps.validate(raw).norm_bound == 2.0
+
+
 def test_validate_rejects_nonfinite_entries():
     raw = canonical_raw()
     raw["items"][0]["A"] = [[math.inf, 0.0], [0.0, 0.0]]
@@ -67,7 +100,7 @@ def test_validate_asymmetry_tolerance_boundary():
     raw = canonical_raw()
     raw["items"][0]["A"] = [[2.0, 1e-10], [0.0, 0.0]]  # below 1e-9: symmetrized
     inst = ps.validate(raw)
-    a = inst.matrices[0].entries
+    a = inst.stack()[0]
     assert a[0, 1] == a[1, 0] == pytest.approx(5e-11)
     raw["items"][0]["A"] = [[2.0, 1e-6], [0.0, 0.0]]
     with pytest.raises(ps.NotSymmetric) as exc:
@@ -109,6 +142,30 @@ def test_validate_advisory_norm_bound():
         ps.validate(raw)
 
 
+# --- the family array -------------------------------------------------------------
+
+
+def test_family_arrays_are_read_only_and_shared(canonical):
+    fams = (
+        canonical.stack(),
+        ps.center(canonical).stack(),
+        ps.random_centered_family(rng_for(3)).stack(),
+    )
+    for xs in fams:
+        with pytest.raises(ValueError):
+            xs[0, 0, 0] = 1.0
+    assert np.shares_memory(canonical.stack(), canonical.stack())
+
+
+def test_certify_rejects_one_ulp_of_asymmetry():
+    inst = ps.gen_random_psd(3, 6, 2, 1e4, 5)
+    mats = inst.stack().copy()
+    mats[4, 0, 2] = np.nextafter(mats[4, 0, 2], math.inf)
+    with pytest.raises(ps.NotSymmetric) as exc:
+        _certify(inst.weights, mats)
+    assert exc.value.index == 4
+
+
 # --- round-trip and file IO -------------------------------------------------------
 
 
@@ -138,15 +195,15 @@ def test_load_rejects_invalid_json(tmp_path):
 
 def test_center_canonical(canonical):
     fam = ps.center(canonical)
-    assert np.array_equal(fam.centered[0].entries, np.diag([1.0, -1.0]))
-    assert np.array_equal(fam.centered[1].entries, np.diag([-1.0, 1.0]))
+    assert np.array_equal(fam.stack()[0], np.diag([1.0, -1.0]))
+    assert np.array_equal(fam.stack()[1], np.diag([-1.0, 1.0]))
     assert fam.m1 == fam.m2 == canonical.norm_bound
     assert fam.d == 2 and fam.m == 2
 
 
 def test_center_single_member_is_zero():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
-    assert np.array_equal(ps.center(inst).centered[0].entries, [[0.0]])
+    assert np.array_equal(ps.center(inst).stack()[0], [[0.0]])
 
 
 def test_center_square_sum_identity():
@@ -171,8 +228,8 @@ def test_gen_bases_single_basis_resolves_identity():
 def test_gen_bases_shape_and_norms():
     inst = ps.gen_bases(4, 3, 7)
     assert (inst.d, inst.m) == (4, 12)
-    for a in inst.matrices:
-        assert ps.op_norm(a) == pytest.approx(4.0, abs=1e-10)
+    for a in inst.stack():
+        assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_gen_bases_round_trips_through_validator():
@@ -226,8 +283,8 @@ def test_gen_graph_edges_triangle():
     inst = ps.gen_graph_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert (inst.d, inst.m) == (2, 3)
     assert np.allclose(inst.weights, 1.0 / 3.0, atol=1e-12)
-    for a in inst.matrices:
-        assert ps.op_norm(a) == pytest.approx(2.0, rel=1e-10)
+    for a in inst.stack():
+        assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_gen_graph_edges_single_edge():
