@@ -1,8 +1,8 @@
-"""Worker-count resolution for optional intra-step parallelism.
+"""Validation of the PSDSPARSE_THREADS setting and the threads= argument.
 
-PSDSPARSE_THREADS caps parallelism: 0 means auto (cpu count), unset means 1.
-A negative or unparsable setting raises DomainError rather than falling back.
-Results never depend on the worker count; it only affects scheduling.
+Scoring is serial, so the resolved count is not used for computation; it is
+still resolved (0 means the cpu count, unset means 1) so that a negative or
+unparsable setting raises DomainError rather than passing silently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ ENV_VAR = "PSDSPARSE_THREADS"
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker count from an explicit value or the environment."""
+    """Resolve the thread setting from an explicit value or the environment."""
     if explicit is None:
         raw = os.environ.get(ENV_VAR, "").strip()
         if not raw:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .instance import Instance, center
-from .symmat import _eigvalsh
+from .symmat import _eigvalsh, _symmetrize
 
 # rows of (k, d, d) eigendecomposed per chunk; caps peak memory near 32 MB
 _CHUNK_ENTRIES = 1 << 22
@@ -47,7 +47,7 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     for start in range(0, k_max, chunk):
         block = np.cumsum(xs[draws[start:start + chunk]], axis=0)
         block += y
-        eigs = _eigvalsh((block + block.swapaxes(-1, -2)) * 0.5)
+        eigs = _eigvalsh(_symmetrize(block))
         ks = np.arange(start + 1, start + 1 + block.shape[0])
         errors[start:start + block.shape[0]] = np.max(np.abs(eigs), axis=-1) / ks
         y = block[-1]

@@ -4,9 +4,9 @@ Exit codes: 0 on success, 1 on any input or validation failure (one
 machine-parseable line on stderr: "error: <Kind>: <detail>"), 2 when a run
 violates a proved bound, which indicates a bug rather than bad input.
 
-The environment variable PSDSPARSE_THREADS caps internal parallelism
-(unset = 1, 0 = all cores); results are identical for any setting, and a
-negative or unparsable value is a DomainError.
+Scoring is serial. The environment variable PSDSPARSE_THREADS is still
+validated, so a negative or unparsable value is a DomainError, and any valid
+value is otherwise ignored.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def _build_parser() -> _Parser:
         prog="psdsparse",
         description="Deterministic equal-weight sparsification of PSD decompositions "
         "of the identity, with certified per-prefix error bounds.",
-        epilog="PSDSPARSE_THREADS caps internal parallelism (unset=1, 0=all cores); "
-        "outputs are identical for any value.",
+        epilog="Scoring is serial; PSDSPARSE_THREADS is validated (a nonnegative "
+        "integer) and otherwise ignored.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -23,8 +23,6 @@ that no exact score falls below its member's lower bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -156,8 +154,8 @@ def default_k_max(norm_bound: float, d: int) -> int:
 class StepRecord:
     """One greedy step; ``evaluated`` counts the members scored exactly (at most m).
 
-    ``evaluated`` depends only on the instance and the schedule, never on the
-    thread count; the members it leaves out were proven unable to win.
+    ``evaluated`` depends only on the instance and the schedule; the members
+    it leaves out were proven unable to win.
     """
 
     k: int
@@ -180,30 +178,14 @@ class GreedyTrace:
     running_sum: SymMatrix
 
 
-@contextmanager
-def _scoring_pool(n_threads: int, m: int):
-    """One worker pool for a caller's whole lifetime, or None when scoring runs serially."""
-    if n_threads <= 1 or m < 2 * n_threads:
-        yield None
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            yield pool
-
-
-def _candidate_scores(y, xs, delta, buf, pool=None, n_chunks=1):
+def _candidate_scores(y, xs, delta, buf):
     """Log-potential of y + x for every row x of xs, plus the eigenvalues.
 
     The candidates are formed in buf, an array shaped like xs (xs itself is
-    allowed). With a pool and at least two rows per chunk, the
-    eigendecompositions run on n_chunks row blocks of buf; per-row results
-    are independent of the chunking, so the scores are identical for any
-    thread count.
+    allowed).
     """
     np.add(xs, y, out=buf)
-    if pool is None or len(buf) < 2 * n_chunks:
-        eigs = _eigvalsh(buf)
-    else:
-        eigs = np.concatenate(list(pool.map(_eigvalsh, np.array_split(buf, n_chunks))))
+    eigs = _eigvalsh(buf)
     return log_potential_from_eigenvalues(eigs, delta), eigs
 
 
@@ -285,7 +267,7 @@ def _bounds(y, stack, delta, psi_hi, psi_lo):
     return lower, s + np.log(total + lin + quad), margin
 
 
-def _step(y, stack, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
+def _step(y, stack, delta, psi_hi, psi_lo, buf):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
 
     A member is skipped when its lower bound exceeds the smallest upper bound
@@ -306,7 +288,7 @@ def _step(y, stack, delta, psi_hi, psi_lo, buf, pool=None, n_threads=1):
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     # keep is in range by construction; mode="clip" lets take write into buf unbuffered
     cand = np.take(stack.xs, keep, axis=0, out=buf[: keep.size], mode="clip")
-    scores, eigs = _candidate_scores(y, cand, delta, cand, pool, n_threads)
+    scores, eigs = _candidate_scores(y, cand, delta, cand)
     # keep is ascending, so this is _pick over all members with the skipped ones at +inf
     j = _pick(scores)
     if scores.min() > cap:
@@ -335,11 +317,8 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise EmptyFamily("family has no members")
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    n_threads = thread_count()
-    with _scoring_pool(n_threads, fam.m) as pool:
-        best, score, _, _ = _step(
-            y.entries, stack, delta, p, p, np.empty(stack.xs.shape), pool, n_threads
-        )
+    thread_count()  # validates PSDSPARSE_THREADS; scoring is serial
+    best, score, _, _ = _step(y.entries, stack, delta, p, p, np.empty(stack.xs.shape))
     return best + 1, score
 
 
@@ -355,7 +334,8 @@ def run(
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps.
+    fresh summation every 64 steps. ``threads`` is validated like
+    PSDSPARSE_THREADS and otherwise ignored: scoring is serial.
     """
     if schedule.fixed_n is not None:
         if k_max is None:
@@ -376,7 +356,7 @@ def run(
             f"instance's {inst.norm_bound!r}: guarantees would not apply"
         )
 
-    n_threads = thread_count(threads)
+    thread_count(threads)
     m_bound = schedule.norm_bound
     # X_i <= M, and -X_i <= 1 because A_i is PSD
     stack = _stack(center(inst).xs, m_bound, 1.0)
@@ -390,51 +370,48 @@ def run(
     indices: list[int] = []
     records: list[StepRecord] = []
 
-    with _scoring_pool(n_threads, len(xs)) as pool:
-        for k in range(1, k_max + 1):
-            prev_delta, delta = delta, schedule.delta(k)
-            if delta == prev_delta:
-                # the last step's chosen score is log Phi_delta(Y_{k-1}), from the same eigenvalues
-                prev_log_phi = log_phi
-            else:
-                prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
-                psi_hi, psi_lo = psi_value(stack.m_hi, delta), psi_value(stack.m_lo, delta)
-            best, log_phi, prev_eigs, keep = _step(
-                y, stack, delta, psi_hi, psi_lo, buf, pool, n_threads
+    for k in range(1, k_max + 1):
+        prev_delta, delta = delta, schedule.delta(k)
+        if delta == prev_delta:
+            # the last step's chosen score is log Phi_delta(Y_{k-1}), from the same eigenvalues
+            prev_log_phi = log_phi
+        else:
+            prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
+            psi_hi, psi_lo = psi_value(stack.m_hi, delta), psi_value(stack.m_lo, delta)
+        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi_hi, psi_lo, buf)
+
+        step_cap = m_bound * psi_hi + prev_log_phi
+        if log_phi > step_cap + STEP_TOL:
+            raise PotentialGrowthViolation(
+                k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
             )
 
-            step_cap = m_bound * psi_hi + prev_log_phi
-            if log_phi > step_cap + STEP_TOL:
-                raise PotentialGrowthViolation(
-                    k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
-                )
-
-            indices.append(best + 1)
-            counts[best] += 1
-            y = _symmetrize(y + xs[best])
-            error = float(np.max(np.abs(prev_eigs))) / k
-            cap = schedule.bound(k)
-            if error > cap * (1.0 + BOUND_RTOL):
-                raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
-            records.append(
-                StepRecord(
-                    k=k,
-                    delta=delta,
-                    prev_log_potential=prev_log_phi,
-                    log_potential=log_phi,
-                    error=error,
-                    bound=cap,
-                    regime=schedule.regime(k),
-                    evaluated=keep.size,
-                )
+        indices.append(best + 1)
+        counts[best] += 1
+        y = _symmetrize(y + xs[best])
+        error = float(np.max(np.abs(prev_eigs))) / k
+        cap = schedule.bound(k)
+        if error > cap * (1.0 + BOUND_RTOL):
+            raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
+        records.append(
+            StepRecord(
+                k=k,
+                delta=delta,
+                prev_log_potential=prev_log_phi,
+                log_potential=log_phi,
+                error=error,
+                bound=cap,
+                regime=schedule.regime(k),
+                evaluated=keep.size,
             )
+        )
 
-            if k % AUDIT_INTERVAL == 0:
-                # O(m d^2) from the per-member counts, however long the run
-                resummed = _symmetrize((counts @ xs.reshape(len(xs), -1)).reshape(y.shape))
-                drift = float(np.linalg.norm(resummed - y))
-                if drift > AUDIT_TOL * k:
-                    raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")
+        if k % AUDIT_INTERVAL == 0:
+            # O(m d^2) from the per-member counts, however long the run
+            resummed = _symmetrize((counts @ xs.reshape(len(xs), -1)).reshape(y.shape))
+            drift = float(np.linalg.norm(resummed - y))
+            if drift > AUDIT_TOL * k:
+                raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")
 
     return GreedyTrace(
         schedule=schedule,

@@ -20,7 +20,9 @@ LOEWNER_TOL = 1e-10
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T)/2, batch-aware on the last two axes."""
-    return (a + a.swapaxes(-1, -2)) * 0.5
+    s = a + a.swapaxes(-1, -2)
+    s *= 0.5   # in place: one temporary fewer, same bits
+    return s
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:

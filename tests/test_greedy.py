@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -326,6 +327,25 @@ def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_low
         ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
 
 
+def test_survivors_include_ties_within_tie_tol(monkeypatch):
+    # member 1 scores 4.6e-13 above member 2, so _pick over all members takes it;
+    # its lower bound lies above cap + margin but within TIE_TOL of it
+    xs = np.array([[[0.5 + 1e-12]], [[0.5]]])
+    y = np.zeros((1, 1))
+    scores, _ = greedy._candidate_scores(y, xs, 1.0, np.empty(xs.shape))
+    lower = np.array([scores[0] + 1e-13, scores[1]])
+    margin = lower[0] - scores[0]   # exactly, so the lower-bound check passes
+    cap = float(scores.min()) + margin
+    assert cap + margin < lower[0] <= cap + margin + greedy.TIE_TOL
+
+    monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
+    stack = greedy._stack(xs, 1.0, 1.0)
+    best, score, _, keep = greedy._step(y, stack, 1.0, 0.1, 0.1, np.empty(xs.shape))
+    assert keep.tolist() == [0, 1]
+    assert best == greedy._pick(scores) == 0
+    assert score == scores[0]
+
+
 @pytest.mark.parametrize("step", [5.0, 27.0])
 def test_select_next_is_exact_where_the_curvature_bound_is_void(step):
     # at delta*m1 > 1 the curvature bound's log argument is often <= 0 at the
@@ -489,19 +509,17 @@ def test_run_thread_count_does_not_change_results(monkeypatch):
     assert serial.records == threaded.records == direct.records
 
 
-@pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (4, 1)])
-def test_run_builds_at_most_one_pool(monkeypatch, threads, pools):
-    built = []
+def test_run_starts_no_threads(monkeypatch):
+    def refuse(self):
+        raise AssertionError("scoring started a thread")
 
-    class CountingPool(greedy.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(greedy, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     inst = ps.gen_bases(4, 2, seed=0)
-    ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=20, threads=threads)
-    assert len(built) == pools
+    sched = ps.Schedule(inst.norm_bound, inst.d)
+    ps.run(inst, sched, k_max=20, threads=4)
+    monkeypatch.setenv("PSDSPARSE_THREADS", "8")
+    ps.run(inst, sched, k_max=20)
+    ps.select_next(ps.SymMatrix.zeros(inst.d), 0.1, ps.center(inst))
 
 
 @pytest.mark.parametrize("value", ["-3", "abc", "1.5"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import psdsparse as ps
 
+from psdsparse import instance
 from psdsparse.instance import _certify
 
 from conftest import canonical_raw, raw_payload, rng_for
@@ -214,6 +216,49 @@ def test_center_square_sum_identity():
         lhs = np.einsum("i,ijk->jk", w, xs @ xs)
         rhs = np.einsum("i,ijk->jk", w, mats @ mats) - np.eye(inst.d)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "mats, norm_bound, which",
+    [
+        ([[[2.0]], [[2.0]]], 2.0, "mean-zero"),
+        ([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])], 0.5, "norm"),   # the canonical family
+        ([[[-1.0]], [[3.0]]], 2.0, "square-bound"),   # sum_i w_i X_i^2 = 4 > M
+    ],
+    ids=["mean-zero", "norm", "square-bound"],
+)
+def test_center_certificate_failures_are_never_cached(mats, norm_bound, which):
+    # built directly, so _certify never sees these families
+    mats = np.array(mats, dtype=float)
+    inst = ps.Instance(d=mats.shape[1], m=2, weights=np.full(2, 0.5), mats=mats,
+                       norm_bound=norm_bound)
+    for _ in range(2):
+        with pytest.raises(ps.CenteringCertificateFailed) as info:
+            ps.center(inst)
+        assert info.value.which == which
+
+
+def test_center_certifies_once_per_instance(monkeypatch):
+    inst = ps.gen_bases(4, 2, seed=0)
+    batches = []
+    exact = instance._eigvalsh
+
+    def counting(a):
+        if a.ndim == 3:
+            batches.append(a.shape)
+        return exact(a)
+
+    monkeypatch.setattr(instance, "_eigvalsh", counting)
+    xs = [ps.center(inst).xs for _ in range(3)]
+    ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=8)
+    ps.sample_run(inst, 16, 0)
+    ps.sample_run(inst, 16, 1)
+    assert batches == [(inst.m, inst.d, inst.d)]
+    for a in xs:
+        assert a.tobytes() == xs[0].tobytes()
+        assert not a.flags.writeable
+    for a, b in itertools.combinations(xs, 2):
+        assert not np.shares_memory(a, b)
 
 
 # --- generators -------------------------------------------------------------------

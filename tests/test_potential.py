@@ -196,10 +196,11 @@ def test_weighted_logsumexp_matches_scipy():
     assert logsumexp(values, b=weights) == pytest.approx(want, rel=1e-14)
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+def test_import_does_not_load(module):
     src = str(Path(ps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, psdsparse; print('scipy' in sys.modules)"
+    code = f"import sys, psdsparse; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
