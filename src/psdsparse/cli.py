@@ -3,10 +3,6 @@
 Exit codes: 0 on success, 1 on any input or validation failure (one
 machine-parseable line on stderr: "error: <Kind>: <detail>"), 2 when a run
 violates a proved bound, which indicates a bug rather than bad input.
-
-Scoring is serial. The environment variable PSDSPARSE_THREADS is still
-validated, so a negative or unparsable value is a DomainError, and any valid
-value is otherwise ignored.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ def _build_parser() -> _Parser:
         prog="psdsparse",
         description="Deterministic equal-weight sparsification of PSD decompositions "
         "of the identity, with certified per-prefix error bounds.",
-        epilog="Scoring is serial; PSDSPARSE_THREADS is validated (a nonnegative "
-        "integer) and otherwise ignored.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -121,7 +115,7 @@ def _cmd_generate(args) -> int:
             _require(args.d is not None and args.m is not None,
                      "generate --kind graph needs --edges FILE, or --d and --m for a random graph")
             edges = random_connected_edges(args.d + 1, args.m, args.seed)
-        inst = gen_graph_edges(edges, args.seed)
+        inst = gen_graph_edges(edges)
     save_instance(inst, args.out)
     print(f"ok d={inst.d} m={inst.m} M={_fmt(inst.norm_bound)} out={args.out}")
     return 0

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._threads import thread_count
 from .errors import (
     AuditFailed,
     BoundViolation,
@@ -178,14 +177,14 @@ class GreedyTrace:
     running_sum: SymMatrix
 
 
-def _candidate_scores(y, xs, delta, buf):
+def _candidate_scores(y, xs, delta):
     """Log-potential of y + x for every row x of xs, plus the eigenvalues.
 
-    The candidates are formed in buf, an array shaped like xs (xs itself is
-    allowed).
+    The candidates are formed in place: xs must be writable, and is left
+    holding y + x.
     """
-    np.add(xs, y, out=buf)
-    eigs = _eigvalsh(buf)
+    xs += y
+    eigs = _eigvalsh(xs)
     return log_potential_from_eigenvalues(eigs, delta), eigs
 
 
@@ -267,17 +266,18 @@ def _bounds(y, stack, delta, psi_hi, psi_lo):
     return lower, s + np.log(total + lin + quad), margin
 
 
-def _step(y, stack, delta, psi_hi, psi_lo, buf):
+def _step(y, stack, delta, psi_hi, psi_lo):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
 
     A member is skipped when its lower bound exceeds the smallest upper bound
     by more than TIE_TOL plus the rounding margins: its score then exceeds the
     minimum by more than TIE_TOL, so it is neither the minimum nor tied with
-    it. The rest are gathered into buf and scored exactly; each row's score
-    does not depend on which rows share the batch, so the pick and its score
-    equal those of scoring every member. Two checks run on the exact scores:
-    the smallest must not exceed the smallest upper bound, which is what makes
-    the skip sound, and none may fall below its member's lower bound.
+    it. The rest are gathered into a fresh array, which then holds their
+    candidates, and scored exactly; each row's score does not depend on which
+    rows share the batch, so the pick and its score equal those of scoring
+    every member. Two checks run on the exact scores: the smallest must not
+    exceed the smallest upper bound, which is what makes the skip sound, and
+    none may fall below its member's lower bound.
     """
     lower, upper, margin = _bounds(y, stack, delta, psi_hi, psi_lo)
     cap = float(upper.min()) + margin
@@ -286,9 +286,7 @@ def _step(y, stack, delta, psi_hi, psi_lo, buf):
     keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
     if keep.size == 0:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
-    # keep is in range by construction; mode="clip" lets take write into buf unbuffered
-    cand = np.take(stack.xs, keep, axis=0, out=buf[: keep.size], mode="clip")
-    scores, eigs = _candidate_scores(y, cand, delta, cand)
+    scores, eigs = _candidate_scores(y, stack.xs[keep], delta)
     # keep is ascending, so this is _pick over all members with the skipped ones at +inf
     j = _pick(scores)
     if scores.min() > cap:
@@ -317,25 +315,18 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise EmptyFamily("family has no members")
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    thread_count()  # validates PSDSPARSE_THREADS; scoring is serial
-    best, score, _, _ = _step(y.entries, stack, delta, p, p, np.empty(stack.xs.shape))
+    best, score, _, _ = _step(y.entries, stack, delta, p, p)
     return best + 1, score
 
 
-def run(
-    inst: Instance,
-    schedule: Schedule,
-    k_max: int | None = None,
-    threads: int | None = None,
-) -> GreedyTrace:
+def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyTrace:
     """Execute the greedy selection for k_max steps with live guarantee checks.
 
     Each step verifies the potential-growth inequality
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps. ``threads`` is validated like
-    PSDSPARSE_THREADS and otherwise ignored: scoring is serial.
+    fresh summation every 64 steps.
     """
     if schedule.fixed_n is not None:
         if k_max is None:
@@ -356,14 +347,12 @@ def run(
             f"instance's {inst.norm_bound!r}: guarantees would not apply"
         )
 
-    thread_count(threads)
     m_bound = schedule.norm_bound
     # X_i <= M, and -X_i <= 1 because A_i is PSD
     stack = _stack(center(inst).xs, m_bound, 1.0)
     xs = stack.xs
 
     y = np.zeros((inst.d, inst.d))
-    buf = np.empty(xs.shape)
     counts = np.zeros(len(xs))
     prev_eigs = np.zeros(inst.d)
     delta = log_phi = None
@@ -378,7 +367,7 @@ def run(
         else:
             prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
             psi_hi, psi_lo = psi_value(stack.m_hi, delta), psi_value(stack.m_lo, delta)
-        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi_hi, psi_lo, buf)
+        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi_hi, psi_lo)
 
         step_cap = m_bound * psi_hi + prev_log_phi
         if log_phi > step_cap + STEP_TOL:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -63,10 +64,6 @@ class Instance:
     norm_bound: float
     _centered: bool = field(default=False, init=False, repr=False)  # set by center()
 
-    def stack(self) -> np.ndarray:
-        """The family as an (m, d, d) array: mats itself, not a copy."""
-        return self.mats
-
 
 @dataclass(frozen=True, eq=False)
 class CenteredFamily:
@@ -88,9 +85,6 @@ class CenteredFamily:
     @property
     def m(self) -> int:
         return self.xs.shape[0]
-
-    def stack(self) -> np.ndarray:
-        return self.xs
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -184,7 +178,7 @@ def validate(raw: dict) -> Instance:
             raise FormatError(f"'M' must be finite, got {stored!r}")
 
     weights = np.empty(len(items))
-    mats = np.empty((len(items), d, d))
+    mats = None  # allocated once item 0 has shape (d, d), so a bad 'd' allocates nothing
     for i, item in enumerate(items):
         try:
             weights[i] = _json_number(item["lambda"], f"item {i}: 'lambda'")
@@ -196,11 +190,16 @@ def validate(raw: dict) -> Instance:
         a = a.astype(np.float64, copy=False)
         if a.shape != (d, d):
             raise DimensionMismatch(f"item {i}: matrix shape {a.shape} != ({d}, {d})")
+        # numpy reads a boolean among numbers as 0 or 1; one C-level pass over the entry types
+        if not set(map(type, chain.from_iterable(item["A"]))).isdisjoint((bool, np.bool_)):
+            raise FormatError(f"item {i}: 'A' must be a matrix of numbers, not booleans")
         if not np.all(np.isfinite(a)):
             raise NonFinite(f"item {i}: matrix entries contain NaN or Inf")
         asym = float(np.max(np.abs(a - a.T)))
         if asym > ASYMMETRY_TOL:
             raise NotSymmetric(i, asym)
+        if mats is None:
+            mats = np.empty((len(items), d, d))
         mats[i] = _symmetrize(a)
 
     inst = _certify(weights, mats)
@@ -334,13 +333,12 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
     )
 
 
-def gen_graph_edges(edge_list, seed: int = 0) -> Instance:
+def gen_graph_edges(edge_list) -> Instance:
     """Isotropic decomposition from a connected weighted graph via leverage scores.
 
     Works in the (n-1)-dimensional range of the Laplacian: every edge maps to
     a rank-one matrix of norm exactly n-1, weighted by its leverage score
-    over n-1. The construction is deterministic; ``seed`` is accepted for
-    signature parity and unused.
+    over n-1. The construction is deterministic.
     """
     edges = [(int(u), int(v), float(w)) for u, v, w in edge_list]
     if not edges:
@@ -357,12 +355,17 @@ def gen_graph_edges(edge_list, seed: int = 0) -> Instance:
         raise DomainError("graph must have at least 2 vertices")
 
     lap = np.zeros((n, n))
-    for u, v, w in edges:
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for u, v, w in edges:
+            lap[u, u] += w
+            lap[v, v] += w
+            lap[u, v] -= w
+            lap[v, u] -= w
+    if not np.all(np.isfinite(lap)):
+        raise NonFinite("graph Laplacian overflows: a weighted degree exceeds the float range")
     vals, vecs = np.linalg.eigh(lap)
+    if not np.all(np.isfinite(vals)):
+        raise NonFinite("graph Laplacian spectrum overflows the float range")
     tol = 1e-9 * max(1.0, float(vals[-1]))
     if vals[1] <= tol:
         raise Disconnected(f"Laplacian rank below {n - 1}")

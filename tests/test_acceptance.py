@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse._threads import ENV_VAR
+ENV_VAR = "PSDSPARSE_THREADS"
 from psdsparse.cli import _fmt
 
 from conftest import canonical_raw
@@ -201,7 +201,7 @@ def test_criterion_8_coarse_regime_large_norm_no_overflow():
     )
     coarse = all(rec.regime == "coarse" for rec in trace.records)
     first = trace.records[0]
-    chosen = float(inst.stack()[trace.indices[0] - 1][0, 0])
+    chosen = float(inst.mats[trace.indices[0] - 1][0, 0])
     first_ok = (
         abs(first.error - abs(chosen - 1.0)) <= 1e-12
         and first.error <= 2 * 50 * math.log(2) * (1 + BOUND_RTOL)

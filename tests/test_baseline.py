@@ -38,7 +38,7 @@ def test_deterministic_in_seed(canonical):
 
 def test_prefix_errors_match_direct_recomputation(canonical):
     trace = ps.sample_run(canonical, 7, seed=3)
-    xs = ps.center(canonical).stack()
+    xs = ps.center(canonical).xs
     y = np.zeros((2, 2))
     for k, idx in enumerate(trace.indices, start=1):
         y = y + xs[idx - 1]

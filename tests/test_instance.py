@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,9 @@ def test_validate_rejects_non_integer_dimension(d):
         ("lambda", None),
         ("A", [["2.0", "0.0"], ["0.0", "0.0"]]),
         ("A", [[True, False], [False, False]]),
+        # numpy would read false as 0 in these two, leaving the family valid
+        ("A", [[2.0, False], [False, 0.0]]),
+        ("A", [[2, False], [False, 0]]),
     ],
 )
 def test_validate_rejects_non_numeric_fields(key, value):
@@ -83,6 +88,19 @@ def test_validate_rejects_non_numeric_fields(key, value):
         raw["items"][0][key] = value
     with pytest.raises(ps.FormatError):
         ps.validate(raw)
+
+
+@pytest.mark.parametrize("d", [2**12, 2**32])
+def test_validate_checks_shapes_before_allocating(d):
+    raw = {"d": d, "items": [{"lambda": 1.0, "A": [[1.0]]}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ps.DimensionMismatch, match=re.escape(f"(1, 1) != ({d}, {d})")):
+            ps.validate(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_validate_allows_null_norm_bound():
@@ -102,7 +120,7 @@ def test_validate_asymmetry_tolerance_boundary():
     raw = canonical_raw()
     raw["items"][0]["A"] = [[2.0, 1e-10], [0.0, 0.0]]  # below 1e-9: symmetrized
     inst = ps.validate(raw)
-    a = inst.stack()[0]
+    a = inst.mats[0]
     assert a[0, 1] == a[1, 0] == pytest.approx(5e-11)
     raw["items"][0]["A"] = [[2.0, 1e-6], [0.0, 0.0]]
     with pytest.raises(ps.NotSymmetric) as exc:
@@ -149,19 +167,19 @@ def test_validate_advisory_norm_bound():
 
 def test_family_arrays_are_read_only_and_shared(canonical):
     fams = (
-        canonical.stack(),
-        ps.center(canonical).stack(),
-        ps.random_centered_family(rng_for(3)).stack(),
+        canonical.mats,
+        ps.center(canonical).xs,
+        ps.random_centered_family(rng_for(3)).xs,
     )
     for xs in fams:
         with pytest.raises(ValueError):
             xs[0, 0, 0] = 1.0
-    assert np.shares_memory(canonical.stack(), canonical.stack())
+    assert np.shares_memory(canonical.mats, canonical.mats)
 
 
 def test_certify_rejects_one_ulp_of_asymmetry():
     inst = ps.gen_random_psd(3, 6, 2, 1e4, 5)
-    mats = inst.stack().copy()
+    mats = inst.mats.copy()
     mats[4, 0, 2] = np.nextafter(mats[4, 0, 2], math.inf)
     with pytest.raises(ps.NotSymmetric) as exc:
         _certify(inst.weights, mats)
@@ -173,7 +191,7 @@ def test_certify_rejects_one_ulp_of_asymmetry():
 
 def test_payload_round_trip_is_exact(canonical):
     again = ps.validate(ps.to_payload(canonical))
-    assert np.array_equal(again.stack(), canonical.stack())
+    assert np.array_equal(again.mats, canonical.mats)
     assert np.array_equal(again.weights, canonical.weights)
     assert again.norm_bound == canonical.norm_bound
 
@@ -182,7 +200,7 @@ def test_save_load_round_trip(tmp_path, canonical):
     path = tmp_path / "inst.json"
     ps.save_instance(canonical, path)
     again = ps.load_instance(path)
-    assert np.array_equal(again.stack(), canonical.stack())
+    assert np.array_equal(again.mats, canonical.mats)
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -197,22 +215,22 @@ def test_load_rejects_invalid_json(tmp_path):
 
 def test_center_canonical(canonical):
     fam = ps.center(canonical)
-    assert np.array_equal(fam.stack()[0], np.diag([1.0, -1.0]))
-    assert np.array_equal(fam.stack()[1], np.diag([-1.0, 1.0]))
+    assert np.array_equal(fam.xs[0], np.diag([1.0, -1.0]))
+    assert np.array_equal(fam.xs[1], np.diag([-1.0, 1.0]))
     assert fam.m1 == fam.m2 == canonical.norm_bound
     assert fam.d == 2 and fam.m == 2
 
 
 def test_center_single_member_is_zero():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
-    assert np.array_equal(ps.center(inst).stack()[0], [[0.0]])
+    assert np.array_equal(ps.center(inst).xs[0], [[0.0]])
 
 
 def test_center_square_sum_identity():
     # sum_i w_i X_i^2 == sum_i w_i A_i^2 - Id for any valid instance
     for inst in (ps.gen_bases(4, 2, 3), ps.gen_random_psd(5, 10, 3, 1e4, 1)):
         fam = ps.center(inst)
-        xs, mats, w = fam.stack(), inst.stack(), inst.weights
+        xs, mats, w = fam.xs, inst.mats, inst.weights
         lhs = np.einsum("i,ijk->jk", w, xs @ xs)
         rhs = np.einsum("i,ijk->jk", w, mats @ mats) - np.eye(inst.d)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
@@ -266,26 +284,26 @@ def test_center_certifies_once_per_instance(monkeypatch):
 
 def test_gen_bases_single_basis_resolves_identity():
     inst = ps.gen_bases(5, 1, 12)
-    resid = np.einsum("i,ijk->jk", inst.weights, inst.stack()) - np.eye(5)
+    resid = np.einsum("i,ijk->jk", inst.weights, inst.mats) - np.eye(5)
     assert np.max(np.abs(np.linalg.eigvalsh(resid))) <= 1e-12
 
 
 def test_gen_bases_shape_and_norms():
     inst = ps.gen_bases(4, 3, 7)
     assert (inst.d, inst.m) == (4, 12)
-    for a in inst.stack():
+    for a in inst.mats:
         assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_gen_bases_round_trips_through_validator():
     inst = ps.gen_bases(8, 2, 0)
     again = ps.validate(ps.to_payload(inst))
-    assert np.array_equal(again.stack(), inst.stack())
+    assert np.array_equal(again.mats, inst.mats)
 
 
 def test_gen_bases_deterministic_in_seed():
-    assert np.array_equal(ps.gen_bases(6, 2, 42).stack(), ps.gen_bases(6, 2, 42).stack())
-    assert not np.array_equal(ps.gen_bases(6, 2, 42).stack(), ps.gen_bases(6, 2, 43).stack())
+    assert np.array_equal(ps.gen_bases(6, 2, 42).mats, ps.gen_bases(6, 2, 42).mats)
+    assert not np.array_equal(ps.gen_bases(6, 2, 42).mats, ps.gen_bases(6, 2, 43).mats)
 
 
 def test_gen_bases_rejects_bad_arguments():
@@ -297,7 +315,7 @@ def test_gen_bases_rejects_bad_arguments():
 
 def test_gen_random_psd_scalar_case():
     inst = ps.gen_random_psd(1, 2, 1, 1e6, 3)
-    a = inst.stack().ravel()
+    a = inst.mats.ravel()
     assert np.all(a >= -1e-12)
     assert 0.5 * (a[0] + a[1]) == pytest.approx(1.0, abs=1e-10)
 
@@ -305,7 +323,7 @@ def test_gen_random_psd_scalar_case():
 def test_gen_random_psd_full_rank_single_member_is_identity():
     for seed in (0, 9):
         inst = ps.gen_random_psd(4, 1, 4, 1e6, seed)
-        assert np.allclose(inst.stack()[0], np.eye(4), atol=1e-9)
+        assert np.allclose(inst.mats[0], np.eye(4), atol=1e-9)
 
 
 def test_gen_random_psd_rejects_singular_setup():
@@ -319,8 +337,8 @@ def test_gen_random_psd_gives_up_on_impossible_condition_cap():
 
 
 def test_gen_random_psd_deterministic_in_seed():
-    a = ps.gen_random_psd(3, 6, 2, 1e4, 5).stack()
-    b = ps.gen_random_psd(3, 6, 2, 1e4, 5).stack()
+    a = ps.gen_random_psd(3, 6, 2, 1e4, 5).mats
+    b = ps.gen_random_psd(3, 6, 2, 1e4, 5).mats
     assert np.array_equal(a, b)
 
 
@@ -328,14 +346,14 @@ def test_gen_graph_edges_triangle():
     inst = ps.gen_graph_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert (inst.d, inst.m) == (2, 3)
     assert np.allclose(inst.weights, 1.0 / 3.0, atol=1e-12)
-    for a in inst.stack():
+    for a in inst.mats:
         assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_gen_graph_edges_single_edge():
     inst = ps.gen_graph_edges([(0, 1, 2.5)])
     assert (inst.d, inst.m) == (1, 1)
-    assert np.allclose(inst.stack()[0], [[1.0]], atol=1e-12)
+    assert np.allclose(inst.mats[0], [[1.0]], atol=1e-12)
     assert inst.weights[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -350,6 +368,20 @@ def test_gen_graph_edges_rejects_bad_graphs():
         ps.gen_graph_edges([(-1, 1, 1.0)])
     with pytest.raises(ps.FormatError):
         ps.gen_graph_edges([])
+
+
+@pytest.mark.parametrize(
+    "edges, what",
+    [
+        ([(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)], "graph Laplacian overflows"),
+        ([(0, 1, 1e308)], "graph Laplacian spectrum overflows"),
+    ],
+    ids=["degree", "spectrum"],
+)
+def test_gen_graph_edges_rejects_an_overflowing_laplacian(edges, what):
+    # every weight is finite; a weighted degree or an eigenvalue is not
+    with pytest.raises(ps.NonFinite, match=what):
+        ps.gen_graph_edges(edges)
 
 
 def test_random_connected_edges_properties():
@@ -424,7 +456,7 @@ def test_generator_fuzz_sweep(kind, p1, p2, seed):
     assert fam.m == inst.m
     if seed % 5 == 0:
         again = ps.validate(ps.to_payload(inst))
-        assert np.array_equal(again.stack(), inst.stack())
+        assert np.array_equal(again.mats, inst.mats)
 
 
 def test_fuzz_sweep_has_at_least_100_cases():

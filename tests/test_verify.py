@@ -122,11 +122,11 @@ def test_random_centered_family_certificates():
     rng = rng_for(29)
     for _ in range(15):
         fam = ps.random_centered_family(rng)
-        mean = np.einsum("i,ijk->jk", fam.weights, fam.stack())
+        mean = np.einsum("i,ijk->jk", fam.weights, fam.xs)
         assert np.max(np.abs(mean)) <= 1e-12 * max(1.0, fam.m1)
-        norms = np.max(np.abs(np.linalg.eigvalsh(fam.stack())), axis=-1)
+        norms = np.max(np.abs(np.linalg.eigvalsh(fam.xs)), axis=-1)
         assert np.max(norms) <= fam.m1 + 1e-12
-        sq = np.einsum("i,ijk->jk", fam.weights, fam.stack() @ fam.stack())
+        sq = np.einsum("i,ijk->jk", fam.weights, fam.xs @ fam.xs)
         top = float(np.max(np.linalg.eigvalsh((sq + sq.T) / 2)))
         assert top <= fam.m2 + 1e-12
 
