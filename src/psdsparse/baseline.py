@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .instance import Instance, center
+from .instance import Instance, _rng, _seed_sequence, center
 from .symmat import _eigvalsh, _symmetrize
 
 # rows of (k, d, d) eigendecomposed per chunk; caps peak memory near 32 MB
@@ -35,7 +35,7 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(int(seed))))
+    rng = _rng(seed)
     cdf = np.cumsum(inst.weights)
     cdf[-1] = 1.0  # close the simplex gap so u < 1 always lands in range
     draws = np.searchsorted(cdf, rng.random(k_max), side="right")
@@ -58,5 +58,4 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
 
 def child_seed(root: int, trial: int) -> int:
     """Derived per-trial seed: deterministic, collision-resistant in (root, trial)."""
-    ss = np.random.SeedSequence(entropy=int(root), spawn_key=(int(trial),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(root, trial).generate_state(1, np.uint64)[0])

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     AuditFailed,
     BoundViolation,
+    DimensionMismatch,
     DomainError,
     EmptyFamily,
     NonFinite,
@@ -313,6 +314,8 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise DomainError(f"delta must be positive, got {delta!r}")
     if fam.m < 1:
         raise EmptyFamily("family has no members")
+    if y.d != fam.d:
+        raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
     best, score, _, _ = _step(y.entries, stack, delta, p, p)

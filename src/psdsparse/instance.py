@@ -34,7 +34,7 @@ from .errors import (
     NotSymmetric,
     WeightsNotSimplex,
 )
-from .symmat import SymMatrix, _eigvalsh, _symmetrize, loewner_leq
+from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize, loewner_leq
 
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -51,18 +51,94 @@ MAX_TRANSFORM_RETRIES = 16
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A validated decomposition of the identity (see module docstring).
+    """A certified decomposition of the identity (see module docstring).
 
-    weights and the (m, d, d) array mats are read-only, and each mats[i] is
-    exactly symmetric.
+    Instance(weights, mats) takes a weight vector and an (m, d, d) array whose
+    rows are exactly symmetric, and raises unless the family meets the
+    contract: finite entries, weights on the simplex, each A_i PSD, the
+    weighted sum equal to Id, and M = max_i ||A_i|| at least 1. It also
+    certifies the centered family X_i = A_i - Id that center() returns: the
+    weighted mean of the X_i vanishes, each ||X_i|| <= M, and
+    sum_i w_i X_i^2 <= M * Id. d, m and M are derived, never passed.
+
+    weights is copied; a float64 mats is kept without a copy. Both are made
+    read-only.
     """
 
-    d: int
-    m: int
     weights: np.ndarray
     mats: np.ndarray
-    norm_bound: float
-    _centered: bool = field(default=False, init=False, repr=False)  # set by center()
+    d: int = field(init=False)
+    m: int = field(init=False)
+    norm_bound: float = field(init=False)
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=np.float64)
+        mats = np.asarray(self.mats, dtype=np.float64)
+        if weights.ndim != 1 or mats.ndim != 3:
+            raise FormatError(f"need shapes (m,) and (m, d, d), got {weights.shape}, {mats.shape}")
+        m = weights.shape[0]
+        if m < 1 or mats.shape[0] != m:
+            raise FormatError("family must contain at least one weighted matrix")
+        d = mats.shape[1]
+        if d < 1 or mats.shape[1] != mats.shape[2]:
+            raise DimensionMismatch(f"matrices must be square and nonempty, got {mats.shape[1:]}")
+        if not np.all(np.isfinite(weights)):
+            raise NonFinite("weights contain NaN or Inf")
+        if not np.all(np.isfinite(mats)):
+            raise NonFinite("matrix entries contain NaN or Inf")
+        if not np.array_equal(mats, mats.swapaxes(1, 2)):
+            asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
+            i = int(np.argmax(asym > 0))
+            raise NotSymmetric(i, float(asym[i]))
+        if np.any(weights < 0):
+            i = int(np.argmin(weights))
+            raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
+        total = float(np.sum(weights))
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise WeightsNotSimplex(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
+
+        eigs = _eigvalsh(mats)  # (m, d), each row nondecreasing
+        norms = np.max(np.abs(eigs), axis=1)
+        for i in range(m):
+            if eigs[i, 0] < -PSD_TOL * (1.0 + norms[i]):
+                raise NotPSD(i, float(eigs[i, 0]))
+
+        mean = np.einsum("i,ijk->jk", weights, mats)
+        residual_eigs = _eigvalsh(_symmetrize(mean) - np.eye(d))
+        residual = float(np.max(np.abs(residual_eigs)))
+        if residual > ISOTROPY_TOL:
+            raise NotIsotropic(residual)
+
+        norm_bound = float(np.max(norms))
+        if norm_bound < 1.0 - NORM_FLOOR_TOL:
+            # impossible once isotropy holds; a failure here means corrupted data
+            raise InstanceError(f"norm bound {norm_bound!r} below 1")
+
+        # centering certificates; violations should be unreachable for a valid family
+        xs = mats - np.eye(d)
+        mean_eigs = _eigvalsh(_symmetrize(np.einsum("i,ijk->jk", weights, xs)))
+        mean_norm = float(np.max(np.abs(mean_eigs)))
+        if mean_norm > CENTER_MEAN_TOL:
+            raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
+
+        # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
+        # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
+        # at d = M = 64, three orders below CENTER_NORM_TOL.
+        worst = float(np.max(np.abs(eigs - 1.0)))
+        if worst > norm_bound + CENTER_NORM_TOL:
+            raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
+
+        squares = _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs))
+        cap = SymMatrix(norm_bound * np.eye(d))
+        if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
+            raise CenteringCertificateFailed("square-bound")
+
+        weights = weights.copy()
+        weights.setflags(write=False)
+        mats.setflags(write=False)
+        for name, value in (("weights", weights), ("mats", mats), ("d", d), ("m", m),
+                            ("norm_bound", norm_bound)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,62 +163,16 @@ class CenteredFamily:
         return self.xs.shape[0]
 
 
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The seed sequence of (seed, *key); a negative value is a DomainError."""
+    if min((seed, *key)) < 0:
+        raise DomainError(f"seed must be nonnegative, got {', '.join(map(str, (seed, *key)))}")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic counter-based generator; extra key values derive substreams."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seed=ss))
-
-
-def _certify(weights: np.ndarray, mats: np.ndarray) -> Instance:
-    """Build an Instance, verifying every contract condition on the given arrays.
-
-    ``mats`` must already be exactly symmetric (asymmetry handling is the
-    loader's job); it is kept as the instance's array and made read-only.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    mats = np.asarray(mats, dtype=np.float64)
-    m = weights.shape[0]
-    if m < 1 or mats.shape[0] != m:
-        raise FormatError("family must contain at least one weighted matrix")
-    d = mats.shape[1]
-    if mats.shape[1] != mats.shape[2]:
-        raise DimensionMismatch(f"matrices must be square, got shape {mats.shape[1:]}")
-    if not np.all(np.isfinite(weights)):
-        raise NonFinite("weights contain NaN or Inf")
-    if not np.all(np.isfinite(mats)):
-        raise NonFinite("matrix entries contain NaN or Inf")
-    if not np.array_equal(mats, mats.swapaxes(1, 2)):
-        asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
-        i = int(np.argmax(asym > 0))
-        raise NotSymmetric(i, float(asym[i]))
-    if np.any(weights < 0):
-        i = int(np.argmin(weights))
-        raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise WeightsNotSimplex(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
-
-    eigs = _eigvalsh(mats)  # (m, d), each row nondecreasing
-    norms = np.max(np.abs(eigs), axis=1)
-    for i in range(m):
-        if eigs[i, 0] < -PSD_TOL * (1.0 + norms[i]):
-            raise NotPSD(i, float(eigs[i, 0]))
-
-    mean = np.einsum("i,ijk->jk", weights, mats)
-    residual_eigs = _eigvalsh(_symmetrize(mean) - np.eye(d))
-    residual = float(np.max(np.abs(residual_eigs)))
-    if residual > ISOTROPY_TOL:
-        raise NotIsotropic(residual)
-
-    norm_bound = float(np.max(norms))
-    if norm_bound < 1.0 - NORM_FLOOR_TOL:
-        # impossible once isotropy holds; a failure here means corrupted data
-        raise InstanceError(f"norm bound {norm_bound!r} below 1")
-
-    weights = weights.copy()
-    weights.setflags(write=False)
-    mats.setflags(write=False)
-    return Instance(d=d, m=m, weights=weights, mats=mats, norm_bound=norm_bound)
+    return np.random.Generator(np.random.Philox(seed=_seed_sequence(seed, *key)))
 
 
 def _json_number(value, what: str) -> float:
@@ -202,7 +232,7 @@ def validate(raw: dict) -> Instance:
             mats = np.empty((len(items), d, d))
         mats[i] = _symmetrize(a)
 
-    inst = _certify(weights, mats)
+    inst = Instance(weights, mats)
     if stored is not None:
         if stored < inst.norm_bound - 1e-9 * (1.0 + inst.norm_bound):
             raise NormBoundTooSmall(
@@ -231,45 +261,19 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
+        # malformed JSON, non-UTF-8 bytes, an over-long integer or too deep a nesting
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
     return validate(raw)
 
 
 def center(inst: Instance) -> CenteredFamily:
-    """Subtract the identity from each family matrix, certifying the result once per instance.
-
-    Certificates (violations should be unreachable for a valid Instance):
-    the weighted mean of the X_i vanishes, each ||X_i|| <= M, and the
-    weighted sum of squares is dominated by M * Id. They depend only on the
-    family, and mats is read-only, so they run on the first call for an
-    instance; later calls rebuild the same X_i unchecked. A failed call marks
-    nothing, so every later call checks and fails again.
-    """
-    d, mw = inst.d, inst.weights
-    xs = inst.mats - np.eye(d)
-
-    if not inst._centered:
-        mean_eigs = _eigvalsh(_symmetrize(np.einsum("i,ijk->jk", mw, xs)))
-        mean_norm = float(np.max(np.abs(mean_eigs)))
-        if mean_norm > CENTER_MEAN_TOL:
-            raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
-
-        norms = np.max(np.abs(_eigvalsh(xs)), axis=1)
-        worst = float(np.max(norms))
-        if worst > inst.norm_bound + CENTER_NORM_TOL:
-            raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={inst.norm_bound!r})")
-
-        squares = _symmetrize(np.einsum("i,ijk->jk", mw, xs @ xs))
-        cap = SymMatrix(inst.norm_bound * np.eye(d))
-        if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
-            raise CenteringCertificateFailed("square-bound")
-        object.__setattr__(inst, "_centered", True)
-
+    """The centered family X_i = A_i - Id, as a fresh read-only array; Instance certified it."""
+    xs = inst.mats - np.eye(inst.d)
     xs.setflags(write=False)
-    return CenteredFamily(weights=mw, xs=xs, m1=inst.norm_bound, m2=inst.norm_bound)
+    return CenteredFamily(weights=inst.weights, xs=xs, m1=inst.norm_bound, m2=inst.norm_bound)
 
 
 # --- generators ----------------------------------------------------------------
@@ -300,7 +304,7 @@ def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
             u = q[:, j]
             mats[b * d + j] = d * np.outer(u, u)
     weights = np.full(m, 1.0 / m)
-    return _certify(weights, mats)
+    return Instance(weights, mats)
 
 
 def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Instance:
@@ -314,20 +318,20 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
         raise DomainError("d, m, rank must be positive")
     if m * rank < d:
         raise DomainError(f"m*rank = {m * rank} < d = {d}: average is singular")
-    if cond_cap < 1:
-        raise DomainError("cond_cap must be >= 1")
+    if not cond_cap >= 1:  # also rejects NaN
+        raise DomainError(f"cond_cap must be >= 1, got {cond_cap!r}")
     for attempt in range(MAX_TRANSFORM_RETRIES):
         rng = _rng(seed, attempt)
         gs = rng.standard_normal((m, d, rank))
         bs = _symmetrize(gs @ gs.transpose(0, 2, 1))
         s = _symmetrize(np.mean(bs, axis=0))
-        vals, vecs = np.linalg.eigh(s)
+        vals, vecs = _eigh(s)
         if vals[0] <= 0 or vals[-1] / vals[0] > cond_cap:
             continue
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         mats = _symmetrize(inv_sqrt @ bs @ inv_sqrt)
         weights = np.full(m, 1.0 / m)
-        return _certify(weights, mats)
+        return Instance(weights, mats)
     raise IsotropicTransformFailed(
         f"condition cap {cond_cap:g} not met after {MAX_TRANSFORM_RETRIES} attempts"
     )
@@ -353,6 +357,8 @@ def gen_graph_edges(edge_list) -> Instance:
     n = max(max(u, v) for u, v, _ in edges) + 1
     if n < 2:
         raise DomainError("graph must have at least 2 vertices")
+    if n > len(edges) + 1:  # checked before the n x n Laplacian is allocated
+        raise Disconnected(f"{n} vertices need at least {n - 1} edges, got {len(edges)}")
 
     lap = np.zeros((n, n))
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -363,7 +369,7 @@ def gen_graph_edges(edge_list) -> Instance:
             lap[v, u] -= w
     if not np.all(np.isfinite(lap)):
         raise NonFinite("graph Laplacian overflows: a weighted degree exceeds the float range")
-    vals, vecs = np.linalg.eigh(lap)
+    vals, vecs = _eigh(lap)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("graph Laplacian spectrum overflows the float range")
     tol = 1e-9 * max(1.0, float(vals[-1]))
@@ -382,7 +388,7 @@ def gen_graph_edges(edge_list) -> Instance:
         leverage = w * float(vt @ vt)
         weights[i] = leverage / dim
         mats[i] = (dim * w / leverage) * np.outer(vt, vt)
-    return _certify(weights, mats)
+    return Instance(weights, mats)
 
 
 def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, int, float]]:
@@ -430,4 +436,7 @@ def parse_edge_lines(lines) -> list[tuple[int, int, float]]:
 
 def load_edge_list(path) -> list[tuple[int, int, float]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_lines(fh)
+        try:
+            return parse_edge_lines(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"edge list is not UTF-8 text: {exc}") from exc

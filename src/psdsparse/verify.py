@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .instance import CenteredFamily, center, gen_random_psd
+from .errors import DimensionMismatch, DomainError
+from .instance import CenteredFamily, _rng, center, gen_random_psd
 from .potential import log_potential_from_eigenvalues, logsumexp, psi_value, scalar_exp_bound_gap
-from .symmat import SymMatrix, _eigvalsh, _symmetrize, sym_apply
+from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize, sym_apply
 
 SUITES = ("one-step", "mgf", "gt", "interp", "lower", "scalar", "psi")
 
@@ -105,12 +105,14 @@ def _one_step_slack(fam, y: np.ndarray, delta: float) -> float:
 def check_one_step(fam, y: SymMatrix, delta: float, seed: int = 0) -> CheckReport:
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta!r}")
+    if y.d != fam.d:
+        raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
     return CheckReport.merge("one-step", [_one_step_slack(fam, y.entries, delta)], seed)
 
 
 def _mgf_slack(fam, delta: float) -> float:
     """Spectral slack of: sum_i w_i exp(±delta X_i) <= exp(m2 psi_{m1}(delta)) Id."""
-    vals, vecs = np.linalg.eigh(fam.xs)
+    vals, vecs = _eigh(fam.xs)
     cap = math.exp(fam.m2 * psi_value(fam.m1, delta))
     worst = math.inf
     for sign in (1.0, -1.0):
@@ -173,11 +175,6 @@ def check_lower_bound(y: SymMatrix, delta: float, seed: int = 0) -> CheckReport:
 
 
 # --- randomized suite drivers ----------------------------------------------------
-
-
-def _trial_rng(seed: int, suite_index: int, trial: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(suite_index, trial))
-    return np.random.Generator(np.random.Philox(seed=ss))
 
 
 def _family_for_trial(rng: np.random.Generator, trial: int):
@@ -286,7 +283,7 @@ def run_suite(suite: str, trials: int, seed: int) -> CheckReport:
         raise DomainError(f"trials must be >= 1, got {trials}")
     fn = _TRIALS[suite]
     suite_index = SUITES.index(suite)
-    slacks = [fn(_trial_rng(seed, suite_index, t), t) for t in range(trials)]
+    slacks = [fn(_rng(seed, suite_index, t), t) for t in range(trials)]
     return CheckReport.merge(suite, slacks, seed)
 
 

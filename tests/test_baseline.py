@@ -85,3 +85,10 @@ def test_child_seed_is_deterministic_and_spread():
     d = baseline.child_seed(124, 0)
     assert a == b
     assert len({a, c, d}) == 3
+
+
+def test_negative_seeds_are_domain_errors(canonical):
+    with pytest.raises(ps.DomainError):
+        ps.sample_run(canonical, 5, seed=-1)
+    with pytest.raises(ps.DomainError):
+        baseline.child_seed(-1, 0)

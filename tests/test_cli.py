@@ -183,19 +183,58 @@ def test_generate_graph_from_edge_file(tmp_path):
     assert (inst.d, inst.m) == (2, 3)
 
 
-def test_generate_graph_overflow_prints_one_error_line(tmp_path):
-    # a separate process, so that any numpy warning reaches stderr as it would for a user
-    edges = tmp_path / "g.txt"
-    edges.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+def _one_error_line(args, prefix):
+    # a separate process, so that a warning or a traceback reaches stderr as it would for a user
     env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdsparse.cli", "generate", "--kind", "graph",
-         "--edges", str(edges), "--out", str(tmp_path / "g.json")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-m", "psdsparse.cli", *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: NonFinite: graph Laplacian"), lines
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+def test_generate_graph_overflow_prints_one_error_line(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1 1e308\n1 2 1e308\n0 2 1e308\n")
+    _one_error_line(["generate", "--kind", "graph", "--edges", str(edges),
+                     "--out", str(tmp_path / "g.json")], "error: NonFinite: graph Laplacian")
+
+
+def test_validate_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    _one_error_line(["validate", str(path)], "error: FormatError:")
+
+
+@pytest.mark.parametrize(
+    "line, prefix",
+    [(b"\xff 1 1\n", "error: FormatError:"), (b"0 1000000 1.0\n", "error: Disconnected:")],
+    ids=["not-utf8", "huge-vertex-id"],
+)
+def test_generate_graph_rejects_a_bad_edge_file(tmp_path, line, prefix):
+    edges = tmp_path / "g.txt"
+    edges.write_bytes(line)
+    _one_error_line(["generate", "--kind", "graph", "--edges", str(edges),
+                     "--out", str(tmp_path / "g.json")], prefix)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--kind", "bases", "--d", "2", "--seed", "-1", "--out", "{tmp}/x.json"],
+        ["generate", "--kind", "random-psd", "--d", "2", "--m", "4", "--cond-cap", "nan",
+         "--out", "{tmp}/x.json"],
+        ["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--out", "{tmp}/b.csv"],
+        ["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--trials", "2",
+         "--out", "{tmp}/b.csv"],
+        ["verify", "--suite", "psi", "--seed", "-1"],
+    ],
+    ids=["generate", "cond-cap-nan", "baseline", "baseline-trials", "verify"],
+)
+def test_bad_seeds_and_caps_print_one_error_line(tmp_path, args):
+    inst = _write_canonical(tmp_path)
+    args = [a.format(tmp=tmp_path, inst=inst) for a in args]
+    _one_error_line(args, "error: DomainError:")
 
 
 def test_generate_graph_random(tmp_path):

@@ -179,6 +179,8 @@ def test_select_next_rejects_bad_inputs(canonical):
     empty = ps.CenteredFamily(weights=np.empty(0), xs=np.empty((0, 2, 2)), m1=1.0, m2=1.0)
     with pytest.raises(ps.EmptyFamily):
         ps.select_next(ps.SymMatrix.zeros(2), 0.5, empty)
+    with pytest.raises(ps.DimensionMismatch):
+        ps.select_next(ps.SymMatrix.zeros(3), 0.1, ps.center(ps.gen_bases(2, 1, 0)))
 
 
 def test_selection_beats_weighted_average(canonical):

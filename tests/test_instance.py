@@ -10,7 +10,6 @@ import pytest
 import psdsparse as ps
 
 from psdsparse import instance
-from psdsparse.instance import _certify
 
 from conftest import canonical_raw, raw_payload, rng_for
 
@@ -182,8 +181,29 @@ def test_certify_rejects_one_ulp_of_asymmetry():
     mats = inst.mats.copy()
     mats[4, 0, 2] = np.nextafter(mats[4, 0, 2], math.inf)
     with pytest.raises(ps.NotSymmetric) as exc:
-        _certify(inst.weights, mats)
+        ps.Instance(inst.weights, mats)
     assert exc.value.index == 4
+
+
+@pytest.mark.parametrize(
+    "weights, mats",
+    [
+        (np.full((1, 2), 0.5), np.array([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])])),
+        (np.full(2, 0.5), np.array([[2.0, 0.0], [0.0, 2.0]])),
+    ],
+    ids=["2-D weights", "2-D mats"],
+)
+def test_instance_rejects_wrong_array_ranks(weights, mats):
+    with pytest.raises(ps.FormatError):
+        ps.Instance(weights, mats)
+
+
+def test_instance_keeps_a_float_family_without_copying(canonical):
+    mats = np.array(canonical.mats)
+    inst = ps.Instance(canonical.weights, mats)
+    assert inst.mats is mats and not mats.flags.writeable
+    assert not np.shares_memory(inst.weights, canonical.weights)
+    assert (inst.d, inst.m, inst.norm_bound) == (2, 2, 2.0)
 
 
 # --- round-trip and file IO -------------------------------------------------------
@@ -236,28 +256,32 @@ def test_center_square_sum_identity():
         assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 
+def test_a_hand_built_family_cannot_skip_the_contract():
+    with pytest.raises(ps.NotIsotropic):
+        ps.Instance(np.full(2, 0.5), [[[2.0]], [[2.0]]])
+    with pytest.raises(ps.NotPSD):
+        ps.Instance(np.full(2, 0.5), [[[-1.0]], [[3.0]]])
+    with pytest.raises(TypeError):
+        ps.Instance(np.full(2, 0.5), [[[1.0]], [[1.0]]], norm_bound=2.0)
+
+
 @pytest.mark.parametrize(
-    "mats, norm_bound, which",
+    "name, value, which",
     [
-        ([[[2.0]], [[2.0]]], 2.0, "mean-zero"),
-        ([np.diag([2.0, 0.0]), np.diag([0.0, 2.0])], 0.5, "norm"),   # the canonical family
-        ([[[-1.0]], [[3.0]]], 2.0, "square-bound"),   # sum_i w_i X_i^2 = 4 > M
+        ("CENTER_MEAN_TOL", -1.0, "mean-zero"),
+        ("CENTER_NORM_TOL", -1.5, "norm"),   # max ||X_i|| = 1 > M - 1.5 = 0.5
+        ("loewner_leq", lambda *args: False, "square-bound"),
     ],
     ids=["mean-zero", "norm", "square-bound"],
 )
-def test_center_certificate_failures_are_never_cached(mats, norm_bound, which):
-    # built directly, so _certify never sees these families
-    mats = np.array(mats, dtype=float)
-    inst = ps.Instance(d=mats.shape[1], m=2, weights=np.full(2, 0.5), mats=mats,
-                       norm_bound=norm_bound)
-    for _ in range(2):
-        with pytest.raises(ps.CenteringCertificateFailed) as info:
-            ps.center(inst)
-        assert info.value.which == which
+def test_each_centering_certificate_runs_at_construction(monkeypatch, name, value, which):
+    monkeypatch.setattr(instance, name, value)
+    with pytest.raises(ps.CenteringCertificateFailed) as info:
+        ps.validate(canonical_raw())
+    assert info.value.which == which
 
 
 def test_center_certifies_once_per_instance(monkeypatch):
-    inst = ps.gen_bases(4, 2, seed=0)
     batches = []
     exact = instance._eigvalsh
 
@@ -267,11 +291,14 @@ def test_center_certifies_once_per_instance(monkeypatch):
         return exact(a)
 
     monkeypatch.setattr(instance, "_eigvalsh", counting)
+    inst = ps.gen_bases(4, 2, seed=0)
+    assert batches == [(inst.m, inst.d, inst.d)]   # construction's one batched eigvalsh
+    batches.clear()
     xs = [ps.center(inst).xs for _ in range(3)]
     ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=8)
     ps.sample_run(inst, 16, 0)
     ps.sample_run(inst, 16, 1)
-    assert batches == [(inst.m, inst.d, inst.d)]
+    assert batches == []
     for a in xs:
         assert a.tobytes() == xs[0].tobytes()
         assert not a.flags.writeable
@@ -331,6 +358,12 @@ def test_gen_random_psd_rejects_singular_setup():
         ps.gen_random_psd(4, 1, 3, 1e6, 0)  # m*rank < d
 
 
+@pytest.mark.parametrize("cond_cap", [0.5, math.nan])
+def test_gen_random_psd_rejects_bad_condition_cap(cond_cap):
+    with pytest.raises(ps.DomainError):
+        ps.gen_random_psd(4, 8, 2, cond_cap, 0)
+
+
 def test_gen_random_psd_gives_up_on_impossible_condition_cap():
     with pytest.raises(ps.IsotropicTransformFailed):
         ps.gen_random_psd(4, 4, 1, 1.01, 0)
@@ -368,6 +401,17 @@ def test_gen_graph_edges_rejects_bad_graphs():
         ps.gen_graph_edges([(-1, 1, 1.0)])
     with pytest.raises(ps.FormatError):
         ps.gen_graph_edges([])
+
+
+def test_gen_graph_edges_rejects_too_few_edges_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ps.Disconnected, match="1000001 vertices need at least 1000000 edges, got 1"):
+            ps.gen_graph_edges([(0, 1_000_000, 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -412,6 +456,48 @@ def test_parse_edge_lines():
         ps.parse_edge_lines(["0 1 x"])
     with pytest.raises(ps.FormatError):
         ps.parse_edge_lines(["# only comments"])
+
+
+@pytest.mark.parametrize(
+    "load, data",
+    [
+        (ps.load_instance, b"\xff\xfe{}"),
+        (ps.load_instance, b'{"d": ' + b"1" * 5000 + b"}"),   # past Python's int-digit limit
+        (ps.load_instance, b"[" * 100_000 + b"]" * 100_000),   # past the recursion limit
+        (ps.load_edge_list, b"\xff 1 1\n"),
+    ],
+    ids=["instance-not-utf8", "instance-long-integer", "instance-deep-nesting",
+         "edge-list-not-utf8"],
+)
+def test_loaders_reject_undecodable_files(tmp_path, load, data):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(ps.FormatError):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ps.gen_bases(2, 1, -1),
+        lambda: ps.gen_random_psd(2, 4, 1, 1e4, -1),
+        lambda: ps.random_connected_edges(4, 4, -1),
+    ],
+    ids=["bases", "random-psd", "random-graph"],
+)
+def test_generators_reject_a_negative_seed(make):
+    with pytest.raises(ps.DomainError, match="seed must be nonnegative"):
+        make()
+
+
+def test_one_rng_serves_every_seeded_stream():
+    # sample_run's and verify's streams as they were drawn before _rng served them
+    def philox(ss):
+        return np.random.Generator(np.random.Philox(seed=ss)).random(8)
+
+    assert np.array_equal(instance._rng(7).random(8), philox(np.random.SeedSequence(7)))
+    old_trial = np.random.SeedSequence(entropy=3, spawn_key=(2, 5))
+    assert np.array_equal(instance._rng(3, 2, 5).random(8), philox(old_trial))
 
 
 def test_load_edge_list(tmp_path):

@@ -17,3 +17,12 @@ def test_package_reads_no_environment():
         if "os.environ" in text or "getenv" in text:
             readers.append(path.name)
     assert readers == []
+
+
+def test_lapack_goes_through_symmat():
+    # symmat's wrappers turn a LAPACK failure into NoConvergence
+    callers = []
+    for path in sorted(Path(ps.__file__).parent.glob("*.py")):
+        if path.name != "symmat.py" and "np.linalg.eig" in path.read_text(encoding="utf-8"):
+            callers.append(path.name)
+    assert callers == []

@@ -143,6 +143,14 @@ def test_run_suite_validation():
         ps.run_suite("nope", 10, 0)
     with pytest.raises(ps.DomainError):
         ps.run_suite("psi", 0, 0)
+    with pytest.raises(ps.DomainError):
+        ps.run_suite("psi", 10, -1)
+
+
+def test_one_step_rejects_a_running_sum_of_the_wrong_size():
+    fam = ps.center(ps.gen_bases(2, 1, 0))
+    with pytest.raises(ps.DimensionMismatch):
+        ps.check_one_step(fam, ps.SymMatrix.zeros(3), 0.1)
 
 
 def test_run_all_passes_at_smoke_scale():
