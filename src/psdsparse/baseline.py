@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .instance import Instance, _rng, _seed_sequence, center
-from .symmat import _eigvalsh, _symmetrize
+from .symmat import _eigvalsh
 
 # rows of (k, d, d) eigendecomposed per chunk; caps peak memory near 32 MB
 _CHUNK_ENTRIES = 1 << 22
@@ -38,16 +38,20 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     rng = _rng(seed)
     cdf = np.cumsum(inst.weights)
     cdf[-1] = 1.0  # close the simplex gap so u < 1 always lands in range
-    draws = np.searchsorted(cdf, rng.random(k_max), side="right")
+    try:
+        draws = np.searchsorted(cdf, rng.random(k_max), side="right")
+        errors = np.empty(k_max)
+    except (MemoryError, ValueError) as exc:  # refused at once; ValueError past numpy's size limit
+        raise DomainError(f"k_max={k_max} is too large: {exc}") from exc
 
     xs = center(inst).xs
-    errors = np.empty(k_max)
     chunk = max(1, _CHUNK_ENTRIES // (inst.d * inst.d))
     y = np.zeros((inst.d, inst.d))
     for start in range(0, k_max, chunk):
-        block = np.cumsum(xs[draws[start:start + chunk]], axis=0)
-        block += y
-        eigs = _eigvalsh(_symmetrize(block))
+        block = xs[draws[start:start + chunk]]
+        np.cumsum(block, axis=0, out=block)  # in place: one chunk-sized array per chunk
+        block += y  # exactly symmetric: every X_i is, and sums keep it
+        eigs = _eigvalsh(block)
         ks = np.arange(start + 1, start + 1 + block.shape[0])
         errors[start:start + block.shape[0]] = np.max(np.abs(eigs), axis=-1) / ks
         y = block[-1]

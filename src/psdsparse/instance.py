@@ -2,12 +2,16 @@
 
 An instance is a family (lambda_i, A_i) of nonnegative weights summing to one
 and PSD matrices whose weighted sum is the identity, together with the
-recomputed norm bound M = max_i ||A_i||. The on-disk format is JSON:
+recomputed norm bound M = max_i ||A_i||. The on-disk format is JSON, with each
+member either dense or as a thin factor V_i (d x r) with A_i = V_i V_i^T:
 
     {"d": int, "items": [{"lambda": float, "A": [[row-major floats]]}]}
+    {"d": int, "items": [{"lambda": float, "V": [[d rows of r floats]]}]}
 
-An optional stored "M" is advisory only: it is rejected if below the
-recomputed value and never replaces it.
+A file carries one kind for every item, and one r for every "V". The three
+generators build their members from factors and save them as "V"; a dense
+family saves as "A". An optional stored "M" is advisory only: it is rejected
+if below the recomputed value and never replaces it.
 """
 
 from __future__ import annotations
@@ -54,26 +58,41 @@ class Instance:
     """A certified decomposition of the identity (see module docstring).
 
     Instance(weights, mats) takes a weight vector and an (m, d, d) array whose
-    rows are exactly symmetric, and raises unless the family meets the
-    contract: finite entries, weights on the simplex, each A_i PSD, the
-    weighted sum equal to Id, and M = max_i ||A_i|| at least 1. It also
-    certifies the centered family X_i = A_i - Id that center() returns: the
-    weighted mean of the X_i vanishes, each ||X_i|| <= M, and
-    sum_i w_i X_i^2 <= M * Id. d, m and M are derived, never passed.
+    rows are exactly symmetric; Instance(weights, factors=V) takes an
+    (m, d, r) array instead and forms mats = V_i V_i^T once. Either way it
+    raises unless the family meets the contract: finite entries, weights on
+    the simplex, each A_i PSD, the weighted sum equal to Id, and
+    M = max_i ||A_i|| at least 1. It also certifies the centered family
+    X_i = A_i - Id that center() returns: the weighted mean of the X_i
+    vanishes, each ||X_i|| <= M, and sum_i w_i X_i^2 <= M * Id. d, m and M
+    are derived, never passed.
 
-    weights is copied; a float64 mats is kept without a copy. Both are made
-    read-only.
+    weights is copied; a float64 mats or factors is kept without a copy. All
+    three arrays are made read-only; factors is None for a dense family.
     """
 
     weights: np.ndarray
-    mats: np.ndarray
+    mats: np.ndarray | None = None
+    factors: np.ndarray | None = None
     d: int = field(init=False)
     m: int = field(init=False)
     norm_bound: float = field(init=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        mats = np.asarray(self.mats, dtype=np.float64)
+        factors = self.factors
+        if factors is None:
+            mats = np.asarray(self.mats, dtype=np.float64)
+        elif self.mats is not None:
+            raise FormatError("pass mats or factors, not both")
+        else:
+            factors = np.asarray(factors, dtype=np.float64)
+            if factors.ndim != 3:
+                raise FormatError(f"need factors of shape (m, d, r), got {factors.shape}")
+            if factors.shape[2] < 1:
+                raise DimensionMismatch(f"factors need rank r >= 1, got shape {factors.shape}")
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN and Inf are reported below
+                mats = _symmetrize(factors @ factors.swapaxes(1, 2))
         if weights.ndim != 1 or mats.ndim != 3:
             raise FormatError(f"need shapes (m,) and (m, d, d), got {weights.shape}, {mats.shape}")
         m = weights.shape[0]
@@ -85,7 +104,8 @@ class Instance:
         if not np.all(np.isfinite(weights)):
             raise NonFinite("weights contain NaN or Inf")
         if not np.all(np.isfinite(mats)):
-            raise NonFinite("matrix entries contain NaN or Inf")
+            how = "" if factors is None else ": a factor entry is not finite, or V V^T overflows"
+            raise NonFinite(f"matrix entries contain NaN or Inf{how}")
         if not np.array_equal(mats, mats.swapaxes(1, 2)):
             asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
             i = int(np.argmax(asym > 0))
@@ -134,10 +154,11 @@ class Instance:
             raise CenteringCertificateFailed("square-bound")
 
         weights = weights.copy()
-        weights.setflags(write=False)
-        mats.setflags(write=False)
-        for name, value in (("weights", weights), ("mats", mats), ("d", d), ("m", m),
-                            ("norm_bound", norm_bound)):
+        for a in (weights, mats, factors):
+            if a is not None:
+                a.setflags(write=False)
+        for name, value in (("weights", weights), ("mats", mats), ("factors", factors), ("d", d),
+                            ("m", m), ("norm_bound", norm_bound)):
             object.__setattr__(self, name, value)
 
 
@@ -208,31 +229,47 @@ def validate(raw: dict) -> Instance:
             raise FormatError(f"'M' must be finite, got {stored!r}")
 
     weights = np.empty(len(items))
-    mats = None  # allocated once item 0 has shape (d, d), so a bad 'd' allocates nothing
+    kind = None     # "A" or "V", fixed by item 0
+    members = None  # allocated once item 0 has its shape, so a bad 'd' allocates nothing
     for i, item in enumerate(items):
         try:
             weights[i] = _json_number(item["lambda"], f"item {i}: 'lambda'")
-            a = np.asarray(item["A"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"item {i} must carry 'lambda' and a numeric matrix 'A'") from exc
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"item {i} must carry 'lambda' and a numeric matrix 'A' or 'V'") from exc
+        keys = [key for key in ("A", "V") if key in item]
+        if len(keys) != 1:
+            raise FormatError(f"item {i} must carry exactly one of 'A' and 'V', got {len(keys)}")
+        kind = kind or keys[0]
+        if keys[0] != kind:
+            raise FormatError(f"item {i}: '{keys[0]}' in a file of '{kind}' items; use one kind per file")
+        try:
+            a = np.asarray(item[kind])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"item {i}: '{kind}' must be a matrix of numbers") from exc
         if a.dtype.kind not in "iuf":
-            raise FormatError(f"item {i}: 'A' must be a matrix of numbers")
+            raise FormatError(f"item {i}: '{kind}' must be a matrix of numbers")
         a = a.astype(np.float64, copy=False)
-        if a.shape != (d, d):
+        if kind == "A" and a.shape != (d, d):
             raise DimensionMismatch(f"item {i}: matrix shape {a.shape} != ({d}, {d})")
+        if kind == "V" and (a.ndim != 2 or a.shape[0] != d or a.shape[1] < 1
+                            or members is not None and a.shape != members.shape[1:]):
+            r = "r >= 1" if members is None else members.shape[2]
+            raise DimensionMismatch(f"item {i}: factor shape {a.shape} != ({d}, {r})")
         # numpy reads a boolean among numbers as 0 or 1; one C-level pass over the entry types
-        if not set(map(type, chain.from_iterable(item["A"]))).isdisjoint((bool, np.bool_)):
-            raise FormatError(f"item {i}: 'A' must be a matrix of numbers, not booleans")
+        if not set(map(type, chain.from_iterable(item[kind]))).isdisjoint((bool, np.bool_)):
+            raise FormatError(f"item {i}: '{kind}' must be a matrix of numbers, not booleans")
         if not np.all(np.isfinite(a)):
             raise NonFinite(f"item {i}: matrix entries contain NaN or Inf")
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > ASYMMETRY_TOL:
-            raise NotSymmetric(i, asym)
-        if mats is None:
-            mats = np.empty((len(items), d, d))
-        mats[i] = _symmetrize(a)
+        if kind == "A":
+            asym = float(np.max(np.abs(a - a.T)))
+            if asym > ASYMMETRY_TOL:
+                raise NotSymmetric(i, asym)
+            a = _symmetrize(a)
+        if members is None:
+            members = np.empty((len(items), *a.shape))
+        members[i] = a
 
-    inst = Instance(weights, mats)
+    inst = Instance(weights, members) if kind == "A" else Instance(weights, factors=members)
     if stored is not None:
         if stored < inst.norm_bound - 1e-9 * (1.0 + inst.norm_bound):
             raise NormBoundTooSmall(
@@ -242,13 +279,17 @@ def validate(raw: dict) -> Instance:
 
 
 def to_payload(inst: Instance) -> dict:
-    """JSON-ready dict in the on-disk format (floats round-trip exactly)."""
+    """JSON-ready dict in the on-disk format (floats round-trip exactly).
+
+    Items carry "V" when the instance was built from factors, else "A".
+    """
+    key, members = ("A", inst.mats) if inst.factors is None else ("V", inst.factors)
     return {
         "d": inst.d,
         "M": inst.norm_bound,
         "items": [
-            {"lambda": float(w), "A": a.tolist()}
-            for w, a in zip(inst.weights, inst.mats)
+            {"lambda": float(w), key: a.tolist()}
+            for w, a in zip(inst.weights, members)
         ],
     }
 
@@ -290,29 +331,28 @@ def _haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
 def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
     """Union of random orthonormal bases, each vector u giving A = d * u u^T.
 
-    Produces m = n_bases * d rank-one matrices with equal weights 1/m and
-    norm bound d; deterministic in the seed.
+    Produces m = n_bases * d rank-one members, stored as factors
+    V = sqrt(d) * u, with equal weights 1/m and norm bound d; deterministic in
+    the seed.
     """
     if d < 1 or n_bases < 1:
         raise DomainError("d and n_bases must be positive")
     rng = _rng(seed)
     m = n_bases * d
-    mats = np.empty((m, d, d))
+    factors = np.empty((m, d, 1))
     for b in range(n_bases):
-        q = _haar_orthogonal(rng, d)
-        for j in range(d):
-            u = q[:, j]
-            mats[b * d + j] = d * np.outer(u, u)
+        factors[b * d:(b + 1) * d, :, 0] = math.sqrt(d) * _haar_orthogonal(rng, d).T
     weights = np.full(m, 1.0 / m)
-    return Instance(weights, mats)
+    return Instance(weights, factors=factors)
 
 
 def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Instance:
     """Random Gram matrices pushed to isotropic position.
 
     Draws B_i = G_i G_i^T with G_i of shape (d, rank), averages S, and when
-    cond(S) <= cond_cap returns A_i = S^{-1/2} B_i S^{-1/2} with equal
-    weights; otherwise redraws with a derived seed, up to 16 attempts.
+    cond(S) <= cond_cap returns A_i = V_i V_i^T with factors
+    V_i = S^{-1/2} G_i and equal weights; otherwise redraws with a derived
+    seed, up to 16 attempts.
     """
     if d < 1 or m < 1 or rank < 1:
         raise DomainError("d, m, rank must be positive")
@@ -323,15 +363,14 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
     for attempt in range(MAX_TRANSFORM_RETRIES):
         rng = _rng(seed, attempt)
         gs = rng.standard_normal((m, d, rank))
-        bs = _symmetrize(gs @ gs.transpose(0, 2, 1))
-        s = _symmetrize(np.mean(bs, axis=0))
+        flat = gs.transpose(1, 0, 2).reshape(d, m * rank)  # [G_1 ... G_m], so S = flat flat^T / m
+        s = _symmetrize(flat @ flat.T / m)
         vals, vecs = _eigh(s)
         if vals[0] <= 0 or vals[-1] / vals[0] > cond_cap:
             continue
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        mats = _symmetrize(inv_sqrt @ bs @ inv_sqrt)
         weights = np.full(m, 1.0 / m)
-        return Instance(weights, mats)
+        return Instance(weights, factors=inv_sqrt @ gs)
     raise IsotropicTransformFailed(
         f"condition cap {cond_cap:g} not met after {MAX_TRANSFORM_RETRIES} attempts"
     )
@@ -341,8 +380,8 @@ def gen_graph_edges(edge_list) -> Instance:
     """Isotropic decomposition from a connected weighted graph via leverage scores.
 
     Works in the (n-1)-dimensional range of the Laplacian: every edge maps to
-    a rank-one matrix of norm exactly n-1, weighted by its leverage score
-    over n-1. The construction is deterministic.
+    a rank-one matrix of norm exactly n-1, stored as its factor, weighted by
+    its leverage score over n-1. The construction is deterministic.
     """
     edges = [(int(u), int(v), float(w)) for u, v, w in edge_list]
     if not edges:
@@ -379,7 +418,7 @@ def gen_graph_edges(edge_list) -> Instance:
     basis = vecs[:, 1:]            # orthonormal basis of range(L)
     inv_sqrt_vals = 1.0 / np.sqrt(vals[1:])
     dim = n - 1
-    mats = np.empty((len(edges), dim, dim))
+    factors = np.empty((len(edges), dim, 1))
     weights = np.empty(len(edges))
     for i, (u, v, w) in enumerate(edges):
         b = np.zeros(n)
@@ -387,8 +426,8 @@ def gen_graph_edges(edge_list) -> Instance:
         vt = inv_sqrt_vals * (basis.T @ b)
         leverage = w * float(vt @ vt)
         weights[i] = leverage / dim
-        mats[i] = (dim * w / leverage) * np.outer(vt, vt)
-    return Instance(weights, mats)
+        factors[i, :, 0] = math.sqrt(dim * w / leverage) * vt
+    return Instance(weights, factors=factors)
 
 
 def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, int, float]]:
@@ -403,10 +442,10 @@ def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, i
         raise DomainError(f"n_edges must lie in [{n - 1}, {max_edges}]")
     rng = _rng(seed)
     pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
-    seen = set(pairs)
-    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in seen]
     extra = n_edges - (n - 1)
-    if extra:
+    if extra:  # the O(n^2) list of candidate pairs, only when an extra edge is drawn from it
+        seen = set(pairs)
+        spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in seen]
         idx = rng.permutation(len(spare))[:extra]
         pairs.extend(spare[i] for i in idx)
     return [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs]

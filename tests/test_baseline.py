@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse import baseline
+from psdsparse import baseline, symmat
 
 from conftest import canonical_raw
 
@@ -52,6 +52,37 @@ def test_chunked_prefixes_agree_with_single_pass(canonical, monkeypatch):
     chunked = ps.sample_run(canonical, 150, seed=5)
     assert chunked.indices == full.indices
     assert np.allclose(chunked.errors, full.errors, rtol=1e-12, atol=1e-14)
+
+
+def _errors_with_symmetrized_blocks(inst, k_max, seed):
+    # the earlier formula: a fresh cumulative block, symmetrized before eigvalsh
+    draws = np.array(ps.sample_run(inst, k_max, seed).indices) - 1
+    xs = ps.center(inst).xs
+    chunk = max(1, baseline._CHUNK_ENTRIES // (inst.d * inst.d))
+    errors, y = [], np.zeros((inst.d, inst.d))
+    for start in range(0, k_max, chunk):
+        block = np.cumsum(xs[draws[start:start + chunk]], axis=0) + y
+        eigs = np.linalg.eigvalsh(symmat._symmetrize(block))
+        errors.append(np.max(np.abs(eigs), axis=-1) / np.arange(start + 1, start + 1 + len(block)))
+        y = block[-1]
+    return np.concatenate(errors)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ps.gen_bases(8, 2, 1), lambda: ps.gen_random_psd(6, 12, 2, 1e4, 3)],
+    ids=["bases", "random-psd"],
+)
+def test_errors_match_the_symmetrized_formula_bit_for_bit(make, monkeypatch):
+    inst = make()
+    monkeypatch.setattr(baseline, "_CHUNK_ENTRIES", 64 * inst.d * inst.d)  # several chunks
+    trace = ps.sample_run(inst, 300, seed=4)
+    assert trace.errors.tobytes() == _errors_with_symmetrized_blocks(inst, 300, 4).tobytes()
+
+
+@pytest.mark.parametrize("k_max", [2**63, 2**64])
+def test_a_k_max_past_numpy_sizes_is_a_domain_error(canonical, k_max):
+    with pytest.raises(ps.DomainError, match=f"k_max={k_max}"):
+        ps.sample_run(canonical, k_max, seed=0)
 
 
 def test_rejects_bad_k_max(canonical):

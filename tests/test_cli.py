@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import psdsparse as ps
 from psdsparse import cli
 
-from conftest import canonical_raw
+from conftest import canonical_raw, raw_payload
 
 
 def _write_canonical(tmp_path, name="inst.json"):
@@ -183,11 +184,11 @@ def test_generate_graph_from_edge_file(tmp_path):
     assert (inst.d, inst.m) == (2, 3)
 
 
-def _one_error_line(args, prefix):
+def _one_error_line(args, prefix, **run_kwargs):
     # a separate process, so that a warning or a traceback reaches stderr as it would for a user
     env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "psdsparse.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **run_kwargs)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
@@ -235,6 +236,38 @@ def test_bad_seeds_and_caps_print_one_error_line(tmp_path, args):
     inst = _write_canonical(tmp_path)
     args = [a.format(tmp=tmp_path, inst=inst) for a in args]
     _one_error_line(args, "error: DomainError:")
+
+
+def _cap_address_space():
+    # whatever the host's overcommit policy, a huge allocation is then refused at once
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_baseline_huge_k_max_prints_one_error_line(tmp_path):
+    inst = _write_canonical(tmp_path)
+    _one_error_line(["baseline", str(inst), "--k-max", "10000000000000", "--seed", "0",
+                     "--out", str(tmp_path / "b.csv")], "error: DomainError: k_max=10000000000000",
+                    preexec_fn=_cap_address_space)
+
+
+def test_generate_writes_factors_that_validate_and_run_read(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert cli.main(["generate", "--kind", "bases", "--d", "4", "--bases", "2", "--seed", "1",
+                     "--out", str(out)]) == 0
+    raw = json.loads(out.read_text())
+    assert all(set(item) == {"lambda", "V"} for item in raw["items"])
+    assert cli.main(["validate", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok d=4 m=8 M=4")
+
+    # the same members written densely give the same trace
+    inst = ps.load_instance(out)
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(raw_payload(inst.weights, inst.mats)))
+    for path, csv_out in ((out, tmp_path / "v.csv"), (dense, tmp_path / "a.csv")):
+        assert cli.main(["run", str(path), "--mode", "all-steps", "--k-max", "12",
+                         "--out", str(csv_out)]) == 0
+    assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert len(_read_csv(tmp_path / "v.csv")) == 13
 
 
 def test_generate_graph_random(tmp_path):

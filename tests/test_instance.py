@@ -223,6 +223,127 @@ def test_save_load_round_trip(tmp_path, canonical):
     assert np.array_equal(again.mats, canonical.mats)
 
 
+# the canonical family in factored form: V V^T gives [[1, 1], [1, 1]] and [[1, -1], [-1, 1]]
+def _factored_raw() -> dict:
+    return {"d": 2, "items": [{"lambda": 0.5, "V": [[1.0], [1.0]]},
+                              {"lambda": 0.5, "V": [[1.0], [-1.0]]}]}
+
+
+def test_validate_reads_factors():
+    inst = ps.validate(_factored_raw())
+    assert np.array_equal(inst.factors, [[[1.0], [1.0]], [[1.0], [-1.0]]])
+    assert np.array_equal(inst.mats, [[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+    assert (inst.d, inst.m, inst.norm_bound) == (2, 2, 2.0)
+    assert not inst.factors.flags.writeable and not inst.mats.flags.writeable
+
+
+_GENERATED = {
+    "bases": lambda: ps.gen_bases(5, 2, 3),
+    "random-psd": lambda: ps.gen_random_psd(6, 10, 3, 1e4, 2),
+    "graph": lambda: ps.gen_graph_edges(ps.random_connected_edges(7, 12, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATED))
+def test_generated_families_save_and_load_as_factors(tmp_path, kind):
+    inst = _GENERATED[kind]()
+    path = tmp_path / "inst.json"
+    ps.save_instance(inst, path)
+    items = json.loads(path.read_text())["items"]
+    assert all(set(item) == {"lambda", "V"} for item in items)
+    again = ps.load_instance(path)
+    assert again.factors.tobytes() == inst.factors.tobytes()
+    assert again.mats.tobytes() == inst.mats.tobytes()
+    assert again.weights.tobytes() == inst.weights.tobytes()
+    assert again.norm_bound == inst.norm_bound
+
+
+def test_a_dense_family_round_trips_as_dense():
+    inst = ps.gen_bases(4, 2, 0)
+    dense = ps.Instance(inst.weights, inst.mats)
+    raw = ps.to_payload(dense)
+    assert dense.factors is None
+    assert all(set(item) == {"lambda", "A"} for item in raw["items"])
+    again = ps.validate(raw)
+    assert again.factors is None and again.mats.tobytes() == dense.mats.tobytes()
+
+
+def test_gen_bases_64_saves_under_a_megabyte(tmp_path):
+    path = tmp_path / "bases64.json"
+    ps.save_instance(ps.gen_bases(64, 4, 0), path)
+    assert path.stat().st_size < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "change, error, what",
+    [
+        (lambda raw: raw["items"][0].update(V=[["1.0"], ["1.0"]]), ps.FormatError,
+         "item 0: 'V' must be a matrix of numbers"),
+        (lambda raw: raw["items"][0].update(V=[[True], [True]]), ps.FormatError,
+         "item 0: 'V' must be a matrix of numbers"),
+        (lambda raw: raw["items"][0].update(V=[[1.0, False], [1.0, False]]), ps.FormatError,
+         "not booleans"),
+        (lambda raw: raw["items"][0].update(V=[[math.nan], [1.0]]), ps.NonFinite, "item 0: "),
+        (lambda raw: raw["items"][0].update(V=[[math.inf], [1.0]]), ps.NonFinite, "item 0: "),
+        (lambda raw: raw["items"][0].update(V=[[1.0], [1.0], [0.0]]), ps.DimensionMismatch,
+         "item 0: factor shape (3, 1) != (2, r >= 1)"),
+        (lambda raw: raw["items"][0].update(V=[1.0, 1.0]), ps.DimensionMismatch,
+         "item 0: factor shape (2,)"),
+        (lambda raw: raw["items"][0].update(V=[[], []]), ps.DimensionMismatch,
+         "item 0: factor shape (2, 0)"),
+        (lambda raw: raw["items"][0].update(V=[[1.0], [1.0, 0.0]]), ps.FormatError,
+         "item 0: 'V' must be a matrix of numbers"),
+        (lambda raw: raw["items"][1].update(V=[[1.0, 0.0], [-1.0, 0.0]]), ps.DimensionMismatch,
+         "item 1: factor shape (2, 2) != (2, 1)"),
+        (lambda raw: raw["items"][0].update(A=[[1.0, 1.0], [1.0, 1.0]]), ps.FormatError,
+         "item 0 must carry exactly one of 'A' and 'V', got 2"),
+        (lambda raw: raw["items"][0].pop("V"), ps.FormatError,
+         "item 0 must carry exactly one of 'A' and 'V', got 0"),
+        (lambda raw: raw["items"][1].update(A=raw["items"][1].pop("V")), ps.FormatError,
+         "item 1: 'A' in a file of 'V' items"),
+    ],
+    ids=["string", "boolean", "mixed-boolean", "nan", "inf", "row-count", "flat", "zero-rank",
+         "ragged-rows", "ragged-rank", "both-keys", "neither-key", "mixed-kinds"],
+)
+def test_validate_rejects_malformed_factors(change, error, what):
+    raw = _factored_raw()
+    change(raw)
+    with pytest.raises(error, match=re.escape(what)):
+        ps.validate(raw)
+
+
+def test_validate_checks_factor_shapes_before_allocating():
+    raw = {"d": 2**32, "items": [{"lambda": 1.0, "V": [[1.0]]}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ps.DimensionMismatch, match=re.escape(f"(1, 1) != ({2**32}, r >= 1)")):
+            ps.validate(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_an_overflowing_factor_product_is_nonfinite():
+    raw = {"d": 1, "items": [{"lambda": 1.0, "V": [[1e200]]}]}
+    with pytest.raises(ps.NonFinite, match="V V\\^T overflows"):
+        ps.validate(raw)
+    with pytest.raises(ps.NonFinite, match="V V\\^T overflows"):
+        ps.Instance(np.ones(1), factors=np.full((1, 1, 2), 1e200))
+    with pytest.raises(ps.NonFinite, match="a factor entry is not finite"):
+        ps.Instance(np.ones(1), factors=[[[math.nan]]])
+
+
+def test_instance_takes_mats_or_factors_not_both():
+    inst = ps.validate(_factored_raw())
+    with pytest.raises(ps.FormatError):
+        ps.Instance(inst.weights, inst.mats, factors=inst.factors)
+    with pytest.raises(ps.FormatError):
+        ps.Instance(inst.weights, factors=inst.factors[0])
+    with pytest.raises(ps.DimensionMismatch):
+        ps.Instance(inst.weights, factors=np.empty((2, 2, 0)))
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -436,6 +557,36 @@ def test_random_connected_edges_properties():
     inst = ps.gen_graph_edges(edges)  # connectivity by construction
     assert inst.d == 8
     assert edges == ps.random_connected_edges(9, 14, seed=4)
+
+
+def _random_connected_edges_reference(n, n_edges, seed):
+    # the earlier version, which built the spare pairs even with no extra edge
+    rng = instance._rng(seed)
+    pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    seen = set(pairs)
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in seen]
+    extra = n_edges - (n - 1)
+    if extra:
+        idx = rng.permutation(len(spare))[:extra]
+        pairs.extend(spare[i] for i in idx)
+    return [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs]
+
+
+@pytest.mark.parametrize("n, n_edges, seed", [(2, 1, 0), (5, 4, 3), (5, 10, 3), (9, 14, 4), (30, 29, 7),
+                                              (30, 60, 7)])
+def test_random_connected_edges_matches_the_reference(n, n_edges, seed):
+    assert ps.random_connected_edges(n, n_edges, seed) == _random_connected_edges_reference(n, n_edges, seed)
+
+
+def test_a_spanning_tree_draw_skips_the_quadratic_pair_list():
+    tracemalloc.start()
+    try:
+        edges = ps.random_connected_edges(2000, 1999, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 1999
+    assert peak < 2 << 20  # the pair list alone would take about 180 MB
 
 
 def test_random_connected_edges_rejects_bad_counts():
