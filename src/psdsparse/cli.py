@@ -223,6 +223,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: IO: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:   # numpy names its subclass _ArrayMemoryError
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

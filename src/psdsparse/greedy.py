@@ -39,7 +39,7 @@ from .errors import (
     PruningCertificateFailed,
 )
 from .instance import NORM_FLOOR_TOL, CenteredFamily, Instance, center
-from .potential import log_potential_from_eigenvalues, psi_value
+from .potential import _check_delta, log_potential_from_eigenvalues, psi_value
 from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
 
 TIE_TOL = 1e-12
@@ -53,10 +53,12 @@ REGIME_COARSE = "coarse"
 REGIME_FINE = "fine"
 
 
-def _check_family_constants(norm_bound: float, d: int) -> None:
-    """Reject a norm bound that is not finite or below 1 (as validation rounds it), or d < 1."""
-    if not (math.isfinite(norm_bound) and norm_bound >= 1.0 - NORM_FLOOR_TOL) or d < 1:
-        raise DomainError(f"need a finite norm bound >= 1 and d >= 1, got M={norm_bound!r}, d={d}")
+def _check_family_constants(norm_bound: float, d: int) -> float:
+    """M*ln(2d); reject d < 1, M below 1 (as validation rounds it) or an M*ln(2d) not finite."""
+    ml = norm_bound * math.log(2 * d) if d >= 1 else math.nan
+    if not (norm_bound >= 1.0 - NORM_FLOOR_TOL and math.isfinite(ml)):
+        raise DomainError(f"need M >= 1, d >= 1 and a finite M*ln(2d), got M={norm_bound!r}, d={d}")
+    return ml
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    _check_family_constants(norm_bound, d)
-    ml = norm_bound * math.log(2 * d)
+    ml = _check_family_constants(norm_bound, d)
     if k <= ml:
         return 2.0 * ml / k
     return 3.0 * math.sqrt(ml / k)
@@ -130,8 +131,7 @@ def bound_fixed_n(n: int, norm_bound: float, d: int) -> float:
     """Final-error bound of the constant schedule: 2*sqrt(ML/N) for N >= ML, else 2ML/N."""
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
-    _check_family_constants(norm_bound, d)
-    ml = norm_bound * math.log(2 * d)
+    ml = _check_family_constants(norm_bound, d)
     if n >= ml:
         return 2.0 * math.sqrt(ml / n)
     return 2.0 * ml / n
@@ -141,13 +141,16 @@ def required_n(epsilon: float, norm_bound: float, d: int) -> int:
     """Smallest guaranteed sparsity for target error epsilon: ceil(9*M*ln(2d)/eps^2)."""
     if not 0 < epsilon <= 1:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    _check_family_constants(norm_bound, d)
-    return int(math.ceil(9.0 * norm_bound * math.log(2 * d) / (epsilon * epsilon)))
+    ml = _check_family_constants(norm_bound, d)
+    n = 9.0 * ml / (epsilon * epsilon) if epsilon * epsilon > 0 else math.inf
+    if not math.isfinite(n):
+        raise DomainError(f"epsilon={epsilon!r} needs an N = 9*M*ln(2d)/eps^2 beyond the float range")
+    return int(math.ceil(n))
 
 
 def default_k_max(norm_bound: float, d: int) -> int:
     """Long enough to exercise both bound regimes."""
-    return max(4 * int(math.ceil(norm_bound * math.log(2 * d))), 64)
+    return max(4 * int(math.ceil(_check_family_constants(norm_bound, d))), 64)
 
 
 @dataclass(frozen=True)
@@ -310,8 +313,7 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
     fam must have ||X_i|| <= fam.m1, and delta * fam.m1 may not exceed 700.
     Ties (within 1e-12 in log scale) resolve to the smallest index.
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    _check_delta(delta)
     if fam.m < 1:
         raise EmptyFamily("family has no members")
     if y.d != fam.d:
@@ -380,7 +382,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
 
         indices.append(best + 1)
         counts[best] += 1
-        y = _symmetrize(y + xs[best])
+        y = y + xs[best]   # exactly symmetric: Instance enforces it for every X_i
         error = float(np.max(np.abs(prev_eigs))) / k
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):

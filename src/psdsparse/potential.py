@@ -24,12 +24,16 @@ SERIES_CUTOFF = 1e-4
 EXP_ARG_MAX = 700.0
 
 
+def _check_delta(delta: float) -> None:
+    """Raise DomainError unless delta is finite and positive (NaN is neither)."""
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be finite and positive, got {delta!r}")
+
+
 def psi_value(m1: float, delta: float) -> float:
     """Normalized quadratic remainder psi(m1, delta) = (e^{delta m1} - 1 - delta m1) / m1^2."""
-    if m1 <= 0:
-        raise DomainError(f"m1 must be positive, got {m1}")
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
+    if not (0 < m1 < math.inf and delta >= 0):
+        raise DomainError(f"need a finite m1 > 0 and delta >= 0, got m1={m1!r}, delta={delta!r}")
     u = delta * m1
     if u > EXP_ARG_MAX:
         raise Overflow(f"delta*m1 = {u:.4g} exceeds {EXP_ARG_MAX:g}")
@@ -71,14 +75,13 @@ def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.
     Accepts a stacked (..., d) array of spectra and returns one value per row.
     Exact to relative ~1e-15 even when delta * max|mu| exceeds 700.
     """
+    _check_delta(delta)
     z = delta * np.asarray(eigenvalues, dtype=np.float64)
     return logsumexp(np.concatenate([z, -z], axis=-1))
 
 
 def log_potential(y: SymMatrix, delta: float) -> float:
     """log of the symmetric exponential potential of Y at parameter delta > 0."""
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
     return log_potential_from_eigenvalues(_eigvalsh(y.entries), delta)
 
 
@@ -88,9 +91,8 @@ def scalar_exp_bound_gap(x: float, delta: float, m1: float) -> float:
     Returns (1 + delta*x + psi(m1, delta)*x^2) - e^{delta*x}, which is
     nonnegative (up to ~1e-12 * e^{delta*m1} rounding) for every x <= m1.
     """
-    if x > m1:
-        raise DomainError(f"x = {x} exceeds m1 = {m1}")
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not -math.inf < x <= m1:
+        raise DomainError(f"x must be finite and at most m1 = {m1!r}, got {x!r}")
+    _check_delta(delta)
     p = psi_value(m1, delta)
     return (1.0 + delta * x + p * x * x) - math.exp(delta * x)

@@ -7,6 +7,7 @@ are explicitly re-symmetrized to stop drift in iterated updates.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,9 @@ def sym_apply(s: SymMatrix, f) -> SymMatrix:
     """Apply a scalar function to the spectrum: Q diag(f(mu)) Q^T, re-symmetrized.
 
     ``f`` must be defined on every eigenvalue of ``s``; a non-finite result
-    raises NonFinite (e.g. exp of a matrix with huge norm).
+    raises NonFinite (e.g. exp of a matrix with huge norm). A scalar ``f``
+    (math.log) is applied per eigenvalue; a ValueError or ArithmeticError
+    there counts as NaN, so it raises NonFinite too.
     """
     mu, q = eigh(s)
     # finiteness is checked below, so numpy's own NaN/overflow warnings are noise
@@ -140,7 +143,10 @@ def sym_apply(s: SymMatrix, f) -> SymMatrix:
             if mapped.shape != mu.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            mapped = np.array([float(f(x)) for x in mu])
+            mapped = np.full(mu.shape, np.nan)
+            for j, x in enumerate(mu):
+                with contextlib.suppress(ValueError, ArithmeticError):
+                    mapped[j] = f(x)
     if not np.all(np.isfinite(mapped)):
         raise NonFinite("scalar function produced NaN or Inf on the spectrum")
     result = (q * mapped) @ q.T

@@ -16,46 +16,38 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .instance import CenteredFamily, _rng, center, gen_random_psd
-from .potential import log_potential_from_eigenvalues, logsumexp, psi_value, scalar_exp_bound_gap
+from .potential import (_check_delta, log_potential_from_eigenvalues, logsumexp, psi_value,
+                        scalar_exp_bound_gap)
 from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize, sym_apply
-
-SUITES = ("one-step", "mgf", "gt", "interp", "lower", "scalar", "psi")
-
-SUITE_TOLS = {
-    "one-step": 1e-9,
-    "mgf": 1e-9,
-    "gt": 1e-9,
-    "interp": 1e-9,
-    "lower": 1e-9,
-    "scalar": 1e-12,
-    "psi": 1e-12,
-}
 
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A suite's worst slack; ``tolerance`` and ``passed`` derive from it, so NaN fails."""
+
     suite: str
     trials: int
     worst_slack: float
-    passed: bool
-    seed: int
-    tolerance: float
+    seed: int = 0
     worst_trial: int = 0
 
+    @property
+    def tolerance(self) -> float:
+        return _SUITES[self.suite][1]
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_slack >= -self.tolerance
+
     @classmethod
-    def merge(cls, suite: str, slacks, seed: int) -> "CheckReport":
-        tol = SUITE_TOLS[suite]
-        worst = int(np.argmin(slacks))
-        value = float(slacks[worst])
-        return cls(
-            suite=suite,
-            trials=len(slacks),
-            worst_slack=value,
-            passed=value >= -tol,
-            seed=seed,
-            tolerance=tol,
-            worst_trial=worst,
-        )
+    def merge(cls, suite: str, slacks, seed: int = 0) -> "CheckReport":
+        worst = int(np.argmin(slacks))   # the first NaN, if any
+        return cls(suite, len(slacks), float(slacks[worst]), seed, worst)
+
+
+def _nan_min(slacks: list[float]) -> float:
+    """The smallest slack, or NaN if any is NaN: min() keeps a NaN only in first place."""
+    return math.nan if any(map(math.isnan, slacks)) else min(slacks)
 
 
 def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -63,15 +55,13 @@ def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
     return scale * 0.5 * (g + g.T)
 
 
-def random_centered_family(
-    rng: np.random.Generator, max_d: int = 16, max_m: int = 12, scale: float = 2.0
-) -> CenteredFamily:
-    """Random symmetric matrices with the weighted mean projected out, and their bounds."""
-    d = int(rng.integers(1, max_d + 1))
-    m = int(rng.integers(1, max_m + 1))
+def random_centered_family(rng: np.random.Generator) -> CenteredFamily:
+    """1 to 12 random symmetric d x d matrices, d <= 16, weighted mean removed, and their bounds."""
+    d = int(rng.integers(1, 17))
+    m = int(rng.integers(1, 13))
     w = rng.random(m) + 1e-3
     w = w / w.sum()
-    xs = np.stack([random_symmetric(rng, d, scale) for _ in range(m)])
+    xs = np.stack([random_symmetric(rng, d, 2.0) for _ in range(m)])
     xs -= np.einsum("i,ijk->jk", w, xs)
     norms = np.max(np.abs(_eigvalsh(xs)), axis=-1)
     m1 = max(float(np.max(norms)), 1e-9)
@@ -102,30 +92,27 @@ def _one_step_slack(fam, y: np.ndarray, delta: float) -> float:
     return rhs - lhs
 
 
-def check_one_step(fam, y: SymMatrix, delta: float, seed: int = 0) -> CheckReport:
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
+def check_one_step(fam, y: SymMatrix, delta: float) -> CheckReport:
+    _check_delta(delta)
     if y.d != fam.d:
         raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
-    return CheckReport.merge("one-step", [_one_step_slack(fam, y.entries, delta)], seed)
+    return CheckReport.merge("one-step", [_one_step_slack(fam, y.entries, delta)])
 
 
 def _mgf_slack(fam, delta: float) -> float:
     """Spectral slack of: sum_i w_i exp(±delta X_i) <= exp(m2 psi_{m1}(delta)) Id."""
     vals, vecs = _eigh(fam.xs)
     cap = math.exp(fam.m2 * psi_value(fam.m1, delta))
-    worst = math.inf
+    slacks = []
     for sign in (1.0, -1.0):
         z = np.einsum("i,ijk,ik,ilk->jl", fam.weights, vecs, np.exp(sign * delta * vals), vecs)
-        top = float(np.max(_eigvalsh(_symmetrize(z))))
-        worst = min(worst, cap - top)
-    return worst
+        slacks.append(cap - float(np.max(_eigvalsh(_symmetrize(z)))))
+    return _nan_min(slacks)
 
 
-def check_mgf(fam, delta: float, seed: int = 0) -> CheckReport:
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    return CheckReport.merge("mgf", [_mgf_slack(fam, delta)], seed)
+def check_mgf(fam, delta: float) -> CheckReport:
+    _check_delta(delta)
+    return CheckReport.merge("mgf", [_mgf_slack(fam, delta)])
 
 
 def _gt_slack(u: np.ndarray, v: np.ndarray) -> float:
@@ -137,8 +124,8 @@ def _gt_slack(u: np.ndarray, v: np.ndarray) -> float:
     return (rhs - lhs) / rhs
 
 
-def check_golden_thompson(u: SymMatrix, v: SymMatrix, seed: int = 0) -> CheckReport:
-    return CheckReport.merge("gt", [_gt_slack(u.entries, v.entries)], seed)
+def check_golden_thompson(u: SymMatrix, v: SymMatrix) -> CheckReport:
+    return CheckReport.merge("gt", [_gt_slack(u.entries, v.entries)])
 
 
 def _interp_slack(y: np.ndarray, eta: float, delta: float, d: int) -> float:
@@ -154,10 +141,11 @@ def _interp_slack(y: np.ndarray, eta: float, delta: float, d: int) -> float:
     return rhs - lhs
 
 
-def check_interpolation(y: SymMatrix, eta: float, delta: float, seed: int = 0) -> CheckReport:
-    if delta <= 0 or not 0 <= eta <= delta:
-        raise DomainError(f"need 0 <= eta <= delta with delta > 0, got eta={eta!r} delta={delta!r}")
-    return CheckReport.merge("interp", [_interp_slack(y.entries, eta, delta, y.d)], seed)
+def check_interpolation(y: SymMatrix, eta: float, delta: float) -> CheckReport:
+    _check_delta(delta)
+    if not 0 <= eta <= delta:
+        raise DomainError(f"need 0 <= eta <= delta, got eta={eta!r} delta={delta!r}")
+    return CheckReport.merge("interp", [_interp_slack(y.entries, eta, delta, y.d)])
 
 
 def _lower_slack(y: np.ndarray, delta: float) -> float:
@@ -168,10 +156,9 @@ def _lower_slack(y: np.ndarray, delta: float) -> float:
     )
 
 
-def check_lower_bound(y: SymMatrix, delta: float, seed: int = 0) -> CheckReport:
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    return CheckReport.merge("lower", [_lower_slack(y.entries, delta)], seed)
+def check_lower_bound(y: SymMatrix, delta: float) -> CheckReport:
+    _check_delta(delta)
+    return CheckReport.merge("lower", [_lower_slack(y.entries, delta)])
 
 
 # --- randomized suite drivers ----------------------------------------------------
@@ -245,7 +232,7 @@ def _scalar_trial(rng: np.random.Generator, trial: int) -> float:
         ]
     )
     scale = math.exp(delta * m1)
-    return min(scalar_exp_bound_gap(float(x), delta, m1) for x in xs) / scale
+    return _nan_min([scalar_exp_bound_gap(float(x), delta, m1) for x in xs]) / scale
 
 
 def _psi_trial(rng: np.random.Generator, trial: int) -> float:
@@ -261,27 +248,30 @@ def _psi_trial(rng: np.random.Generator, trial: int) -> float:
     lo, hi = sorted((d2, rng.uniform(1e-6, 5.0) / m1))
     vhi = psi_value(m1, hi)
     slacks.append((vhi - psi_value(m1, lo)) / max(vhi, 1e-300))
-    return min(slacks)
+    return _nan_min(slacks)
 
 
-_TRIALS = {
-    "one-step": _one_step_trial,
-    "mgf": _mgf_trial,
-    "gt": _gt_trial,
-    "interp": _interp_trial,
-    "lower": _lower_trial,
-    "scalar": _scalar_trial,
-    "psi": _psi_trial,
+# name -> (trial, tolerance). A suite's position keys its trials' Philox
+# streams, so the order is part of every recorded seed: new suites go at the end.
+_SUITES = {
+    "one-step": (_one_step_trial, 1e-9),
+    "mgf": (_mgf_trial, 1e-9),
+    "gt": (_gt_trial, 1e-9),
+    "interp": (_interp_trial, 1e-9),
+    "lower": (_lower_trial, 1e-9),
+    "scalar": (_scalar_trial, 1e-12),
+    "psi": (_psi_trial, 1e-12),
 }
+SUITES = tuple(_SUITES)
 
 
 def run_suite(suite: str, trials: int, seed: int) -> CheckReport:
     """Run one named suite for the given number of random trials."""
-    if suite not in _TRIALS:
+    if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    fn = _TRIALS[suite]
+    fn = _SUITES[suite][0]
     suite_index = SUITES.index(suite)
     slacks = [fn(_rng(seed, suite_index, t), t) for t in range(trials)]
     return CheckReport.merge(suite, slacks, seed)

@@ -45,6 +45,13 @@ def test_required_n_rejects_non_finite_norm_bound(m_bound, capsys):
     assert err.startswith("error: DomainError:") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("eps, m_bound", [("1e-200", "16"), ("1e-160", "16"), ("0.5", "1e308")])
+def test_required_n_overflow_prints_one_error_line(eps, m_bound, capsys):
+    assert cli.main(["required-n", "--epsilon", eps, "--m-bound", m_bound, "--d", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError:") and "\n" not in err.strip()
+
+
 def test_validate_ok(tmp_path, capsys):
     path = _write_canonical(tmp_path)
     assert cli.main(["validate", str(path)]) == 0
@@ -250,6 +257,18 @@ def test_baseline_huge_k_max_prints_one_error_line(tmp_path):
                     preexec_fn=_cap_address_space)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--kind", "bases", "--d", "100000"],
+     ["--kind", "random-psd", "--d", "3", "--m", "100000000", "--rank", "1000"]],
+    ids=["bases", "random-psd"],
+)
+def test_generate_too_large_to_allocate_prints_one_error_line(tmp_path, args):
+    _one_error_line(["generate", *args, "--out", str(tmp_path / "x.json")],
+                    "error: MemoryError: Unable to allocate", preexec_fn=_cap_address_space)
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_generate_writes_factors_that_validate_and_run_read(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert cli.main(["generate", "--kind", "bases", "--d", "4", "--bases", "2", "--seed", "1",
@@ -317,8 +336,7 @@ def test_verify_suite_reports(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    failing = ps.CheckReport(suite="gt", trials=5, worst_slack=-1.0, passed=False,
-                             seed=9, tolerance=1e-9, worst_trial=2)
+    failing = ps.CheckReport(suite="gt", trials=5, worst_slack=-1.0, seed=9, worst_trial=2)
     monkeypatch.setattr(cli.verify_mod, "run_suite", lambda *a, **k: failing)
     assert cli.main(["verify", "--suite", "gt", "--trials", "5", "--seed", "9"]) == 1
     captured = capsys.readouterr()

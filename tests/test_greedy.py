@@ -95,7 +95,8 @@ def test_bounds_reject_bad_arguments():
             fn(5, 0.5, 2)
 
 
-@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+# 1.5e308 is finite, but M*ln(4) is not
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, 1.5e308])
 def test_non_finite_norm_bound_raises(m):
     with pytest.raises(ps.DomainError):
         ps.Schedule(m, 2)
@@ -104,6 +105,14 @@ def test_non_finite_norm_bound_raises(m):
             fn(5, m, 2)
     with pytest.raises(ps.DomainError):
         ps.required_n(0.5, m, 2)
+    with pytest.raises(ps.DomainError):
+        ps.default_k_max(m, 2)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-160])
+def test_required_n_rejects_an_epsilon_whose_n_overflows(eps):
+    with pytest.raises(ps.DomainError, match="epsilon"):
+        ps.required_n(eps, 16.0, 16)
 
 
 def test_bounds_accept_every_norm_bound_a_schedule_accepts():
@@ -174,8 +183,9 @@ def test_select_next_single_member_keeps_potential():
 
 def test_select_next_rejects_bad_inputs(canonical):
     fam = ps.center(canonical)
-    with pytest.raises(ps.DomainError):
-        ps.select_next(ps.SymMatrix.zeros(2), 0.0, fam)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ps.DomainError, match="delta"):
+            ps.select_next(ps.SymMatrix.zeros(2), delta, fam)
     empty = ps.CenteredFamily(weights=np.empty(0), xs=np.empty((0, 2, 2)), m1=1.0, m2=1.0)
     with pytest.raises(ps.EmptyFamily):
         ps.select_next(ps.SymMatrix.zeros(2), 0.5, empty)

@@ -48,6 +48,9 @@ def test_psi_rejects_bad_domain():
         ps.psi_value(-1.0, 0.5)
     with pytest.raises(ps.DomainError):
         ps.psi_value(1.0, -0.5)
+    for m1, delta in ((1.0, math.nan), (math.nan, 1.0), (math.inf, 0.0)):
+        with pytest.raises(ps.DomainError):
+            ps.psi_value(m1, delta)
     with pytest.raises(ps.Overflow):
         ps.psi_value(2.0, 400.0)
 
@@ -97,6 +100,14 @@ def test_log_potential_rejects_nonpositive_delta():
         ps.log_potential(ps.SymMatrix.zeros(2), 0.0)
     with pytest.raises(ps.DomainError):
         ps.log_potential(ps.SymMatrix.zeros(2), -1.0)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_log_potential_rejects_a_non_finite_delta(delta):
+    with pytest.raises(ps.DomainError, match="finite and positive"):
+        ps.log_potential(ps.SymMatrix.zeros(2), delta)
+    with pytest.raises(ps.DomainError, match="finite and positive"):
+        ps.log_potential_from_eigenvalues(np.zeros(2), delta)
 
 
 def test_log_potential_negation_symmetry():
@@ -225,6 +236,13 @@ def test_scalar_gap_rejects_x_above_m1():
         ps.scalar_exp_bound_gap(1.5, 0.3, 1.0)
     with pytest.raises(ps.DomainError):
         ps.scalar_exp_bound_gap(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("x, delta", [(math.nan, 0.5), (-math.inf, 0.5), (0.5, math.nan),
+                                      (0.5, math.inf)])
+def test_scalar_gap_rejects_non_finite_arguments(x, delta):
+    with pytest.raises(ps.DomainError):
+        ps.scalar_exp_bound_gap(x, delta, 1.0)
 
 
 @given(st.floats(0.1, 8.0), st.floats(1e-6, 5.0), st.floats(0.0, 50.0))

@@ -145,6 +145,20 @@ def test_sym_apply_rejects_nonfinite_result():
         ps.sym_apply(s, np.log)  # log of a negative eigenvalue
 
 
+@pytest.mark.parametrize("f", [np.log, math.log, np.sqrt, math.sqrt, math.exp],
+                         ids=["np.log", "math.log", "np.sqrt", "math.sqrt", "math.exp"])
+def test_sym_apply_scalar_and_array_functions_fail_alike(f):
+    # math.log and math.sqrt raise ValueError on -1, math.exp OverflowError on 1000
+    s = ps.SymMatrix(np.diag([1.0, -1.0] if f is not math.exp else [1000.0, 0.0]))
+    with pytest.raises(ps.NonFinite):
+        ps.sym_apply(s, f)
+
+
+def test_sym_apply_scalar_function_matches_array_function():
+    s = ps.SymMatrix([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(ps.sym_apply(s, math.log).entries, ps.sym_apply(s, np.log).entries)
+
+
 def test_golden_thompson_trace_inequality_random():
     rng = rng_for(13)
     for _ in range(25):

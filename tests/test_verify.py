@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse.verify import SUITE_TOLS, SUITES
+from psdsparse import verify
 
 from conftest import rng_for
 
@@ -50,7 +50,7 @@ def test_mgf_single_member():
 def test_mgf_random_families_within_unit_delta_range():
     rng = rng_for(15)
     for _ in range(25):
-        fam = ps.random_centered_family(rng, max_d=8, max_m=8)
+        fam = ps.random_centered_family(rng)
         delta = rng.uniform(1e-6, 1.0) / fam.m1
         assert ps.check_mgf(fam, delta).passed
 
@@ -108,12 +108,14 @@ def test_check_domain_validation(canonical):
     with pytest.raises(ps.DomainError):
         ps.check_interpolation(y, 0.8, 0.5)
     with pytest.raises(ps.DomainError):
+        ps.check_interpolation(y, math.nan, 0.5)
+    with pytest.raises(ps.DomainError):
         ps.check_lower_bound(y, 0.0)
 
 
 def test_report_pass_flag_tracks_tolerance():
-    assert ps.CheckReport.merge("lower", [-1e-13], 0).passed
-    assert not ps.CheckReport.merge("lower", [-1e-8], 0).passed
+    assert ps.CheckReport.merge("lower", [-1e-13]).passed
+    assert not ps.CheckReport.merge("lower", [-1e-8]).passed
     rep = ps.CheckReport.merge("lower", [0.5, -2.0, 1.0], 7)
     assert rep.worst_slack == -2.0 and rep.worst_trial == 1 and rep.seed == 7
 
@@ -155,7 +157,80 @@ def test_one_step_rejects_a_running_sum_of_the_wrong_size():
 
 def test_run_all_passes_at_smoke_scale():
     reports = ps.run_all(trials=40, seed=1)
-    assert [r.suite for r in reports] == list(SUITES)
+    assert [r.suite for r in reports] == list(ps.SUITES)
     for rep in reports:
         assert rep.passed, f"{rep.suite}: worst {rep.worst_slack:.3e} (seed {rep.seed})"
-        assert rep.tolerance == SUITE_TOLS[rep.suite]
+        assert rep.tolerance == (1e-12 if rep.suite in ("scalar", "psi") else 1e-9)
+
+
+def test_suite_order_is_pinned():
+    # a suite's position keys its trials' random streams
+    assert ps.SUITES == ("one-step", "mgf", "gt", "interp", "lower", "scalar", "psi")
+
+
+@pytest.mark.parametrize("suite", ["lower", "psi"])
+def test_report_verdict_is_derived_from_the_slack(suite):
+    tol = ps.CheckReport(suite, 1, 0.0).tolerance
+    assert not ps.CheckReport(suite, 1, math.nan).passed
+    assert not ps.CheckReport(suite, 1, -2 * tol).passed
+    assert ps.CheckReport(suite, 1, -tol / 2).passed
+    assert not ps.CheckReport.merge(suite, [1.0, math.nan, -5.0]).passed
+
+
+@pytest.mark.parametrize("field", ["passed", "tolerance"])
+def test_report_does_not_take_derived_fields(field):
+    with pytest.raises(TypeError):
+        ps.CheckReport(suite="gt", trials=1, worst_slack=0.0, **{field: 1.0})
+
+
+def test_single_input_checks_report_seed_0(canonical):
+    y = ps.SymMatrix.zeros(2)
+    assert ps.check_mgf(ps.center(canonical), 0.5).seed == 0
+    assert ps.check_golden_thompson(y, y).seed == 0
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_checks_reject_a_delta_that_is_not_finite_and_positive(canonical, delta):
+    fam = ps.center(canonical)
+    y = ps.SymMatrix.zeros(2)
+    for call in (
+        lambda: ps.check_one_step(fam, y, delta),
+        lambda: ps.check_mgf(fam, delta),
+        lambda: ps.check_interpolation(y, 0.0, delta),
+        lambda: ps.check_lower_bound(y, delta),
+    ):
+        with pytest.raises(ps.DomainError, match="delta"):
+            call()
+
+
+def _nan_on_call(fn, n):
+    """fn, except that its n-th call (0-based) returns NaN."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        return math.nan if len(calls) == n + 1 else fn(*args)
+    return wrapped
+
+
+def test_a_nan_in_the_mgf_reduction_fails_the_suite(monkeypatch, canonical):
+    # the second sign's top eigenvalue is NaN; min(finite, nan) would drop it
+    monkeypatch.setattr(verify, "_eigvalsh", _nan_on_call(verify._eigvalsh, 1))
+    rep = ps.check_mgf(ps.center(canonical), 0.5)
+    assert math.isnan(rep.worst_slack) and not rep.passed
+
+
+def test_a_nan_in_the_scalar_reduction_fails_the_suite(monkeypatch):
+    exact = verify.scalar_exp_bound_gap
+    # x = m1 comes last, after the finite gaps
+    monkeypatch.setattr(verify, "scalar_exp_bound_gap",
+                        lambda x, delta, m1: math.nan if x == m1 else exact(x, delta, m1))
+    rep = ps.run_suite("scalar", 3, 0)
+    assert math.isnan(rep.worst_slack) and not rep.passed
+
+
+def test_a_nan_in_the_psi_reduction_fails_the_suite(monkeypatch):
+    # the third psi_value call feeds the last slack, the monotonicity one
+    monkeypatch.setattr(verify, "psi_value", _nan_on_call(verify.psi_value, 2))
+    rep = ps.run_suite("psi", 1, 0)
+    assert math.isnan(rep.worst_slack) and not rep.passed
