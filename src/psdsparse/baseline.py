@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .instance import Instance, _rng, _seed_sequence, center
+from .instance import Instance, _centered_rows, _rng, _seed_sequence
+from .instance import center  # noqa: F401 -- a module attribute that bench/run.py traces
+from .instance import _CHUNK_ENTRIES  # noqa: F401 -- the block cap, which bench/run.py reports
 from .symmat import _eigvalsh
-
-# rows of (k, d, d) eigendecomposed per chunk; caps peak memory near 32 MB
-_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +43,18 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     except (MemoryError, ValueError) as exc:  # refused at once; ValueError past numpy's size limit
         raise DomainError(f"k_max={k_max} is too large: {exc}") from exc
 
-    xs = center(inst).xs
-    chunk = max(1, _CHUNK_ENTRIES // (inst.d * inst.d))
     y = np.zeros((inst.d, inst.d))
-    for start in range(0, k_max, chunk):
-        block = xs[draws[start:start + chunk]]
-        np.cumsum(block, axis=0, out=block)  # in place: one chunk-sized array per chunk
-        block += y  # exactly symmetric: every X_i is, and sums keep it
+    start = 0
+    for _, block in _centered_rows(inst, draws):
+        # Y_k = Y_{k-1} + X_{i_k} in order, so the bits do not depend on the block size;
+        # exactly symmetric: every X_i is, and sums keep it
+        block[0] += y
+        np.cumsum(block, axis=0, out=block)  # in place: one block-sized array per block
         eigs = _eigvalsh(block)
-        ks = np.arange(start + 1, start + 1 + block.shape[0])
-        errors[start:start + block.shape[0]] = np.max(np.abs(eigs), axis=-1) / ks
-        y = block[-1]
+        stop = start + len(block)
+        errors[start:stop] = np.max(np.abs(eigs), axis=-1) / np.arange(start + 1, stop + 1)
+        y, start = block[-1].copy(), stop
+        del block   # freed before the next block is formed
 
     errors.setflags(write=False)
     return BaselineTrace(seed=int(seed), indices=tuple(int(i) + 1 for i in draws), errors=errors)

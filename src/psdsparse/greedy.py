@@ -14,17 +14,29 @@ convexity of log Phi, and a second-order one, from a floor on the curvature
 of Phi along Y + tX_i that needs only ||X_i||_F and the spectral bounds
 X_i <= m_hi, -X_i <= m_lo (see _bounds). A member whose lower bound exceeds
 the smallest upper bound by more than the tie tolerance cannot win and is
-skipped; the rest are scored with one batched eigvalsh. The picks and
-recorded potentials are those of scoring every member, bit for bit. Every
-step checks that its smallest exact score meets the smallest upper bound and
-that no exact score falls below its member's lower bound.
+skipped; the rest are formed as candidates block by block and scored with a
+batched eigvalsh per block. The picks and recorded potentials are those of
+scoring every member, bit for bit. Every step checks that its smallest exact
+score meets the smallest upper bound and that no exact score falls below its
+member's lower bound.
+
+The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
+two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
+family whose dense rows fit in one block, reads them off X_i and X_i^2 held
+as (m, d, d) arrays. A larger factor family A_i = V_i V_i^T reads them off
+its factors: with
+G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F,
+<F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F and
+||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d, so a step holds O(m d r) plus one
+block of candidate rows, never the dense family.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +50,8 @@ from .errors import (
     PotentialGrowthViolation,
     PruningCertificateFailed,
 )
-from .instance import NORM_FLOOR_TOL, CenteredFamily, Instance, center
+from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _fits_one_block,
+                       _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, psi_value
 from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
 
@@ -157,8 +170,10 @@ def default_k_max(norm_bound: float, d: int) -> int:
 class StepRecord:
     """One greedy step; ``evaluated`` counts the members scored exactly (at most m).
 
-    ``evaluated`` depends only on the instance and the schedule; the members
-    it leaves out were proven unable to win.
+    ``evaluated`` depends on the instance and the schedule, and at rounding
+    level on whether the bounds came from dense rows or from factors (see
+    _bounds); the members it leaves out were proven unable to win. The picks
+    and potentials do not depend on either.
     """
 
     k: int
@@ -198,24 +213,75 @@ def _pick(scores: np.ndarray) -> int:
 
 
 class _Stack(NamedTuple):
-    """A centered family as arrays, with the spectral bounds X_i <= m_hi and -X_i <= m_lo."""
+    """A centered family as _step reads it, with the spectral bounds X_i <= m_hi and -X_i <= m_lo.
 
-    xs: np.ndarray
-    squares: np.ndarray   # X_i^2
+    terms(q, w) gives <F0, X_i> and <F1, X_i^2> for every member, where
+    Fj = Q diag(w[j]) Q^T; rows(idx) yields (part, X_i for i in part) as fresh
+    writable blocks over consecutive parts of idx.
+    """
+
+    terms: Callable
+    rows: Callable
     norms: np.ndarray     # ||X_i||_F^2 = tr X_i^2
     m_hi: float
     m_lo: float
 
 
 def _stack(xs, m_hi, m_lo) -> _Stack:
+    """A dense (m, d, d) centered family, with its squares X_i^2 formed once."""
+    m, d = len(xs), xs.shape[1]
     squares = xs @ xs
-    return _Stack(xs, squares, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
+    flat, flat_squares = xs.reshape(m, -1), squares.reshape(m, -1)
+
+    def terms(q, w):
+        f = (q * w[:, np.newaxis, :]) @ q.T
+        return flat @ f[0].reshape(-1), flat_squares @ f[1].reshape(-1)
+
+    def rows(idx):
+        return ((part, xs[part]) for part in _row_parts(idx, d))
+
+    return _Stack(terms, rows, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
 
 
-def _bounds(y, stack, delta, psi_hi, psi_lo):
+def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
+    """A factor family, A_i = V_i V_i^T, read through its (m, d, r) factors only.
+
+    With G_i = V_i^T V_i and X_i = V_i V_i^T - Id:
+    <F, X_i> = tr(V_i^T F V_i) - tr F, <F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F
+    and ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d. With F = Q diag(w) Q^T and
+    Z = Q^T [V_1 ... V_m], tr(V_i^T F V_i H) = sum_j w_j (Z_i H)_j . (Z_i)_j, so a
+    step costs one (d, d) x (d, 2mr) product and holds O(m d r).
+    """
+    v = inst.factors
+    m, d, r = v.shape
+    gram = v.swapaxes(1, 2) @ v
+    vh = v @ (gram - 2.0 * np.eye(r))   # V_i H_i with H_i = G_i - 2 Id
+    # columns [V_1 ... V_m | V_1 H_1 ... V_m H_m]
+    cols = np.concatenate((v, vh)).transpose(1, 0, 2).reshape(d, 2 * m * r)
+    norms = np.sum(gram * gram, axis=(1, 2)) - 2.0 * np.trace(gram, axis1=1, axis2=2) + d
+
+    def terms(q, w):
+        z = q.T @ cols
+        plain, shifted = z[:, :m * r], z[:, m * r:]
+        shifted *= plain   # entries of Z_i H_i times those of Z_i
+        plain *= plain
+        lin, quad = w[0] @ plain, w[1] @ shifted
+        if r > 1:   # sum each member's r columns
+            lin, quad = (np.add.reduce(a.reshape(m, r), axis=1) for a in (lin, quad))
+        return lin - np.add.reduce(w[0]), quad + np.add.reduce(w[1])
+
+    return _Stack(terms, functools.partial(_centered_rows, inst), norms, m_hi, m_lo)
+
+
+def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
+    """Maps the spectra of F+ and F- to those of F+ - F- and psi_hi F+ + psi_lo F-."""
+    return np.array(((1.0, -1.0), (psi_hi, psi_lo)))
+
+
+def _bounds(y, stack, delta, psi):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
-    Needs psi_hi = psi(stack.m_hi, delta) and psi_lo = psi(stack.m_lo, delta). With
+    Needs psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
     y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
     and lin_i = delta<F+ - F-, X_i>, the lower bound is the larger of
 
@@ -223,7 +289,9 @@ def _bounds(y, stack, delta, psi_hi, psi_lo):
     - s + log(tr(F+ + F-) + lin_i + c ||X_i||_F^2), by the curvature of Phi.
 
     The upper bound is s + log(tr(F+ + F-) + lin_i + <psi_hi F+ + psi_lo F-, X_i^2>),
-    by Golden-Thompson. The shift by s keeps every exponential in (0, 1].
+    by Golden-Thompson. The shift by s keeps every exponential in (0, 1]. The
+    stack supplies the two inner products: from X_i and X_i^2 for a dense
+    family, from the factors for a factor family (see _factor_stack).
 
     The curvature bound: let g(t) = tr e^{delta(y + tX)} + tr e^{-delta(y + tX)}.
     The second derivative of tr e^{H + tK} is sum_jk (e^{a_j} - e^{a_k})/(a_j - a_k) |K_jk|^2
@@ -249,12 +317,8 @@ def _bounds(y, stack, delta, psi_hi, psi_lo):
     s = delta * max(float(mu[-1]), -float(mu[0]))
     e = np.exp(np.multiply.outer((delta, -delta), mu) - s)   # spectra of F+ and F-
     total = float(e.sum())
-    # f[0] = F+ - F-, f[1] = psi_hi F+ + psi_lo F-
-    w = np.array(((1.0, -1.0), (psi_hi, psi_lo))) @ e
-    f = (q * w[:, np.newaxis, :]) @ q.T
-    m = len(stack.xs)
-    lin = delta * (stack.xs.reshape(m, -1) @ f[0].reshape(-1))
-    quad = stack.squares.reshape(m, -1) @ f[1].reshape(-1)
+    lin, quad = stack.terms(q, psi @ e)
+    lin *= delta
     log_phi = s + math.log(total)
     margin = PRUNE_RTOL * (1.0 + abs(log_phi))
     c = 0.5 * delta * delta * (
@@ -265,32 +329,42 @@ def _bounds(y, stack, delta, psi_hi, psi_lo):
     # |lin_i| <= delta max(m_hi, m_lo) tr(F+ + F-)
     slack = margin * (1.0 + delta * max(stack.m_hi, stack.m_lo))
     floor = lin + (1.0 - margin) * c * stack.norms + (1.0 - slack) * total
-    second = np.log(floor, out=np.full(m, -np.inf), where=floor > 0)
-    lower = np.maximum(log_phi + lin / total, s + second)
+    lower = log_phi + lin / total
+    # the curvature bound where its argument is positive; elsewhere it gives none
+    usable = floor > 0
+    np.log(floor, out=floor, where=usable)
+    floor += s
+    np.maximum(lower, floor, out=lower, where=usable)
     return lower, s + np.log(total + lin + quad), margin
 
 
-def _step(y, stack, delta, psi_hi, psi_lo):
+def _step(y, stack, delta, psi):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
 
     A member is skipped when its lower bound exceeds the smallest upper bound
     by more than TIE_TOL plus the rounding margins: its score then exceeds the
     minimum by more than TIE_TOL, so it is neither the minimum nor tied with
-    it. The rest are gathered into a fresh array, which then holds their
-    candidates, and scored exactly; each row's score does not depend on which
-    rows share the batch, so the pick and its score equal those of scoring
-    every member. Two checks run on the exact scores: the smallest must not
-    exceed the smallest upper bound, which is what makes the skip sound, and
-    none may fall below its member's lower bound.
+    it. The rest are formed block by block as candidates and scored exactly;
+    each row's score does not depend on which rows share the batch, so the
+    pick and its score equal those of scoring every member. Two checks run on
+    the exact scores: the smallest must not exceed the smallest upper bound,
+    which is what makes the skip sound, and none may fall below its member's
+    lower bound.
     """
-    lower, upper, margin = _bounds(y, stack, delta, psi_hi, psi_lo)
+    lower, upper, margin = _bounds(y, stack, delta, psi)
     cap = float(upper.min()) + margin
     if not math.isfinite(cap):
         raise NonFinite(f"candidate upper bound is {cap!r}")
     keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
     if keep.size == 0:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
-    scores, eigs = _candidate_scores(y, stack.xs[keep], delta)
+    scores, eigs = [], []
+    for _, rows in stack.rows(keep):
+        block_scores, block_eigs = _candidate_scores(y, rows, delta)
+        scores.append(block_scores)
+        eigs.append(block_eigs)
+        del rows   # freed before the next block is formed
+    scores, eigs = np.concatenate(scores), np.concatenate(eigs)
     # keep is ascending, so this is _pick over all members with the skipped ones at +inf
     j = _pick(scores)
     if scores.min() > cap:
@@ -320,7 +394,7 @@ def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, f
         raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, score, _, _ = _step(y.entries, stack, delta, p, p)
+    best, score, _, _ = _step(y.entries, stack, delta, _psi_weights(p, p))
     return best + 1, score
 
 
@@ -353,12 +427,15 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         )
 
     m_bound = schedule.norm_bound
-    # X_i <= M, and -X_i <= 1 because A_i is PSD
-    stack = _stack(center(inst).xs, m_bound, 1.0)
-    xs = stack.xs
+    # X_i <= M, and -X_i <= 1 because A_i is PSD. A factor family is read
+    # through its factors unless it is small enough to hold densely
+    if inst.factors is None or _fits_one_block(inst):
+        stack = _stack(center(inst).xs, m_bound, 1.0)
+    else:
+        stack = _factor_stack(inst, m_bound, 1.0)
 
     y = np.zeros((inst.d, inst.d))
-    counts = np.zeros(len(xs))
+    counts = np.zeros(inst.m)
     prev_eigs = np.zeros(inst.d)
     delta = log_phi = None
     indices: list[int] = []
@@ -371,8 +448,9 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             prev_log_phi = log_phi
         else:
             prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
-            psi_hi, psi_lo = psi_value(stack.m_hi, delta), psi_value(stack.m_lo, delta)
-        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi_hi, psi_lo)
+            psi_hi = psi_value(stack.m_hi, delta)
+            psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
+        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi)
 
         step_cap = m_bound * psi_hi + prev_log_phi
         if log_phi > step_cap + STEP_TOL:
@@ -382,7 +460,8 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
 
         indices.append(best + 1)
         counts[best] += 1
-        y = y + xs[best]   # exactly symmetric: Instance enforces it for every X_i
+        ((_, row),) = stack.rows(np.array([best]))
+        y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
         error = float(np.max(np.abs(prev_eigs))) / k
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):
@@ -401,8 +480,12 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         )
 
         if k % AUDIT_INTERVAL == 0:
-            # O(m d^2) from the per-member counts, however long the run
-            resummed = _symmetrize((counts @ xs.reshape(len(xs), -1)).reshape(y.shape))
+            # O(d^2) per member picked so far, from the counts, however long the run
+            picked = np.flatnonzero(counts)
+            resummed = np.zeros(y.size)
+            for part, rows in _centered_rows(inst, picked):
+                resummed += counts[part] @ rows.reshape(len(part), -1)
+            resummed = _symmetrize(resummed.reshape(y.shape))
             drift = float(np.linalg.norm(resummed - y))
             if drift > AUDIT_TOL * k:
                 raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")

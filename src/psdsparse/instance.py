@@ -12,6 +12,11 @@ A file carries one kind for every item, and one r for every "V". The three
 generators build their members from factors and save them as "V"; a dense
 family saves as "A". An optional stored "M" is advisory only: it is rejected
 if below the recomputed value and never replaces it.
+
+A family built from factors is held and certified as factors only: nothing
+of size m * d^2 is formed. Where a caller needs dense centered rows
+X_i = A_i - Id, _centered_rows forms them block by block, under one shared
+cap of _CHUNK_ENTRIES entries per block.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ CENTER_SQUARE_TOL = 1e-8
 
 MAX_TRANSFORM_RETRIES = 16
 
+# the most entries in one block of dense rows, (k, d, d): 2 MB of float64. With a
+# factor family, peak memory is about the factors plus a few such blocks.
+_CHUNK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class Instance:
@@ -59,9 +68,10 @@ class Instance:
 
     Instance(weights, mats) takes a weight vector and an (m, d, d) array whose
     rows are exactly symmetric; Instance(weights, factors=V) takes an
-    (m, d, r) array instead and forms mats = V_i V_i^T once. Either way it
-    raises unless the family meets the contract: finite entries, weights on
-    the simplex, each A_i PSD, the weighted sum equal to Id, and
+    (m, d, r) array instead, with A_i = V_i V_i^T, and never forms the dense
+    family: mats is None and every certificate is computed from the factors.
+    Either way it raises unless the family meets the contract: finite entries,
+    weights on the simplex, each A_i PSD, the weighted sum equal to Id, and
     M = max_i ||A_i|| at least 1. It also certifies the centered family
     X_i = A_i - Id that center() returns: the weighted mean of the X_i
     vanishes, each ||X_i|| <= M, and sum_i w_i X_i^2 <= M * Id. d, m and M
@@ -80,78 +90,31 @@ class Instance:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
-        factors = self.factors
+        mats, factors = self.mats, self.factors
         if factors is None:
-            mats = np.asarray(self.mats, dtype=np.float64)
-        elif self.mats is not None:
+            members = mats = np.asarray(mats, dtype=np.float64)
+        elif mats is not None:
             raise FormatError("pass mats or factors, not both")
         else:
-            factors = np.asarray(factors, dtype=np.float64)
+            members = factors = np.asarray(factors, dtype=np.float64)
             if factors.ndim != 3:
                 raise FormatError(f"need factors of shape (m, d, r), got {factors.shape}")
             if factors.shape[2] < 1:
                 raise DimensionMismatch(f"factors need rank r >= 1, got shape {factors.shape}")
-            with np.errstate(over="ignore", invalid="ignore"):  # NaN and Inf are reported below
-                mats = _symmetrize(factors @ factors.swapaxes(1, 2))
-        if weights.ndim != 1 or mats.ndim != 3:
-            raise FormatError(f"need shapes (m,) and (m, d, d), got {weights.shape}, {mats.shape}")
+        if weights.ndim != 1 or members.ndim != 3:
+            raise FormatError(f"need shapes (m,) and (m, d, d), got {weights.shape}, {members.shape}")
         m = weights.shape[0]
-        if m < 1 or mats.shape[0] != m:
+        if m < 1 or members.shape[0] != m:
             raise FormatError("family must contain at least one weighted matrix")
-        d = mats.shape[1]
-        if d < 1 or mats.shape[1] != mats.shape[2]:
-            raise DimensionMismatch(f"matrices must be square and nonempty, got {mats.shape[1:]}")
+        d = members.shape[1]
+        if d < 1 or mats is not None and mats.shape[1] != mats.shape[2]:
+            raise DimensionMismatch(f"matrices must be square and nonempty, got {members.shape[1:]}")
         if not np.all(np.isfinite(weights)):
             raise NonFinite("weights contain NaN or Inf")
-        if not np.all(np.isfinite(mats)):
-            how = "" if factors is None else ": a factor entry is not finite, or V V^T overflows"
-            raise NonFinite(f"matrix entries contain NaN or Inf{how}")
-        if not np.array_equal(mats, mats.swapaxes(1, 2)):
-            asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
-            i = int(np.argmax(asym > 0))
-            raise NotSymmetric(i, float(asym[i]))
-        if np.any(weights < 0):
-            i = int(np.argmin(weights))
-            raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
-        total = float(np.sum(weights))
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightsNotSimplex(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
-
-        eigs = _eigvalsh(mats)  # (m, d), each row nondecreasing
-        norms = np.max(np.abs(eigs), axis=1)
-        for i in range(m):
-            if eigs[i, 0] < -PSD_TOL * (1.0 + norms[i]):
-                raise NotPSD(i, float(eigs[i, 0]))
-
-        mean = np.einsum("i,ijk->jk", weights, mats)
-        residual_eigs = _eigvalsh(_symmetrize(mean) - np.eye(d))
-        residual = float(np.max(np.abs(residual_eigs)))
-        if residual > ISOTROPY_TOL:
-            raise NotIsotropic(residual)
-
-        norm_bound = float(np.max(norms))
-        if norm_bound < 1.0 - NORM_FLOOR_TOL:
-            # impossible once isotropy holds; a failure here means corrupted data
-            raise InstanceError(f"norm bound {norm_bound!r} below 1")
-
-        # centering certificates; violations should be unreachable for a valid family
-        xs = mats - np.eye(d)
-        mean_eigs = _eigvalsh(_symmetrize(np.einsum("i,ijk->jk", weights, xs)))
-        mean_norm = float(np.max(np.abs(mean_eigs)))
-        if mean_norm > CENTER_MEAN_TOL:
-            raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
-
-        # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
-        # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
-        # at d = M = 64, three orders below CENTER_NORM_TOL.
-        worst = float(np.max(np.abs(eigs - 1.0)))
-        if worst > norm_bound + CENTER_NORM_TOL:
-            raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
-
-        squares = _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs))
-        cap = SymMatrix(norm_bound * np.eye(d))
-        if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
-            raise CenteringCertificateFailed("square-bound")
+        if mats is None:
+            norm_bound = _certify_factors(weights, factors)
+        else:
+            norm_bound = _certify_dense(weights, mats)
 
         weights = weights.copy()
         for a in (weights, mats, factors):
@@ -160,6 +123,103 @@ class Instance:
         for name, value in (("weights", weights), ("mats", mats), ("factors", factors), ("d", d),
                             ("m", m), ("norm_bound", norm_bound)):
             object.__setattr__(self, name, value)
+
+
+def _check_simplex(weights: np.ndarray) -> float:
+    """The weights' sum; raises unless they are nonnegative and sum to 1."""
+    if np.any(weights < 0):
+        i = int(np.argmin(weights))
+        raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise WeightsNotSimplex(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
+    return total
+
+
+def _check_psd(eigs: np.ndarray) -> float:
+    """M = max_i ||A_i|| from each member's nondecreasing eigenvalues; raises NotPSD."""
+    norms = np.max(np.abs(eigs), axis=1)
+    for i in range(len(eigs)):
+        if eigs[i, 0] < -PSD_TOL * (1.0 + norms[i]):
+            raise NotPSD(i, float(eigs[i, 0]))
+    return float(np.max(norms))
+
+
+def _check_mean(mean: np.ndarray, total: float, norm_bound: float) -> None:
+    """Isotropy, M >= 1 and the mean-zero certificate, from mean = sum_i w_i A_i (symmetric)."""
+    eye = np.eye(len(mean))
+    residual = float(np.max(np.abs(_eigvalsh(mean - eye))))
+    if residual > ISOTROPY_TOL:
+        raise NotIsotropic(residual)
+    if norm_bound < 1.0 - NORM_FLOOR_TOL:
+        # impossible once isotropy holds; a failure here means corrupted data
+        raise InstanceError(f"norm bound {norm_bound!r} below 1")
+    # sum_i w_i X_i = mean - (sum_i w_i) Id
+    mean_norm = float(np.max(np.abs(_eigvalsh(mean - total * eye))))
+    if mean_norm > CENTER_MEAN_TOL:
+        raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
+
+
+def _check_centered(worst: float, squares: np.ndarray, norm_bound: float) -> None:
+    """The norm and square-bound certificates: max_i ||X_i|| = worst, sum_i w_i X_i^2 = squares."""
+    if worst > norm_bound + CENTER_NORM_TOL:
+        raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
+    cap = SymMatrix(norm_bound * np.eye(len(squares)))
+    if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
+        raise CenteringCertificateFailed("square-bound")
+
+
+def _certify_dense(weights: np.ndarray, mats: np.ndarray) -> float:
+    """The contract and the centering certificates of a dense family; returns M."""
+    if not np.all(np.isfinite(mats)):
+        raise NonFinite("matrix entries contain NaN or Inf")
+    if not np.array_equal(mats, mats.swapaxes(1, 2)):
+        asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), axis=(1, 2))
+        i = int(np.argmax(asym > 0))
+        raise NotSymmetric(i, float(asym[i]))
+    total = _check_simplex(weights)
+    eigs = _eigvalsh(mats)  # (m, d), each row nondecreasing
+    norm_bound = _check_psd(eigs)
+    _check_mean(_symmetrize(np.einsum("i,ijk->jk", weights, mats)), total, norm_bound)
+    # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
+    # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
+    # at d = M = 64, three orders below CENTER_NORM_TOL.
+    worst = float(np.max(np.abs(eigs - 1.0)))
+    xs = mats - np.eye(mats.shape[1])
+    _check_centered(worst, _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs)), norm_bound)
+    return norm_bound
+
+
+def _certify_factors(weights: np.ndarray, factors: np.ndarray) -> float:
+    """The same certificates from the factors, holding nothing of size m * d^2; returns M.
+
+    With G_i = V_i^T V_i and W the d x (m r) matrix of columns sqrt(w_i) V_i:
+    ||A_i|| = lambda_max(G_i), since A_i and G_i share their nonzero spectrum;
+    sum_i w_i A_i = W W^T; eig(X_i) is eig(G_i) - 1, plus -1 when r < d; and
+    sum_i w_i X_i^2 = sum_i w_i V_i G_i V_i^T - 2 W W^T + (sum_i w_i) Id.
+    """
+    m, d, r = factors.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and Inf are reported below
+        gram = factors.swapaxes(1, 2) @ factors
+        # |(V V^T)_jk| <= tr G, so a finite trace keeps every dense row finite
+        finite = np.all(np.isfinite(gram)) and np.all(np.isfinite(np.trace(gram, axis1=1, axis2=2)))
+    if not finite:
+        raise NonFinite("matrix entries contain NaN or Inf: a factor entry is not finite, "
+                        "or V V^T overflows")
+    total = _check_simplex(weights)
+    eigs = _eigvalsh(gram)  # (m, r), each row nondecreasing
+    norm_bound = _check_psd(eigs)
+    scaled = factors * np.sqrt(weights)[:, np.newaxis, np.newaxis]
+    w = scaled.transpose(1, 0, 2).reshape(d, m * r)
+    mean = _symmetrize(w @ w.T)
+    _check_mean(mean, total, norm_bound)
+    worst = float(np.max(np.abs(eigs - 1.0)))
+    if r < d:
+        worst = max(worst, 1.0)
+    wg = (scaled @ gram).transpose(1, 0, 2).reshape(d, m * r)
+    squares = _symmetrize(wg @ w.T) - 2.0 * mean + total * np.eye(d)
+    _check_centered(worst, squares, norm_bound)
+    return norm_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,9 +370,75 @@ def load_instance(path) -> Instance:
     return validate(raw)
 
 
+def _fits_one_block(inst: Instance) -> bool:
+    """Whether the family's dense rows, (m, d, d), fit in one block under _CHUNK_ENTRIES.
+
+    Such a family is small enough to hold densely. A factor family is then
+    formed whole where its rows are read many times: by sample_run's draws,
+    and by greedy's step, whose dense operands cost less per step than the
+    factor terms at that size.
+    """
+    return inst.m * inst.d * inst.d <= _CHUNK_ENTRIES
+
+
+def _row_parts(idx: np.ndarray, d: int) -> list[np.ndarray]:
+    """Consecutive parts of idx, each of at most _CHUNK_ENTRIES // d^2 indices (at least one)."""
+    step = max(1, _CHUNK_ENTRIES // (d * d))
+    if len(idx) <= step:
+        return [idx]
+    return [idx[start:start + step] for start in range(0, len(idx), step)]
+
+
+def _products(factors: np.ndarray) -> np.ndarray:
+    """sym(V V^T) for each V in factors, as a fresh (k, d, d) array.
+
+    A rank-one product v v^T is exactly symmetric, entry by entry the rounded
+    v_j v_k that a matrix product gives, so sym() would not change a bit of it.
+    """
+    if factors.shape[2] == 1:
+        return factors * factors.swapaxes(1, 2)
+    return _symmetrize(factors @ factors.swapaxes(1, 2))
+
+
+def _minus_identity(block: np.ndarray) -> np.ndarray:
+    """block - Id for each (d, d) row, in place: only the diagonal changes, as x - 0 is x."""
+    diagonal = np.einsum("ijj->ij", block)   # a writable view
+    diagonal -= 1.0
+    return block
+
+
+def _centered_rows(inst: Instance, idx):
+    """(part, X_i for i in part) over the parts of idx: fresh writable (len(part), d, d) blocks.
+
+    X_i = A_i - Id has the bits the dense family always had, mats[part] - Id
+    or sym(V V^T) - Id, whichever block it is in. A factor family that fits
+    in one block is formed whole once per call and gathered from, so a member
+    drawn many times is formed once.
+    """
+    whole = None
+    if inst.factors is not None and _fits_one_block(inst):
+        whole = _minus_identity(_products(inst.factors))
+    for part in _row_parts(np.asarray(idx, dtype=np.intp), inst.d):
+        if whole is not None:
+            block = whole[part]
+        elif inst.factors is None:
+            block = _minus_identity(inst.mats[part])
+        else:
+            block = _minus_identity(_products(inst.factors[part]))
+        yield part, block
+        del block   # so the caller's del frees it before the next block is formed
+
+
 def center(inst: Instance) -> CenteredFamily:
-    """The centered family X_i = A_i - Id, as a fresh read-only array; Instance certified it."""
-    xs = inst.mats - np.eye(inst.d)
+    """The centered family X_i = A_i - Id, as a fresh read-only array; Instance certified it.
+
+    It holds the whole family; sample_run, and run on a factor family too
+    large to hold densely, form the rows they need block by block instead
+    (see _centered_rows).
+    """
+    xs = np.empty((inst.m, inst.d, inst.d))
+    for part, block in _centered_rows(inst, np.arange(inst.m)):
+        xs[part] = block
     xs.setflags(write=False)
     return CenteredFamily(weights=inst.weights, xs=xs, m1=inst.norm_bound, m2=inst.norm_bound)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
+from psdsparse.symmat import _symmetrize
 
 # the alternating d=2 instance used as a golden reference throughout
 CANONICAL_RAW = {
@@ -32,6 +33,13 @@ def raw_payload(weights, mats) -> dict:
             {"lambda": float(w), "A": a.tolist()} for w, a in zip(weights, mats)
         ],
     }
+
+
+def dense_mats(inst: ps.Instance) -> np.ndarray:
+    """The members A_i as an (m, d, d) array: mats, or sym(V V^T) for a factor family."""
+    if inst.factors is None:
+        return inst.mats
+    return _symmetrize(inst.factors @ inst.factors.swapaxes(1, 2))
 
 
 def rng_for(seed: int) -> np.random.Generator:

@@ -5,18 +5,16 @@ instances (12 basis-union, 20 random-PSD, 18 graph) reused by several
 criteria.
 """
 
-import contextlib
 import math
-import os
 
 import numpy as np
 import pytest
 
 import psdsparse as ps
-ENV_VAR = "PSDSPARSE_THREADS"
+from psdsparse import instance
 from psdsparse.cli import _fmt
 
-from conftest import canonical_raw
+from conftest import canonical_raw, dense_mats
 
 BOUND_RTOL = 1e-9
 
@@ -46,22 +44,6 @@ def _sweep_instances():
     return instances
 
 
-@contextlib.contextmanager
-def _threads_env(value):
-    old = os.environ.get(ENV_VAR)
-    try:
-        if value is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = value
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = old
-
-
 def _sweep_k_max(inst):
     return max(4 * math.ceil(inst.norm_bound * math.log(2 * inst.d)), 256)
 
@@ -77,9 +59,7 @@ def _all_steps_traces(instances):
 @pytest.fixture(scope="module")
 def sweep():
     instances = _sweep_instances()
-    with _threads_env("1"):
-        traces = _all_steps_traces(instances)
-    return instances, traces
+    return instances, _all_steps_traces(instances)
 
 
 def _report(num, text, ok):
@@ -102,13 +82,12 @@ def test_criterion_1_prefix_bounds_across_sweep(sweep):
 def test_criterion_2_fixed_n_bounds(sweep):
     instances, _ = sweep
     worst = 0.0
-    with _threads_env("1"):
-        for label, inst in instances:
-            ml = inst.norm_bound * math.log(2 * inst.d)
-            for n in sorted({1, math.ceil(ml), 4 * math.ceil(ml)}):
-                trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=n))
-                cap = ps.bound_fixed_n(n, inst.norm_bound, inst.d)
-                worst = max(worst, trace.records[-1].error / cap)
+    for label, inst in instances:
+        ml = inst.norm_bound * math.log(2 * inst.d)
+        for n in sorted({1, math.ceil(ml), 4 * math.ceil(ml)}):
+            trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=n))
+            cap = ps.bound_fixed_n(n, inst.norm_bound, inst.d)
+            worst = max(worst, trace.records[-1].error / cap)
     _report(2, f"fixed-N final errors within closed-form bound, worst ratio {worst:.4f}",
             worst <= 1.0 + BOUND_RTOL)
 
@@ -118,13 +97,12 @@ def test_criterion_3_required_n_hits_target_error():
     inst = ps.gen_bases(16, 2, seed=700)
     ok = True
     details = []
-    with _threads_env("0"):
-        for eps in (1.0, 0.5, 0.25):
-            n = ps.required_n(eps, 16.0, 16)
-            trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=n))
-            err = trace.records[-1].error
-            details.append(f"eps={eps}: N={n} err={err:.4f}")
-            ok = ok and err <= eps
+    for eps in (1.0, 0.5, 0.25):
+        n = ps.required_n(eps, 16.0, 16)
+        trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=n))
+        err = trace.records[-1].error
+        details.append(f"eps={eps}: N={n} err={err:.4f}")
+        ok = ok and err <= eps
     _report(3, "; ".join(details), ok)
 
 
@@ -173,15 +151,17 @@ def _csv_rows(trace):
     return rows
 
 
-def test_criterion_7_thread_count_invariance(sweep):
-    instances, serial = sweep
-    with _threads_env("8"):
-        threaded = _all_steps_traces(instances)
+def test_criterion_7_chunk_cap_invariance(sweep, monkeypatch):
+    # every block of dense rows one row long, and every factor family read
+    # through its factors, against the default cap
+    instances, whole = sweep
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 1)
+    by_row = _all_steps_traces(instances)
     same = True
     for label, _ in instances:
-        a, b = serial[label], threaded[label]
+        a, b = whole[label], by_row[label]
         same = same and a.indices == b.indices and _csv_rows(a) == _csv_rows(b)
-    _report(7, "sweep identical under PSDSPARSE_THREADS in {1, 8}", same)
+    _report(7, "sweep identical with one-row blocks and the default cap", same)
 
 
 def test_criterion_8_coarse_regime_large_norm_no_overflow():
@@ -208,3 +188,14 @@ def test_criterion_8_coarse_regime_large_norm_no_overflow():
     )
     _report(8, f"M=50 coarse run finite (first error {first.error:.3f})",
             finite and coarse and first_ok)
+
+
+def test_factor_certificates_match_dense_ones_across_sweep():
+    # the same members given densely: both certify, with the same M
+    instances = _sweep_instances()
+    worst = 0.0
+    for label, inst in instances:
+        assert inst.factors is not None, label
+        dense = ps.Instance(inst.weights, dense_mats(inst))
+        worst = max(worst, abs(inst.norm_bound - dense.norm_bound) / dense.norm_bound)
+    assert worst <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse import baseline, symmat
+from psdsparse import baseline, instance, symmat
 
 from conftest import canonical_raw
 
@@ -48,20 +48,31 @@ def test_prefix_errors_match_direct_recomputation(canonical):
 
 def test_chunked_prefixes_agree_with_single_pass(canonical, monkeypatch):
     full = ps.sample_run(canonical, 150, seed=5)
-    monkeypatch.setattr(baseline, "_CHUNK_ENTRIES", 16)  # forces many tiny chunks
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 16)  # forces many tiny chunks
     chunked = ps.sample_run(canonical, 150, seed=5)
     assert chunked.indices == full.indices
-    assert np.allclose(chunked.errors, full.errors, rtol=1e-12, atol=1e-14)
+    assert chunked.errors.tobytes() == full.errors.tobytes()
+
+
+def test_a_factor_family_samples_the_same_bits_in_blocks_of_one_row(monkeypatch):
+    inst = ps.gen_random_psd(6, 12, 2, 1e4, 3)
+    full = ps.sample_run(inst, 150, seed=5)
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", inst.d * inst.d)
+    by_row = ps.sample_run(inst, 150, seed=5)
+    assert by_row.indices == full.indices
+    assert by_row.errors.tobytes() == full.errors.tobytes()
 
 
 def _errors_with_symmetrized_blocks(inst, k_max, seed):
     # the earlier formula: a fresh cumulative block, symmetrized before eigvalsh
     draws = np.array(ps.sample_run(inst, k_max, seed).indices) - 1
     xs = ps.center(inst).xs
-    chunk = max(1, baseline._CHUNK_ENTRIES // (inst.d * inst.d))
+    chunk = max(1, instance._CHUNK_ENTRIES // (inst.d * inst.d))
     errors, y = [], np.zeros((inst.d, inst.d))
     for start in range(0, k_max, chunk):
-        block = np.cumsum(xs[draws[start:start + chunk]], axis=0) + y
+        block = xs[draws[start:start + chunk]]
+        block[0] += y   # Y_k = Y_{k-1} + X_{i_k}, in order across blocks
+        block = np.cumsum(block, axis=0)
         eigs = np.linalg.eigvalsh(symmat._symmetrize(block))
         errors.append(np.max(np.abs(eigs), axis=-1) / np.arange(start + 1, start + 1 + len(block)))
         y = block[-1]
@@ -74,7 +85,7 @@ def _errors_with_symmetrized_blocks(inst, k_max, seed):
 )
 def test_errors_match_the_symmetrized_formula_bit_for_bit(make, monkeypatch):
     inst = make()
-    monkeypatch.setattr(baseline, "_CHUNK_ENTRIES", 64 * inst.d * inst.d)  # several chunks
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 64 * inst.d * inst.d)  # several chunks
     trace = ps.sample_run(inst, 300, seed=4)
     assert trace.errors.tobytes() == _errors_with_symmetrized_blocks(inst, 300, 4).tobytes()
 

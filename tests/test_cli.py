@@ -13,7 +13,7 @@ import pytest
 import psdsparse as ps
 from psdsparse import cli
 
-from conftest import canonical_raw, raw_payload
+from conftest import canonical_raw, dense_mats, raw_payload
 
 
 def _write_canonical(tmp_path, name="inst.json"):
@@ -281,7 +281,7 @@ def test_generate_writes_factors_that_validate_and_run_read(tmp_path, capsys):
     # the same members written densely give the same trace
     inst = ps.load_instance(out)
     dense = tmp_path / "dense.json"
-    dense.write_text(json.dumps(raw_payload(inst.weights, inst.mats)))
+    dense.write_text(json.dumps(raw_payload(inst.weights, dense_mats(inst))))
     for path, csv_out in ((out, tmp_path / "v.csv"), (dense, tmp_path / "a.csv")):
         assert cli.main(["run", str(path), "--mode", "all-steps", "--k-max", "12",
                          "--out", str(csv_out)]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
-from psdsparse import greedy
+from psdsparse import greedy, instance
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
@@ -229,20 +229,27 @@ _STATE_FAMILIES = {
 
 
 def _check_pruning_state(inst, y, delta):
-    """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact."""
-    xs = ps.center(inst).xs
-    stack = greedy._stack(xs, inst.norm_bound, 1.0)   # m_hi = M, m_lo = 1, and the norms
-    psi_hi, psi_lo = ps.psi_value(inst.norm_bound, delta), ps.psi_value(1.0, delta)
-    lower, upper, margin = greedy._bounds(y, stack, delta, psi_hi, psi_lo)
-    full, _ = greedy._candidate_scores(y, xs.copy(), delta)
-    assert np.all(lower - margin <= full)
-    assert np.all(full <= upper + margin)
+    """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact.
 
-    best, score, _, keep = greedy._step(y, stack, delta, psi_hi, psi_lo)
-    ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
-    assert set(ties.tolist()) <= set(keep.tolist())
-    assert best == greedy._pick(full)
-    assert score == full[best]
+    Checked for the dense stack and, for a factor family, for the factor stack run uses.
+    """
+    xs = ps.center(inst).xs
+    stacks = [greedy._stack(xs, inst.norm_bound, 1.0)]   # m_hi = M, m_lo = 1, and the norms
+    if inst.factors is not None:
+        stacks.append(greedy._factor_stack(inst, inst.norm_bound, 1.0))
+    psi_hi, psi_lo = ps.psi_value(inst.norm_bound, delta), ps.psi_value(1.0, delta)
+    psi = greedy._psi_weights(psi_hi, psi_lo)
+    full, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    for stack in stacks:
+        lower, upper, margin = greedy._bounds(y, stack, delta, psi)
+        assert np.all(lower - margin <= full)
+        assert np.all(full <= upper + margin)
+
+        best, score, _, keep = greedy._step(y, stack, delta, psi)
+        ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
+        assert set(ties.tolist()) <= set(keep.tolist())
+        assert best == greedy._pick(full)
+        assert score == full[best]
 
 
 @given(
@@ -304,7 +311,7 @@ def test_pruning_skips_a_large_share_of_candidates(seed):
 def test_non_finite_candidate_bound_raises(canonical):
     stack = greedy._stack(ps.center(canonical).xs, 2.0, 1.0)
     with pytest.raises(ps.NonFinite), np.errstate(invalid="ignore"):
-        greedy._step(np.zeros((2, 2)), stack, 0.5, math.inf, 0.1)
+        greedy._step(np.zeros((2, 2)), stack, 0.5, greedy._psi_weights(math.inf, 0.1))
 
 
 def test_failed_pruning_certificate_raises(monkeypatch, canonical):
@@ -352,7 +359,7 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep = greedy._step(y, stack, 1.0, 0.1, 0.1)
+    best, score, _, keep = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -509,15 +516,21 @@ def test_run_is_deterministic(canonical):
     assert a.records == b.records
 
 
-def test_run_thread_count_does_not_change_results(monkeypatch):
+def test_run_chunk_cap_does_not_change_results(monkeypatch):
     inst = ps.gen_bases(4, 2, seed=0)
     sched = ps.Schedule(inst.norm_bound, inst.d)
-    monkeypatch.setenv("PSDSPARSE_THREADS", "1")
-    serial = ps.run(inst, sched, k_max=100)
-    monkeypatch.setenv("PSDSPARSE_THREADS", "4")
-    threaded = ps.run(inst, sched, k_max=100)
-    assert serial.indices == threaded.indices
-    assert serial.records == threaded.records
+    whole = ps.run(inst, sched, k_max=100)
+    # one row per block, and too small a cap to hold the family densely: read from its factors
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", inst.d * inst.d)
+    by_row = ps.run(inst, sched, k_max=100)
+
+    def rows(trace):   # every field but `evaluated`, which rests on the bounds' rounding
+        return [(r.k, r.delta, r.prev_log_potential, r.log_potential, r.error, r.bound, r.regime)
+                for r in trace.records]
+
+    assert by_row.indices == whole.indices
+    assert rows(by_row) == rows(whole)
+    assert by_row.running_sum.entries.tobytes() == whole.running_sum.entries.tobytes()
 
 
 def test_run_starts_no_threads(monkeypatch):
@@ -527,7 +540,6 @@ def test_run_starts_no_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     inst = ps.gen_bases(4, 2, seed=0)
     sched = ps.Schedule(inst.norm_bound, inst.d)
-    monkeypatch.setenv("PSDSPARSE_THREADS", "8")
     ps.run(inst, sched, k_max=20)
     ps.select_next(ps.SymMatrix.zeros(inst.d), 0.1, ps.center(inst))
 

@@ -11,7 +11,7 @@ import psdsparse as ps
 
 from psdsparse import instance
 
-from conftest import canonical_raw, raw_payload, rng_for
+from conftest import canonical_raw, dense_mats, raw_payload, rng_for
 
 
 # --- validate ---------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_family_arrays_are_read_only_and_shared(canonical):
 
 def test_certify_rejects_one_ulp_of_asymmetry():
     inst = ps.gen_random_psd(3, 6, 2, 1e4, 5)
-    mats = inst.mats.copy()
+    mats = dense_mats(inst).copy()
     mats[4, 0, 2] = np.nextafter(mats[4, 0, 2], math.inf)
     with pytest.raises(ps.NotSymmetric) as exc:
         ps.Instance(inst.weights, mats)
@@ -232,9 +232,10 @@ def _factored_raw() -> dict:
 def test_validate_reads_factors():
     inst = ps.validate(_factored_raw())
     assert np.array_equal(inst.factors, [[[1.0], [1.0]], [[1.0], [-1.0]]])
-    assert np.array_equal(inst.mats, [[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
+    assert inst.mats is None
+    assert np.array_equal(dense_mats(inst), [[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]]])
     assert (inst.d, inst.m, inst.norm_bound) == (2, 2, 2.0)
-    assert not inst.factors.flags.writeable and not inst.mats.flags.writeable
+    assert not inst.factors.flags.writeable
 
 
 _GENERATED = {
@@ -253,14 +254,24 @@ def test_generated_families_save_and_load_as_factors(tmp_path, kind):
     assert all(set(item) == {"lambda", "V"} for item in items)
     again = ps.load_instance(path)
     assert again.factors.tobytes() == inst.factors.tobytes()
-    assert again.mats.tobytes() == inst.mats.tobytes()
+    assert again.mats is None
     assert again.weights.tobytes() == inst.weights.tobytes()
     assert again.norm_bound == inst.norm_bound
 
 
+@pytest.mark.parametrize("kind", sorted(_GENERATED))
+def test_centered_rows_have_the_bits_of_the_dense_family(kind, monkeypatch):
+    # sym(V V^T) - Id as the dense family was formed, in default blocks or one row per block
+    inst = _GENERATED[kind]()
+    want = (dense_mats(inst) - np.eye(inst.d)).tobytes()
+    assert ps.center(inst).xs.tobytes() == want
+    monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 1)
+    assert ps.center(inst).xs.tobytes() == want
+
+
 def test_a_dense_family_round_trips_as_dense():
     inst = ps.gen_bases(4, 2, 0)
-    dense = ps.Instance(inst.weights, inst.mats)
+    dense = ps.Instance(inst.weights, dense_mats(inst))
     raw = ps.to_payload(dense)
     assert dense.factors is None
     assert all(set(item) == {"lambda", "A"} for item in raw["items"])
@@ -337,11 +348,120 @@ def test_an_overflowing_factor_product_is_nonfinite():
 def test_instance_takes_mats_or_factors_not_both():
     inst = ps.validate(_factored_raw())
     with pytest.raises(ps.FormatError):
-        ps.Instance(inst.weights, inst.mats, factors=inst.factors)
+        ps.Instance(inst.weights, dense_mats(inst), factors=inst.factors)
     with pytest.raises(ps.FormatError):
         ps.Instance(inst.weights, factors=inst.factors[0])
     with pytest.raises(ps.DimensionMismatch):
         ps.Instance(inst.weights, factors=np.empty((2, 2, 0)))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_a_factor_instance_holds_no_dense_family():
+    inst = ps.gen_bases(16, 2, 0)
+    assert inst.mats is None
+    arrays = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < inst.m * inst.d * inst.d for a in arrays)
+
+
+def test_bases64_builds_loads_and_runs_in_little_memory(tmp_path):
+    # the dense family alone is 256 * 64 * 64 doubles, 8 MB
+    inst, peak = _peak_bytes(lambda: ps.gen_bases(64, 4, 0))
+    assert peak < 8 << 20
+    path = tmp_path / "bases64.json"
+    ps.save_instance(inst, path)
+    _, peak = _peak_bytes(lambda: ps.load_instance(path))
+    assert peak < 8 << 20
+    trace, peak = _peak_bytes(lambda: ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=4))
+    assert peak < 8 << 20 and len(trace.indices) == 4
+
+
+def test_a_large_graph_builds_in_little_memory():
+    # d = 149, m = 2000: each dense (m, d, d) array would take 339 MiB
+    edges = ps.random_connected_edges(150, 2000, 0)
+    inst, peak = _peak_bytes(lambda: ps.gen_graph_edges(edges))
+    assert (inst.d, inst.m) == (149, 2000)
+    assert peak < 32 << 20
+
+
+def _rescale_first(factor):
+    def change(weights, factors):
+        factors[0] *= factor
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (_rescale_first(1.1), ps.NotIsotropic),
+        (_rescale_first(math.nan), ps.NonFinite),
+        (_rescale_first(1e200), ps.NonFinite),
+        (lambda weights, factors: weights.__setitem__(0, -weights[0]), ps.WeightsNotSimplex),
+        (lambda weights, factors: weights.__setitem__(0, 2 * weights[0]), ps.WeightsNotSimplex),
+    ],
+    ids=["rescaled", "nan", "overflow", "negative-weight", "weight-sum"],
+)
+def test_factor_certificates_reject_a_corrupted_family(change, error):
+    inst = ps.gen_random_psd(4, 10, 2, 1e4, 3)
+    weights, factors = inst.weights.copy(), inst.factors.copy()
+    ps.Instance(weights, factors=factors.copy())   # unchanged, it certifies
+    change(weights, factors)
+    with pytest.raises(error) as info, np.errstate(over="ignore"):
+        ps.Instance(weights, factors=factors)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("PSD_TOL", -1.0, ps.NotPSD),              # every eigenvalue of G_0 counts as negative
+        ("ISOTROPY_TOL", -1.0, ps.NotIsotropic),
+        ("NORM_FLOOR_TOL", -1.5, ps.InstanceError),  # M = 2 < 1 + 1.5
+    ],
+    ids=["psd", "isotropy", "norm-floor"],
+)
+def test_each_factor_contract_check_runs(monkeypatch, name, value, error):
+    monkeypatch.setattr(instance, name, value)
+    with pytest.raises(error) as info:
+        ps.validate(_factored_raw())
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "name, value, which",
+    [
+        ("CENTER_MEAN_TOL", -1.0, "mean-zero"),
+        ("CENTER_NORM_TOL", -1.5, "norm"),   # max ||X_i|| = 1 > M - 1.5 = 0.5
+        ("loewner_leq", lambda *args: False, "square-bound"),
+    ],
+    ids=["mean-zero", "norm", "square-bound"],
+)
+def test_each_centering_certificate_runs_on_factors(monkeypatch, name, value, which):
+    monkeypatch.setattr(instance, name, value)
+    with pytest.raises(ps.CenteringCertificateFailed) as info:
+        ps.validate(_factored_raw())
+    assert info.value.which == which
+
+
+def test_factor_square_certificate_matches_the_dense_sum(monkeypatch):
+    # sum_i w_i X_i^2 as the square-bound certificate forms it from the factors;
+    # the last family has r > d
+    seen = []
+    exact = instance.loewner_leq
+    monkeypatch.setattr(instance, "loewner_leq", lambda a, b, tol: seen.append(a.entries) or exact(a, b, tol))
+    for inst in (ps.gen_bases(5, 2, 1), ps.gen_random_psd(6, 9, 4, 1e4, 2), ps.gen_random_psd(3, 4, 5, 1e4, 0)):
+        ps.Instance(inst.weights, factors=inst.factors)
+        xs = ps.center(inst).xs
+        want = np.einsum("i,ijk->jk", inst.weights, xs @ xs)
+        assert np.allclose(seen[-1], want, rtol=0, atol=1e-12 * inst.norm_bound ** 2)
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -371,7 +491,7 @@ def test_center_square_sum_identity():
     # sum_i w_i X_i^2 == sum_i w_i A_i^2 - Id for any valid instance
     for inst in (ps.gen_bases(4, 2, 3), ps.gen_random_psd(5, 10, 3, 1e4, 1)):
         fam = ps.center(inst)
-        xs, mats, w = fam.xs, inst.mats, inst.weights
+        xs, mats, w = fam.xs, dense_mats(inst), inst.weights
         lhs = np.einsum("i,ijk->jk", w, xs @ xs)
         rhs = np.einsum("i,ijk->jk", w, mats @ mats) - np.eye(inst.d)
         assert np.linalg.norm(lhs - rhs) <= 1e-9
@@ -413,7 +533,7 @@ def test_center_certifies_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(instance, "_eigvalsh", counting)
     inst = ps.gen_bases(4, 2, seed=0)
-    assert batches == [(inst.m, inst.d, inst.d)]   # construction's one batched eigvalsh
+    assert batches == [(inst.m, 1, 1)]   # construction's one batched eigvalsh, of the Grams V_i^T V_i
     batches.clear()
     xs = [ps.center(inst).xs for _ in range(3)]
     ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=8)
@@ -432,26 +552,26 @@ def test_center_certifies_once_per_instance(monkeypatch):
 
 def test_gen_bases_single_basis_resolves_identity():
     inst = ps.gen_bases(5, 1, 12)
-    resid = np.einsum("i,ijk->jk", inst.weights, inst.mats) - np.eye(5)
+    resid = np.einsum("i,ijk->jk", inst.weights, dense_mats(inst)) - np.eye(5)
     assert np.max(np.abs(np.linalg.eigvalsh(resid))) <= 1e-12
 
 
 def test_gen_bases_shape_and_norms():
     inst = ps.gen_bases(4, 3, 7)
     assert (inst.d, inst.m) == (4, 12)
-    for a in inst.mats:
+    for a in dense_mats(inst):
         assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_gen_bases_round_trips_through_validator():
     inst = ps.gen_bases(8, 2, 0)
     again = ps.validate(ps.to_payload(inst))
-    assert np.array_equal(again.mats, inst.mats)
+    assert np.array_equal(again.factors, inst.factors)
 
 
 def test_gen_bases_deterministic_in_seed():
-    assert np.array_equal(ps.gen_bases(6, 2, 42).mats, ps.gen_bases(6, 2, 42).mats)
-    assert not np.array_equal(ps.gen_bases(6, 2, 42).mats, ps.gen_bases(6, 2, 43).mats)
+    assert np.array_equal(ps.gen_bases(6, 2, 42).factors, ps.gen_bases(6, 2, 42).factors)
+    assert not np.array_equal(ps.gen_bases(6, 2, 42).factors, ps.gen_bases(6, 2, 43).factors)
 
 
 def test_gen_bases_rejects_bad_arguments():
@@ -463,7 +583,7 @@ def test_gen_bases_rejects_bad_arguments():
 
 def test_gen_random_psd_scalar_case():
     inst = ps.gen_random_psd(1, 2, 1, 1e6, 3)
-    a = inst.mats.ravel()
+    a = dense_mats(inst).ravel()
     assert np.all(a >= -1e-12)
     assert 0.5 * (a[0] + a[1]) == pytest.approx(1.0, abs=1e-10)
 
@@ -471,7 +591,7 @@ def test_gen_random_psd_scalar_case():
 def test_gen_random_psd_full_rank_single_member_is_identity():
     for seed in (0, 9):
         inst = ps.gen_random_psd(4, 1, 4, 1e6, seed)
-        assert np.allclose(inst.mats[0], np.eye(4), atol=1e-9)
+        assert np.allclose(dense_mats(inst)[0], np.eye(4), atol=1e-9)
 
 
 def test_gen_random_psd_rejects_singular_setup():
@@ -491,8 +611,8 @@ def test_gen_random_psd_gives_up_on_impossible_condition_cap():
 
 
 def test_gen_random_psd_deterministic_in_seed():
-    a = ps.gen_random_psd(3, 6, 2, 1e4, 5).mats
-    b = ps.gen_random_psd(3, 6, 2, 1e4, 5).mats
+    a = ps.gen_random_psd(3, 6, 2, 1e4, 5).factors
+    b = ps.gen_random_psd(3, 6, 2, 1e4, 5).factors
     assert np.array_equal(a, b)
 
 
@@ -500,14 +620,14 @@ def test_gen_graph_edges_triangle():
     inst = ps.gen_graph_edges([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     assert (inst.d, inst.m) == (2, 3)
     assert np.allclose(inst.weights, 1.0 / 3.0, atol=1e-12)
-    for a in inst.mats:
+    for a in dense_mats(inst):
         assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_gen_graph_edges_single_edge():
     inst = ps.gen_graph_edges([(0, 1, 2.5)])
     assert (inst.d, inst.m) == (1, 1)
-    assert np.allclose(inst.mats[0], [[1.0]], atol=1e-12)
+    assert np.allclose(dense_mats(inst)[0], [[1.0]], atol=1e-12)
     assert inst.weights[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -693,7 +813,7 @@ def test_generator_fuzz_sweep(kind, p1, p2, seed):
     assert fam.m == inst.m
     if seed % 5 == 0:
         again = ps.validate(ps.to_payload(inst))
-        assert np.array_equal(again.mats, inst.mats)
+        assert np.array_equal(again.factors, inst.factors)
 
 
 def test_fuzz_sweep_has_at_least_100_cases():

@@ -76,6 +76,32 @@ def test_golden_thompson_zero_summand_is_equality():
     assert abs(rep.worst_slack) <= 1e-12
 
 
+def test_golden_thompson_rejects_mismatched_sizes():
+    with pytest.raises(ps.DimensionMismatch, match="2x2, V is 3x3"):
+        ps.check_golden_thompson(ps.SymMatrix.zeros(2), ps.SymMatrix.zeros(3))
+
+
+@pytest.mark.parametrize("top", [400.0, 2000.0])
+def test_golden_thompson_slack_stays_finite_past_exp_overflow(top):
+    # e^{2 top} overflows a float; in log scale both sides equal 2 top
+    u = ps.SymMatrix(np.diag([top, 0.0]))
+    rep = ps.check_golden_thompson(u, u)
+    assert rep.passed and abs(rep.worst_slack) <= 1e-12
+    v = ps.SymMatrix([[top, 1.0], [1.0, 0.0]])
+    rep = ps.check_golden_thompson(u, v)
+    assert rep.passed and math.isfinite(rep.worst_slack)
+
+
+@pytest.mark.parametrize("top", [1.0, 1000.0])
+def test_golden_thompson_orthogonal_tops_are_equality(top):
+    # U, V commute: both sides are log(e^top + e^top) = top + log 2, even
+    # where e^{-top} underflows beside either top eigenvalue
+    u = ps.SymMatrix(np.diag([top, 0.0]))
+    v = ps.SymMatrix(np.diag([0.0, top]))
+    rep = ps.check_golden_thompson(u, v)
+    assert rep.passed and abs(rep.worst_slack) <= 1e-12
+
+
 def test_interpolation_endpoints_are_exact():
     y = ps.SymMatrix(np.diag([2.0, -0.5]))
     assert ps.check_interpolation(y, 0.7, 0.7).worst_slack == 0.0
