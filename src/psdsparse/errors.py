@@ -44,13 +44,19 @@ class FormatError(InstanceError):
 
 
 class NotSymmetric(InstanceError):
-    """A stored matrix exceeds the asymmetry tolerance."""
+    """A matrix exceeds the asymmetry tolerance.
+
+    index is a family member's index, or a label that names a single matrix.
+    """
 
     def __init__(self, index, asymmetry):
+        from .symmat import ASYMMETRY_TOL  # symmat imports this module
+
         self.index = index
         self.asymmetry = asymmetry
+        name = f"matrix {index}" if isinstance(index, int) else index
         super().__init__(
-            f"matrix {index} is not symmetric (max |A - A^T| = {asymmetry:.3e}, tolerance 1e-09)"
+            f"{name} is not symmetric (max |A - A^T| = {asymmetry:.3e}, tolerance {ASYMMETRY_TOL:g})"
         )
 
 

@@ -43,17 +43,15 @@ import numpy as np
 from .errors import (
     AuditFailed,
     BoundViolation,
-    DimensionMismatch,
     DomainError,
-    EmptyFamily,
     NonFinite,
     PotentialGrowthViolation,
     PruningCertificateFailed,
 )
 from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _fits_one_block,
-                       _row_parts, center)
+                       _is_int, _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, psi_value
-from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
+from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 
 TIE_TOL = 1e-12
 PRUNE_RTOL = 1e-9   # rounding margin on the candidate bounds, relative to 1 + |log Phi(Y)|
@@ -90,8 +88,8 @@ class Schedule:
 
     def __post_init__(self):
         _check_family_constants(self.norm_bound, self.dim)
-        if self.fixed_n is not None and self.fixed_n < 1:
-            raise DomainError(f"fixed N must be positive, got {self.fixed_n}")
+        if self.fixed_n is not None and not (_is_int(self.fixed_n) and self.fixed_n >= 1):
+            raise DomainError(f"fixed N must be a positive integer, got {self.fixed_n!r}")
 
     @property
     def log_2d(self) -> float:
@@ -188,12 +186,12 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class GreedyTrace:
-    """A finished run: the 1-based picks, one StepRecord per step, and the final Y."""
+    """A finished run: the 1-based picks, one StepRecord per step, and the final Y (read-only)."""
 
     schedule: Schedule
     indices: tuple[int, ...]    # 1-based into the instance family
     records: tuple[StepRecord, ...]
-    running_sum: SymMatrix
+    running_sum: np.ndarray
 
 
 def _candidate_scores(y, xs, delta):
@@ -381,20 +379,18 @@ def _step(y, stack, delta, psi):
     return int(keep[j]), float(scores[j]), eigs[j], keep
 
 
-def select_next(y: SymMatrix, delta: float, fam: CenteredFamily) -> tuple[int, float]:
+def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
     """Greedy choice: 1-based index minimizing log Phi_delta(Y + X_i), and its value.
 
-    fam must have ||X_i|| <= fam.m1, and delta * fam.m1 may not exceed 700.
-    Ties (within 1e-12 in log scale) resolve to the smallest index.
+    Y is a symmetric fam.d x fam.d matrix. fam must have ||X_i|| <= fam.m1,
+    and delta * fam.m1 may not exceed 700. Ties (within 1e-12 in log scale)
+    resolve to the smallest index.
     """
     _check_delta(delta)
-    if fam.m < 1:
-        raise EmptyFamily("family has no members")
-    if y.d != fam.d:
-        raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
+    y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, score, _, _ = _step(y.entries, stack, delta, _psi_weights(p, p))
+    best, score, _, _ = _step(y, stack, delta, _psi_weights(p, p))
     return best + 1, score
 
 
@@ -407,17 +403,14 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     and a failure means a bug. The running sum is re-verified against a
     fresh summation every 64 steps.
     """
-    if schedule.fixed_n is not None:
-        if k_max is None:
-            k_max = schedule.fixed_n
-        elif k_max != schedule.fixed_n:
-            raise DomainError(
-                f"constant schedule is tuned to N={schedule.fixed_n}, cannot run k_max={k_max}"
-            )
-    elif k_max is None:
-        k_max = default_k_max(schedule.norm_bound, schedule.dim)
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    if k_max is None:
+        k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
+    if not (_is_int(k_max) and k_max >= 1):
+        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
+    if schedule.fixed_n not in (None, k_max):
+        raise DomainError(
+            f"constant schedule is tuned to N={schedule.fixed_n}, cannot run k_max={k_max}"
+        )
     if schedule.dim != inst.d:
         raise DomainError(f"schedule is for d={schedule.dim}, instance has d={inst.d}")
     if schedule.norm_bound < inst.norm_bound - 1e-12 * (1.0 + inst.norm_bound):
@@ -490,9 +483,10 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             if drift > AUDIT_TOL * k:
                 raise AuditFailed(f"step {k}: running sum drifted {drift:.3e} from fresh sum")
 
+    y.setflags(write=False)
     return GreedyTrace(
         schedule=schedule,
         indices=tuple(indices),
         records=tuple(records),
-        running_sum=SymMatrix(y),
+        running_sum=y,
     )

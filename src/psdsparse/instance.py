@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     DomainError,
+    EmptyFamily,
     FormatError,
     CenteringCertificateFailed,
     InstanceError,
@@ -43,12 +44,11 @@ from .errors import (
     NotSymmetric,
     WeightsNotSimplex,
 )
-from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize, loewner_leq
+from .symmat import ASYMMETRY_TOL, _eigh, _eigvalsh, _symmetrize, loewner_leq
 
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
 ISOTROPY_TOL = 1e-8
-ASYMMETRY_TOL = 1e-9
 NORM_FLOOR_TOL = 1e-10
 
 CENTER_MEAN_TOL = 1e-8
@@ -164,8 +164,7 @@ def _check_centered(worst: float, squares: np.ndarray, norm_bound: float) -> Non
     """The norm and square-bound certificates: max_i ||X_i|| = worst, sum_i w_i X_i^2 = squares."""
     if worst > norm_bound + CENTER_NORM_TOL:
         raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
-    cap = SymMatrix(norm_bound * np.eye(len(squares)))
-    if not loewner_leq(SymMatrix(squares), cap, CENTER_SQUARE_TOL):
+    if not loewner_leq(squares, norm_bound * np.eye(len(squares)), CENTER_SQUARE_TOL):
         raise CenteringCertificateFailed("square-bound")
 
 
@@ -227,13 +226,23 @@ class CenteredFamily:
     """Centered matrices X_i as a read-only (m, d, d) array, with weights and bounds.
 
     m1 caps each ||X_i|| and m2 caps the top eigenvalue of sum_i w_i X_i^2;
-    center() gives m1 = m2 = M.
+    center() gives m1 = m2 = M. Raises EmptyFamily when m = 0, and
+    DimensionMismatch unless weights has shape (m,) and xs shape (m, d, d)
+    with d >= 1.
     """
 
     weights: np.ndarray
     xs: np.ndarray
     m1: float
     m2: float
+
+    def __post_init__(self):
+        w, xs = np.shape(self.weights), np.shape(self.xs)
+        if xs[:1] == (0,):
+            raise EmptyFamily("family has no members")
+        if len(xs) != 3 or w != xs[:1] or xs[1] != xs[2] or xs[1] < 1:
+            raise DimensionMismatch(f"need weights of shape (m,) and xs of shape (m, d, d) "
+                                    f"with d >= 1, got {w} and {xs}")
 
     @property
     def d(self) -> int:
@@ -256,6 +265,11 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=_seed_sequence(seed, *key)))
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer: an int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _json_number(value, what: str) -> float:
     """A JSON number as a float; a string, boolean, list or null is a FormatError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -276,7 +290,7 @@ def validate(raw: dict) -> Instance:
     except KeyError as exc:
         raise FormatError("payload must carry integer 'd' and a list 'items'") from exc
     # a JSON integer only: int() would turn true into 1 and 2.7 or "2" into 2
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if not _is_int(d):
         raise FormatError(f"'d' must be an integer, got {d!r}")
     if d < 1:
         raise DimensionMismatch(f"dimension must be positive, got {d}")

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, Overflow
-from .symmat import SymMatrix, _eigvalsh
+from .symmat import _eigvalsh, _square_symmetric
 
 # Below this value of u = delta*m1 the closed form cancels catastrophically;
 # a four-term series has relative error ~u^3/60 < 2e-14 there.
@@ -80,9 +80,9 @@ def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.
     return logsumexp(np.concatenate([z, -z], axis=-1))
 
 
-def log_potential(y: SymMatrix, delta: float) -> float:
-    """log of the symmetric exponential potential of Y at parameter delta > 0."""
-    return log_potential_from_eigenvalues(_eigvalsh(y.entries), delta)
+def log_potential(y: np.ndarray, delta: float) -> float:
+    """log of the symmetric exponential potential of a symmetric matrix Y at parameter delta > 0."""
+    return log_potential_from_eigenvalues(_eigvalsh(_square_symmetric(y, "Y")), delta)
 
 
 def scalar_exp_bound_gap(x: float, delta: float, m1: float) -> float:

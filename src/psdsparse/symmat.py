@@ -1,19 +1,22 @@
-"""Dense real symmetric matrices: spectra, matrix functions, norms, Loewner order.
+"""Dense real symmetric matrices as plain float arrays: input checks, spectra,
+matrix functions and the Loewner order.
 
-All values are immutable after construction and safe to share across threads;
-every operation here is a pure function of its inputs. Matrix-function results
-are explicitly re-symmetrized to stop drift in iterated updates.
+Every public entry that takes a matrix, here and in the modules above, takes
+a square float array and checks it with _square_symmetric, which returns a
+fresh symmetrized copy. Helpers named with a leading underscore take arrays
+that are already checked. Matrix-function results are explicitly
+re-symmetrized to stop drift in iterated updates.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoConvergence, NonFinite
+from .errors import DimensionMismatch, DomainError, NoConvergence, NonFinite, NotSymmetric
 
+ASYMMETRY_TOL = 1e-9
 RECONSTRUCTION_RTOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 LOEWNER_TOL = 1e-10
@@ -24,6 +27,25 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     s = a + a.swapaxes(-1, -2)
     s *= 0.5   # in place: one temporary fewer, same bits
     return s
+
+
+def _square_symmetric(a, label: str, d: int | None = None) -> np.ndarray:
+    """A fresh symmetrized float64 copy of a, which must be a finite, symmetric d x d matrix.
+
+    Checks in order: a is 2-D, square and nonempty, and d x d when d is given
+    (else DimensionMismatch); its entries are finite (else NonFinite); and
+    max |a - a^T| <= ASYMMETRY_TOL (else NotSymmetric). label names a in the errors.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or d not in (None, a.shape[0]):
+        want = "a nonempty square matrix" if d is None else f"{d}x{d}"
+        raise DimensionMismatch(f"need {want}, {label} is {'x'.join(map(str, a.shape)) or 'a scalar'}")
+    if not np.all(np.isfinite(a)):
+        raise NonFinite(f"{label} entries contain NaN or Inf")
+    asymmetry = float(np.max(np.abs(a - a.T)))
+    if asymmetry > ASYMMETRY_TOL:
+        raise NotSymmetric(label, asymmetry)
+    return _symmetrize(a)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -42,57 +64,15 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(str(exc)) from exc
 
 
-@dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """A dense d x d real symmetric matrix.
-
-    Entries are symmetrized on construction, checked finite, and frozen
-    (the underlying array is made read-only).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise DimensionMismatch("dimension must be positive")
-        if not np.all(np.isfinite(a)):
-            raise NonFinite("matrix entries contain NaN or Inf")
-        a = _symmetrize(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, d: int) -> "SymMatrix":
-        return cls(np.eye(d))
-
-    @classmethod
-    def zeros(cls, d: int) -> "SymMatrix":
-        return cls(np.zeros((d, d)))
-
-
-def _check_same_dim(a: SymMatrix, b: SymMatrix) -> None:
-    if a.d != b.d:
-        raise DimensionMismatch(f"dimensions differ: {a.d} vs {b.d}")
-
-
-def eigh(s: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectral decomposition (mu, Q) with a numerical certificate.
+def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectral decomposition (mu, Q) of a symmetric matrix, with a numerical certificate.
 
     mu is nondecreasing and column j of Q pairs with mu[j]; both are
     read-only. With S the input they satisfy
     ||Q diag(mu) Q^T - S||_F <= 1e-10 * (1 + ||S||_F) and
     ||Q^T Q - Id||_F <= 1e-10 * d. Deterministic for identical input bits.
     """
-    a = s.entries
-    if not np.all(np.isfinite(a)):
-        raise NonFinite("matrix entries contain NaN or Inf")
+    a = _square_symmetric(s, "S")
     vals, vecs = _eigh(a)
     recon = (vecs * vals) @ vecs.T
     fro = np.linalg.norm(a)
@@ -106,28 +86,20 @@ def eigh(s: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def op_norm(s: SymMatrix) -> float:
-    """Operator norm: the largest eigenvalue magnitude."""
-    vals = _eigvalsh(s.entries)
-    return float(np.max(np.abs(vals)))
-
-
-def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float = LOEWNER_TOL) -> bool:
+def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = LOEWNER_TOL) -> bool:
     """Whether A precedes B in the Loewner order, up to a relative tolerance.
 
-    True iff lambda_min(B - A) >= -tol * (1 + ||B - A||).
+    True iff lambda_min(B - A) >= -tol * (1 + ||B - A||); tol must be >= 0.
     """
-    _check_same_dim(a, b)
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
-    diff = b.entries - a.entries
-    vals = _eigvalsh(diff)
-    lo = float(vals[0])
-    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return lo >= -tol * (1.0 + norm)
+    a = _square_symmetric(a, "A")
+    b = _square_symmetric(b, "B", len(a))
+    if not tol >= 0:  # also rejects NaN
+        raise DomainError(f"tolerance must be nonnegative, got {tol!r}")
+    vals = _eigvalsh(b - a)
+    return float(vals[0]) >= -tol * (1.0 + float(np.max(np.abs(vals))))
 
 
-def sym_apply(s: SymMatrix, f) -> SymMatrix:
+def sym_apply(s: np.ndarray, f) -> np.ndarray:
     """Apply a scalar function to the spectrum: Q diag(f(mu)) Q^T, re-symmetrized.
 
     ``f`` must be defined on every eigenvalue of ``s``; a non-finite result
@@ -149,5 +121,4 @@ def sym_apply(s: SymMatrix, f) -> SymMatrix:
                     mapped[j] = f(x)
     if not np.all(np.isfinite(mapped)):
         raise NonFinite("scalar function produced NaN or Inf on the spectrum")
-    result = (q * mapped) @ q.T
-    return SymMatrix(result)
+    return _symmetrize((q * mapped) @ q.T)

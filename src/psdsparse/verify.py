@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .instance import CenteredFamily, _rng, center, gen_random_psd
 from .potential import (_check_delta, log_potential_from_eigenvalues, logsumexp, psi_value,
                         scalar_exp_bound_gap)
-from .symmat import SymMatrix, _eigh, _eigvalsh, _symmetrize
+from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 from .symmat import sym_apply  # noqa: F401 -- a module attribute that bench/run.py traces
 
 
@@ -93,11 +93,10 @@ def _one_step_slack(fam, y: np.ndarray, delta: float) -> float:
     return rhs - lhs
 
 
-def check_one_step(fam, y: SymMatrix, delta: float) -> CheckReport:
+def check_one_step(fam, y: np.ndarray, delta: float) -> CheckReport:
     _check_delta(delta)
-    if y.d != fam.d:
-        raise DimensionMismatch(f"Y is {y.d}x{y.d}, the family is {fam.d}x{fam.d}")
-    return CheckReport.merge("one-step", [_one_step_slack(fam, y.entries, delta)])
+    y = _square_symmetric(y, "Y", fam.d)
+    return CheckReport.merge("one-step", [_one_step_slack(fam, y, delta)])
 
 
 def _mgf_slack(fam, delta: float) -> float:
@@ -131,10 +130,10 @@ def _gt_slack(u: np.ndarray, v: np.ndarray) -> float:
     return rhs - lhs
 
 
-def check_golden_thompson(u: SymMatrix, v: SymMatrix) -> CheckReport:
-    if u.d != v.d:
-        raise DimensionMismatch(f"U is {u.d}x{u.d}, V is {v.d}x{v.d}")
-    return CheckReport.merge("gt", [_gt_slack(u.entries, v.entries)])
+def check_golden_thompson(u: np.ndarray, v: np.ndarray) -> CheckReport:
+    u = _square_symmetric(u, "U")
+    v = _square_symmetric(v, "V", len(u))
+    return CheckReport.merge("gt", [_gt_slack(u, v)])
 
 
 def _interp_slack(y: np.ndarray, eta: float, delta: float, d: int) -> float:
@@ -150,11 +149,12 @@ def _interp_slack(y: np.ndarray, eta: float, delta: float, d: int) -> float:
     return rhs - lhs
 
 
-def check_interpolation(y: SymMatrix, eta: float, delta: float) -> CheckReport:
+def check_interpolation(y: np.ndarray, eta: float, delta: float) -> CheckReport:
     _check_delta(delta)
     if not 0 <= eta <= delta:
         raise DomainError(f"need 0 <= eta <= delta, got eta={eta!r} delta={delta!r}")
-    return CheckReport.merge("interp", [_interp_slack(y.entries, eta, delta, y.d)])
+    y = _square_symmetric(y, "Y")
+    return CheckReport.merge("interp", [_interp_slack(y, eta, delta, len(y))])
 
 
 def _lower_slack(y: np.ndarray, delta: float) -> float:
@@ -165,9 +165,9 @@ def _lower_slack(y: np.ndarray, delta: float) -> float:
     )
 
 
-def check_lower_bound(y: SymMatrix, delta: float) -> CheckReport:
+def check_lower_bound(y: np.ndarray, delta: float) -> CheckReport:
     _check_delta(delta)
-    return CheckReport.merge("lower", [_lower_slack(y.entries, delta)])
+    return CheckReport.merge("lower", [_lower_slack(_square_symmetric(y, "Y"), delta)])
 
 
 # --- randomized suite drivers ----------------------------------------------------

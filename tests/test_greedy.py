@@ -158,7 +158,7 @@ def test_default_k_max():
 def test_select_next_tie_breaks_to_smallest_index(canonical):
     fam = ps.center(canonical)
     for delta in (0.1, 0.5, 1.0):
-        idx, value = ps.select_next(ps.SymMatrix.zeros(2), delta, fam)
+        idx, value = ps.select_next(np.zeros((2, 2)), delta, fam)
         assert idx == 1
         want = math.log(2 * math.exp(delta) + 2 * math.exp(-delta))
         assert value == pytest.approx(want, rel=1e-14)
@@ -166,7 +166,7 @@ def test_select_next_tie_breaks_to_smallest_index(canonical):
 
 def test_select_next_strictly_prefers_cancellation(canonical):
     fam = ps.center(canonical)
-    y = ps.SymMatrix(np.diag([1.0, -1.0]))
+    y = np.diag([1.0, -1.0])
     idx, value = ps.select_next(y, 0.5, fam)
     assert idx == 2
     assert value == pytest.approx(math.log(4.0), rel=1e-14)
@@ -175,22 +175,32 @@ def test_select_next_strictly_prefers_cancellation(canonical):
 def test_select_next_single_member_keeps_potential():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
     fam = ps.center(inst)
-    y = ps.SymMatrix([[0.7]])
+    y = np.array([[0.7]])
     idx, value = ps.select_next(y, 0.3, fam)
     assert idx == 1
     assert value == pytest.approx(ps.log_potential(y, 0.3), rel=1e-15)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+def test_step_counts_must_be_integers(canonical, count):
+    with pytest.raises(ps.DomainError, match="integer"):
+        ps.Schedule(2.0, 2, fixed_n=count)
+    with pytest.raises(ps.DomainError, match="integer"):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=count)
+    with pytest.raises(ps.DomainError, match="integer"):
+        ps.sample_run(canonical, count, 0)
+    assert ps.run(canonical, ps.Schedule(2.0, 2, fixed_n=np.int64(2))).indices == (1, 2)
 
 
 def test_select_next_rejects_bad_inputs(canonical):
     fam = ps.center(canonical)
     for delta in (0.0, math.nan, math.inf):
         with pytest.raises(ps.DomainError, match="delta"):
-            ps.select_next(ps.SymMatrix.zeros(2), delta, fam)
-    empty = ps.CenteredFamily(weights=np.empty(0), xs=np.empty((0, 2, 2)), m1=1.0, m2=1.0)
+            ps.select_next(np.zeros((2, 2)), delta, fam)
     with pytest.raises(ps.EmptyFamily):
-        ps.select_next(ps.SymMatrix.zeros(2), 0.5, empty)
+        ps.CenteredFamily(weights=np.empty(0), xs=np.empty((0, 2, 2)), m1=1.0, m2=1.0)
     with pytest.raises(ps.DimensionMismatch):
-        ps.select_next(ps.SymMatrix.zeros(3), 0.1, ps.center(ps.gen_bases(2, 1, 0)))
+        ps.select_next(np.zeros((3, 3)), 0.1, ps.center(ps.gen_bases(2, 1, 0)))
 
 
 def test_selection_beats_weighted_average(canonical):
@@ -201,11 +211,11 @@ def test_selection_beats_weighted_average(canonical):
     rngy = np.random.Generator(np.random.Philox(17))
     for _ in range(10):
         g = rngy.standard_normal((4, 4))
-        y = ps.SymMatrix((g + g.T) / 2)
+        y = (g + g.T) / 2
         delta = rngy.uniform(0.01, 1.0 / fam.m1)
         idx, value = ps.select_next(y, delta, fam)
         scores = [
-            ps.log_potential(ps.SymMatrix(y.entries + x), delta) for x in fam.xs
+            ps.log_potential(y + x, delta) for x in fam.xs
         ]
         avg = float(logsumexp(scores, b=fam.weights))
         assert value <= avg + 1e-12
@@ -265,7 +275,7 @@ def test_pruning_is_sound_on_reachable_states(kind, seed, fixed, k):
     sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=k if fixed else None)
     trace = ps.run(inst, sched, k_max=k)
     assert all(1 <= r.evaluated <= inst.m for r in trace.records)
-    _check_pruning_state(inst, trace.running_sum.entries, sched.delta(k + 1))
+    _check_pruning_state(inst, trace.running_sum, sched.delta(k + 1))
 
 
 @pytest.mark.parametrize("t", [-40000.0, 40000.0])
@@ -376,7 +386,7 @@ def test_select_next_is_exact_where_the_curvature_bound_is_void(step):
     for _ in range(6):
         g = rngy.standard_normal((4, 4))
         y = (g + g.T) / 2
-        idx, value = ps.select_next(ps.SymMatrix(y), delta, fam)
+        idx, value = ps.select_next(y, delta, fam)
         full, _ = greedy._candidate_scores(y, xs.copy(), delta)
         assert idx == greedy._pick(full) + 1
         assert value == full[idx - 1]
@@ -449,7 +459,7 @@ def test_run_canonical_alternates(canonical):
     assert [r.regime for r in trace.records] == [
         REGIME_COARSE, REGIME_COARSE, REGIME_FINE, REGIME_FINE, REGIME_FINE, REGIME_FINE,
     ]
-    assert np.array_equal(trace.running_sum.entries, np.zeros((2, 2)))
+    assert np.array_equal(trace.running_sum, np.zeros((2, 2)))
 
 
 def test_run_single_member_is_flat():
@@ -480,7 +490,9 @@ def test_run_running_sum_matches_indices():
     trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=70)
     xs = ps.center(inst).xs
     resummed = xs[np.array(trace.indices) - 1].sum(axis=0)
-    assert np.linalg.norm(resummed - trace.running_sum.entries) <= 1e-9 * len(trace.indices)
+    assert np.linalg.norm(resummed - trace.running_sum) <= 1e-9 * len(trace.indices)
+    with pytest.raises(ValueError):
+        trace.running_sum[0, 0] = 1.0
 
 
 def test_run_live_potential_inequality_and_tail_cap():
@@ -530,7 +542,7 @@ def test_run_chunk_cap_does_not_change_results(monkeypatch):
 
     assert by_row.indices == whole.indices
     assert rows(by_row) == rows(whole)
-    assert by_row.running_sum.entries.tobytes() == whole.running_sum.entries.tobytes()
+    assert by_row.running_sum.tobytes() == whole.running_sum.tobytes()
 
 
 def test_run_starts_no_threads(monkeypatch):
@@ -541,7 +553,7 @@ def test_run_starts_no_threads(monkeypatch):
     inst = ps.gen_bases(4, 2, seed=0)
     sched = ps.Schedule(inst.norm_bound, inst.d)
     ps.run(inst, sched, k_max=20)
-    ps.select_next(ps.SymMatrix.zeros(inst.d), 0.1, ps.center(inst))
+    ps.select_next(np.zeros((inst.d, inst.d)), 0.1, ps.center(inst))
 
 
 def test_constant_delta_reuses_last_score_as_prev_potential():

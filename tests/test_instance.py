@@ -456,12 +456,24 @@ def test_factor_square_certificate_matches_the_dense_sum(monkeypatch):
     # the last family has r > d
     seen = []
     exact = instance.loewner_leq
-    monkeypatch.setattr(instance, "loewner_leq", lambda a, b, tol: seen.append(a.entries) or exact(a, b, tol))
+    monkeypatch.setattr(instance, "loewner_leq", lambda a, b, tol: seen.append(a) or exact(a, b, tol))
     for inst in (ps.gen_bases(5, 2, 1), ps.gen_random_psd(6, 9, 4, 1e4, 2), ps.gen_random_psd(3, 4, 5, 1e4, 0)):
         ps.Instance(inst.weights, factors=inst.factors)
         xs = ps.center(inst).xs
         want = np.einsum("i,ijk->jk", inst.weights, xs @ xs)
         assert np.allclose(seen[-1], want, rtol=0, atol=1e-12 * inst.norm_bound ** 2)
+
+
+def test_centered_family_checks_its_shapes():
+    xs = ps.center(ps.gen_bases(2, 1, 0)).xs   # m = d = 2
+    w = np.full(2, 0.5)
+    # one weight for two members used to broadcast into a false one-step failure
+    for weights, members in ((w[:1], xs), (w[np.newaxis], xs), (w, xs[0]), (w, xs[:, :, :1]),
+                             (w, np.empty((2, 0, 0)))):
+        with pytest.raises(ps.DimensionMismatch):
+            ps.CenteredFamily(weights, members, 2.0, 2.0)
+    with pytest.raises(ps.EmptyFamily):
+        ps.CenteredFamily(np.empty(0), np.empty((0, 2, 2)), 1.0, 1.0)
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -560,7 +572,7 @@ def test_gen_bases_shape_and_norms():
     inst = ps.gen_bases(4, 3, 7)
     assert (inst.d, inst.m) == (4, 12)
     for a in dense_mats(inst):
-        assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(4.0, abs=1e-10)
+        assert np.max(np.abs(np.linalg.eigvalsh(a))) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_gen_bases_round_trips_through_validator():
@@ -621,7 +633,7 @@ def test_gen_graph_edges_triangle():
     assert (inst.d, inst.m) == (2, 3)
     assert np.allclose(inst.weights, 1.0 / 3.0, atol=1e-12)
     for a in dense_mats(inst):
-        assert ps.op_norm(ps.SymMatrix(a)) == pytest.approx(2.0, rel=1e-10)
+        assert np.max(np.abs(np.linalg.eigvalsh(a))) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_gen_graph_edges_single_edge():

@@ -5,13 +5,14 @@ import pytest
 
 import psdsparse as ps
 from psdsparse import verify
+from psdsparse.symmat import _symmetrize
 
 from conftest import rng_for
 
 
 def test_one_step_canonical_oracle(canonical):
     fam = ps.center(canonical)
-    rep = ps.check_one_step(fam, ps.SymMatrix.zeros(2), 0.5)
+    rep = ps.check_one_step(fam, np.zeros((2, 2)), 0.5)
     # log(e^{2 psi_2(1/2)} * 4) - log(4 cosh(1/2))
     want = 1.7454352753494132 - 1.5064088680781681
     assert rep.worst_slack == pytest.approx(want, rel=1e-12)
@@ -21,14 +22,14 @@ def test_one_step_canonical_oracle(canonical):
 def test_one_step_tiny_delta_nonnegative(canonical):
     fam = ps.center(canonical)
     rng = rng_for(9)
-    y = ps.SymMatrix(rng.standard_normal((2, 2)))
+    y = _symmetrize(rng.standard_normal((2, 2)))
     assert ps.check_one_step(fam, y, 1e-6).worst_slack >= 0.0
 
 
 def test_one_step_single_member_slack_is_growth_cap():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
     fam = ps.center(inst)
-    rep = ps.check_one_step(fam, ps.SymMatrix([[0.4]]), 0.7)
+    rep = ps.check_one_step(fam, [[0.4]], 0.7)
     assert rep.worst_slack == pytest.approx(ps.psi_value(1.0, 0.7), rel=1e-9)
 
 
@@ -56,38 +57,38 @@ def test_mgf_random_families_within_unit_delta_range():
 
 
 def test_golden_thompson_commuting_is_equality():
-    u = ps.SymMatrix(np.diag([0.3, -1.2, 2.0]))
-    v = ps.SymMatrix(np.diag([1.0, 0.5, -0.7]))
+    u = np.diag([0.3, -1.2, 2.0])
+    v = np.diag([1.0, 0.5, -0.7])
     rep = ps.check_golden_thompson(u, v)
     assert abs(rep.worst_slack) <= 1e-12
 
 
 def test_golden_thompson_strict_for_noncommuting():
-    u = ps.SymMatrix([[0.0, 1.0], [1.0, 0.0]])
-    v = ps.SymMatrix(np.diag([1.0, -1.0]))
+    u = [[0.0, 1.0], [1.0, 0.0]]
+    v = np.diag([1.0, -1.0])
     rep = ps.check_golden_thompson(u, v)
     assert rep.worst_slack > 1e-3  # strictly off equality
 
 
 def test_golden_thompson_zero_summand_is_equality():
     rng = rng_for(21)
-    u = ps.SymMatrix(rng.standard_normal((4, 4)))
-    rep = ps.check_golden_thompson(u, ps.SymMatrix.zeros(4))
+    u = _symmetrize(rng.standard_normal((4, 4)))
+    rep = ps.check_golden_thompson(u, np.zeros((4, 4)))
     assert abs(rep.worst_slack) <= 1e-12
 
 
 def test_golden_thompson_rejects_mismatched_sizes():
     with pytest.raises(ps.DimensionMismatch, match="2x2, V is 3x3"):
-        ps.check_golden_thompson(ps.SymMatrix.zeros(2), ps.SymMatrix.zeros(3))
+        ps.check_golden_thompson(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("top", [400.0, 2000.0])
 def test_golden_thompson_slack_stays_finite_past_exp_overflow(top):
     # e^{2 top} overflows a float; in log scale both sides equal 2 top
-    u = ps.SymMatrix(np.diag([top, 0.0]))
+    u = np.diag([top, 0.0])
     rep = ps.check_golden_thompson(u, u)
     assert rep.passed and abs(rep.worst_slack) <= 1e-12
-    v = ps.SymMatrix([[top, 1.0], [1.0, 0.0]])
+    v = [[top, 1.0], [1.0, 0.0]]
     rep = ps.check_golden_thompson(u, v)
     assert rep.passed and math.isfinite(rep.worst_slack)
 
@@ -96,14 +97,14 @@ def test_golden_thompson_slack_stays_finite_past_exp_overflow(top):
 def test_golden_thompson_orthogonal_tops_are_equality(top):
     # U, V commute: both sides are log(e^top + e^top) = top + log 2, even
     # where e^{-top} underflows beside either top eigenvalue
-    u = ps.SymMatrix(np.diag([top, 0.0]))
-    v = ps.SymMatrix(np.diag([0.0, top]))
+    u = np.diag([top, 0.0])
+    v = np.diag([0.0, top])
     rep = ps.check_golden_thompson(u, v)
     assert rep.passed and abs(rep.worst_slack) <= 1e-12
 
 
 def test_interpolation_endpoints_are_exact():
-    y = ps.SymMatrix(np.diag([2.0, -0.5]))
+    y = np.diag([2.0, -0.5])
     assert ps.check_interpolation(y, 0.7, 0.7).worst_slack == 0.0
     assert ps.check_interpolation(y, 0.0, 0.7).worst_slack == 0.0
 
@@ -112,21 +113,21 @@ def test_interpolation_midpoint_nonnegative():
     rng = rng_for(23)
     for _ in range(20):
         d = int(rng.integers(1, 9))
-        y = ps.SymMatrix(rng.standard_normal((d, d)))
+        y = _symmetrize(rng.standard_normal((d, d)))
         rep = ps.check_interpolation(y, 0.35, 0.7)
         assert rep.worst_slack >= -1e-9
 
 
 def test_lower_bound_values():
-    rep0 = ps.check_lower_bound(ps.SymMatrix.zeros(3), 1.0)
+    rep0 = ps.check_lower_bound(np.zeros((3, 3)), 1.0)
     assert rep0.worst_slack == pytest.approx(math.log(6.0), rel=1e-15)
-    rep1 = ps.check_lower_bound(ps.SymMatrix(np.diag([1.0, -1.0])), 1.0)
+    rep1 = ps.check_lower_bound(np.diag([1.0, -1.0]), 1.0)
     assert rep1.worst_slack == pytest.approx(1.8200751916029178 - 1.0, rel=1e-12)
 
 
 def test_check_domain_validation(canonical):
     fam = ps.center(canonical)
-    y = ps.SymMatrix.zeros(2)
+    y = np.zeros((2, 2))
     with pytest.raises(ps.DomainError):
         ps.check_one_step(fam, y, 0.0)
     with pytest.raises(ps.DomainError):
@@ -178,7 +179,7 @@ def test_run_suite_validation():
 def test_one_step_rejects_a_running_sum_of_the_wrong_size():
     fam = ps.center(ps.gen_bases(2, 1, 0))
     with pytest.raises(ps.DimensionMismatch):
-        ps.check_one_step(fam, ps.SymMatrix.zeros(3), 0.1)
+        ps.check_one_step(fam, np.zeros((3, 3)), 0.1)
 
 
 def test_run_all_passes_at_smoke_scale():
@@ -210,7 +211,7 @@ def test_report_does_not_take_derived_fields(field):
 
 
 def test_single_input_checks_report_seed_0(canonical):
-    y = ps.SymMatrix.zeros(2)
+    y = np.zeros((2, 2))
     assert ps.check_mgf(ps.center(canonical), 0.5).seed == 0
     assert ps.check_golden_thompson(y, y).seed == 0
 
@@ -218,7 +219,7 @@ def test_single_input_checks_report_seed_0(canonical):
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_checks_reject_a_delta_that_is_not_finite_and_positive(canonical, delta):
     fam = ps.center(canonical)
-    y = ps.SymMatrix.zeros(2)
+    y = np.zeros((2, 2))
     for call in (
         lambda: ps.check_one_step(fam, y, delta),
         lambda: ps.check_mgf(fam, delta),
