@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .instance import Instance, _centered_rows, _is_int, _rng, _seed_sequence
+from .instance import Instance, _centered_rows, _check_counts, _rng, _seed_sequence
 from .instance import center  # noqa: F401 -- a module attribute that bench/run.py traces
 from .instance import _CHUNK_ENTRIES  # noqa: F401 -- the block cap, which bench/run.py reports
 from .symmat import _eigvalsh
@@ -32,8 +32,7 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     given (instance, k_max, seed) reproduces bit-identically across
     platforms.
     """
-    if not (_is_int(k_max) and k_max >= 1):
-        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
+    _check_counts(k_max=k_max)
     rng = _rng(seed)
     cdf = np.cumsum(inst.weights)
     cdf[-1] = 1.0  # close the simplex gap so u < 1 always lands in range

@@ -7,18 +7,17 @@ whose prefix errors obey a closed-form bound at every k, and a constant one
 tuned to a known sparsity target N.
 
 Each step scores exactly only the members that could still be picked. One
-eigendecomposition of the running sum Y gives, for every member, an upper
-bound on log Phi_delta(Y + X_i) from e^{delta X} <= I + delta X + psi X^2 with
-Golden-Thompson, and a lower bound: the larger of a first-order one, from the
-convexity of log Phi, and a second-order one, from a floor on the curvature
-of Phi along Y + tX_i that needs only ||X_i||_F and the spectral bounds
-X_i <= m_hi, -X_i <= m_lo (see _bounds). A member whose lower bound exceeds
-the smallest upper bound by more than the tie tolerance cannot win and is
-skipped; the rest are formed as candidates block by block and scored with a
-batched eigvalsh per block. The picks and recorded potentials are those of
-scoring every member, bit for bit. Every step checks that its smallest exact
-score meets the smallest upper bound and that no exact score falls below its
-member's lower bound.
+eigendecomposition of the running sum Y gives, for every member, two
+second-order bounds on log Phi_delta(Y + X_i) (see _bounds): an upper bound
+from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
+bound from a floor on the curvature of Phi along Y + tX_i that needs only
+||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. A member whose
+lower bound exceeds the smallest upper bound by more than the tie tolerance
+cannot win and is skipped; the rest are formed as candidates block by block
+and scored with a batched eigvalsh per block. The picks and recorded
+potentials are those of scoring every member, bit for bit. Every step checks
+that its smallest exact score meets the smallest upper bound and that no
+exact score falls below its member's lower bound.
 
 The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
 two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
@@ -48,8 +47,8 @@ from .errors import (
     PotentialGrowthViolation,
     PruningCertificateFailed,
 )
-from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _fits_one_block,
-                       _is_int, _row_parts, center)
+from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _check_counts,
+                       _fits_one_block, _is_int, _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, psi_value
 from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 
@@ -65,10 +64,12 @@ REGIME_FINE = "fine"
 
 
 def _check_family_constants(norm_bound: float, d: int) -> float:
-    """M*ln(2d); reject d < 1, M below 1 (as validation rounds it) or an M*ln(2d) not finite."""
-    ml = norm_bound * math.log(2 * d) if d >= 1 else math.nan
+    """M*ln(2d); reject a d that is not an integer >= 1, an M below 1 (as validation
+    rounds it) or an M*ln(2d) that is not finite."""
+    ml = norm_bound * math.log(2 * d) if _is_int(d) and d >= 1 else math.nan
     if not (norm_bound >= 1.0 - NORM_FLOOR_TOL and math.isfinite(ml)):
-        raise DomainError(f"need M >= 1, d >= 1 and a finite M*ln(2d), got M={norm_bound!r}, d={d}")
+        raise DomainError(f"need M >= 1, an integer d >= 1 and a finite M*ln(2d), "
+                          f"got M={norm_bound!r}, d={d!r}")
     return ml
 
 
@@ -88,8 +89,8 @@ class Schedule:
 
     def __post_init__(self):
         _check_family_constants(self.norm_bound, self.dim)
-        if self.fixed_n is not None and not (_is_int(self.fixed_n) and self.fixed_n >= 1):
-            raise DomainError(f"fixed N must be a positive integer, got {self.fixed_n!r}")
+        if self.fixed_n is not None:
+            _check_counts(fixed_n=self.fixed_n)
 
     @property
     def log_2d(self) -> float:
@@ -101,8 +102,7 @@ class Schedule:
         return int(math.floor(self.norm_bound * self.log_2d)) + 1
 
     def delta(self, k: int) -> float:
-        if k < 1:
-            raise DomainError(f"step index must be >= 1, got {k}")
+        _check_counts(k=k)
         m, l = self.norm_bound, self.log_2d
         if self.fixed_n is not None:
             return min(1.0 / m, math.sqrt(l / (m * self.fixed_n)))
@@ -119,19 +119,17 @@ class Schedule:
         """
         if self.fixed_n is None:
             return bound_all_steps(k, self.norm_bound, self.dim)
-        if k < 1:
-            raise DomainError(f"step index must be >= 1, got {k}")
         delta = self.delta(k)
         return self.log_2d / (k * delta) + self.norm_bound * delta
 
     def regime(self, k: int) -> str:
+        _check_counts(k=k)
         return REGIME_COARSE if k <= self.norm_bound * self.log_2d else REGIME_FINE
 
 
 def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    _check_counts(k=k)
     ml = _check_family_constants(norm_bound, d)
     if k <= ml:
         return 2.0 * ml / k
@@ -140,8 +138,7 @@ def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
 
 def bound_fixed_n(n: int, norm_bound: float, d: int) -> float:
     """Final-error bound of the constant schedule: 2*sqrt(ML/N) for N >= ML, else 2ML/N."""
-    if n < 1:
-        raise DomainError(f"N must be >= 1, got {n}")
+    _check_counts(N=n)
     ml = _check_family_constants(norm_bound, d)
     if n >= ml:
         return 2.0 * math.sqrt(ml / n)
@@ -263,9 +260,8 @@ def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
         plain, shifted = z[:, :m * r], z[:, m * r:]
         shifted *= plain   # entries of Z_i H_i times those of Z_i
         plain *= plain
-        lin, quad = w[0] @ plain, w[1] @ shifted
-        if r > 1:   # sum each member's r columns
-            lin, quad = (np.add.reduce(a.reshape(m, r), axis=1) for a in (lin, quad))
+        lin, quad = (np.add.reduce(a.reshape(m, r), axis=1)   # sum each member's r columns
+                     for a in (w[0] @ plain, w[1] @ shifted))
         return lin - np.add.reduce(w[0]), quad + np.add.reduce(w[1])
 
     return _Stack(terms, functools.partial(_centered_rows, inst), norms, m_hi, m_lo)
@@ -281,15 +277,15 @@ def _bounds(y, stack, delta, psi):
 
     Needs psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
     y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
-    and lin_i = delta<F+ - F-, X_i>, the lower bound is the larger of
+    and lin_i = delta<F+ - F-, X_i>, both bounds are
+    s + log(tr(F+ + F-) + lin_i + a second-order term), with the term
 
-    - log Phi(y) + lin_i / tr(F+ + F-), by convexity of log Phi;
-    - s + log(tr(F+ + F-) + lin_i + c ||X_i||_F^2), by the curvature of Phi.
+    - c ||X_i||_F^2 for the lower bound, by the curvature of Phi (below);
+    - <psi_hi F+ + psi_lo F-, X_i^2> for the upper bound, by Golden-Thompson.
 
-    The upper bound is s + log(tr(F+ + F-) + lin_i + <psi_hi F+ + psi_lo F-, X_i^2>),
-    by Golden-Thompson. The shift by s keeps every exponential in (0, 1]. The
-    stack supplies the two inner products: from X_i and X_i^2 for a dense
-    family, from the factors for a factor family (see _factor_stack).
+    The shift by s keeps every exponential in (0, 1]. The stack supplies the
+    two inner products: from X_i and X_i^2 for a dense family, from the
+    factors for a factor family (see _factor_stack).
 
     The curvature bound: let g(t) = tr e^{delta(y + tX)} + tr e^{-delta(y + tX)}.
     The second derivative of tr e^{H + tK} is sum_jk (e^{a_j} - e^{a_k})/(a_j - a_k) |K_jk|^2
@@ -298,10 +294,10 @@ def _bounds(y, stack, delta, psi):
     of y + tX, and for t in [0, 1] the spectrum of y + tX lies in
     [mu_min - m_lo, mu_max + m_hi]. Taylor's theorem then gives g(1) >= g(0) + g'(0)
     + c ||X||_F^2 with c = (delta^2/2)(e^{delta(mu_min - m_lo) - s} + e^{-delta(mu_max + m_hi) - s})
-    in the e^{-s} frame. Its argument can be <= 0 when the step is large, and then
-    gives no bound. Each term of the argument may carry a relative rounding error
-    of up to the margin, so the argument is lowered by that much before the log;
-    one that could have been pushed above 0 by rounding also gives no bound.
+    in the e^{-s} frame. Each term of the log's argument may carry a relative
+    rounding error of up to the margin, so the argument is lowered by that much
+    first. Where the lowered argument is not positive, as it can be when the
+    step is large, the member has no lower bound: it is -inf.
 
     The margin, PRUNE_RTOL * (1 + |log Phi(y)|), covers rounding. It also covers
     what validation leaves open in run's constants m_hi = M and m_lo = 1.
@@ -317,8 +313,7 @@ def _bounds(y, stack, delta, psi):
     total = float(e.sum())
     lin, quad = stack.terms(q, psi @ e)
     lin *= delta
-    log_phi = s + math.log(total)
-    margin = PRUNE_RTOL * (1.0 + abs(log_phi))
+    margin = PRUNE_RTOL * (1.0 + abs(s + math.log(total)))
     c = 0.5 * delta * delta * (
         math.exp(delta * (float(mu[0]) - stack.m_lo) - s)
         + math.exp(-delta * (float(mu[-1]) + stack.m_hi) - s)
@@ -327,12 +322,8 @@ def _bounds(y, stack, delta, psi):
     # |lin_i| <= delta max(m_hi, m_lo) tr(F+ + F-)
     slack = margin * (1.0 + delta * max(stack.m_hi, stack.m_lo))
     floor = lin + (1.0 - margin) * c * stack.norms + (1.0 - slack) * total
-    lower = log_phi + lin / total
-    # the curvature bound where its argument is positive; elsewhere it gives none
-    usable = floor > 0
-    np.log(floor, out=floor, where=usable)
-    floor += s
-    np.maximum(lower, floor, out=lower, where=usable)
+    lower = np.log(floor, out=np.full_like(floor, -np.inf), where=floor > 0)
+    lower += s
     return lower, s + np.log(total + lin + quad), margin
 
 
@@ -405,8 +396,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
-    if not (_is_int(k_max) and k_max >= 1):
-        raise DomainError(f"k_max must be a positive integer, got {k_max!r}")
+    _check_counts(k_max=k_max)
     if schedule.fixed_n not in (None, k_max):
         raise DomainError(
             f"constant schedule is tuned to N={schedule.fixed_n}, cannot run k_max={k_max}"
@@ -476,7 +466,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             # O(d^2) per member picked so far, from the counts, however long the run
             picked = np.flatnonzero(counts)
             resummed = np.zeros(y.size)
-            for part, rows in _centered_rows(inst, picked):
+            for part, rows in stack.rows(picked):
                 resummed += counts[part] @ rows.reshape(len(part), -1)
             resummed = _symmetrize(resummed.reshape(y.shape))
             drift = float(np.linalg.norm(resummed - y))

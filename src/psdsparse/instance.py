@@ -254,9 +254,12 @@ class CenteredFamily:
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """The seed sequence of (seed, *key); a negative value is a DomainError."""
-    if min((seed, *key)) < 0:
-        raise DomainError(f"seed must be nonnegative, got {', '.join(map(str, (seed, *key)))}")
+    """The seed sequence of (seed, *key); a value that is not an integer >= 0 is a DomainError."""
+    values = (seed, *key)
+    if not all(map(_is_int, values)):
+        raise DomainError(f"seed must be an integer, got {', '.join(map(repr, values))}")
+    if min(values) < 0:
+        raise DomainError(f"seed must be nonnegative, got {', '.join(map(str, values))}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 
@@ -268,6 +271,13 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _is_int(value) -> bool:
     """Whether value is an integer: an int or a numpy integer, but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_counts(**counts) -> None:
+    """Raise DomainError unless every value is an integer (see _is_int) >= 1."""
+    for name, value in counts.items():
+        if not (_is_int(value) and value >= 1):
+            raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _json_number(value, what: str) -> float:
@@ -475,8 +485,7 @@ def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
     V = sqrt(d) * u, with equal weights 1/m and norm bound d; deterministic in
     the seed.
     """
-    if d < 1 or n_bases < 1:
-        raise DomainError("d and n_bases must be positive")
+    _check_counts(d=d, n_bases=n_bases)
     rng = _rng(seed)
     m = n_bases * d
     factors = np.empty((m, d, 1))
@@ -494,8 +503,7 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
     V_i = S^{-1/2} G_i and equal weights; otherwise redraws with a derived
     seed, up to 16 attempts.
     """
-    if d < 1 or m < 1 or rank < 1:
-        raise DomainError("d, m, rank must be positive")
+    _check_counts(d=d, m=m, rank=rank)
     if m * rank < d:
         raise DomainError(f"m*rank = {m * rank} < d = {d}: average is singular")
     if not cond_cap >= 1:  # also rejects NaN
@@ -523,17 +531,19 @@ def gen_graph_edges(edge_list) -> Instance:
     a rank-one matrix of norm exactly n-1, stored as its factor, weighted by
     its leverage score over n-1. The construction is deterministic.
     """
-    edges = [(int(u), int(v), float(w)) for u, v, w in edge_list]
+    edges = [(u, v, float(w)) for u, v, w in edge_list]
     if not edges:
         raise FormatError("edge list is empty")
     for u, v, w in edges:
+        if not (_is_int(u) and _is_int(v)):
+            raise DomainError(f"vertex ids must be integers, got ({u!r}, {v!r})")
         if u < 0 or v < 0:
             raise DomainError(f"vertex ids must be nonnegative, got ({u}, {v})")
         if u == v:
             raise DomainError(f"self-loop at vertex {u}")
         if w <= 0 or not np.isfinite(w):
             raise DomainError(f"edge ({u}, {v}) has non-positive weight {w!r}")
-    n = max(max(u, v) for u, v, _ in edges) + 1
+    n = int(max(max(u, v) for u, v, _ in edges)) + 1
     if n < 2:
         raise DomainError("graph must have at least 2 vertices")
     if n > len(edges) + 1:  # checked before the n x n Laplacian is allocated
@@ -575,6 +585,7 @@ def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, i
 
     Weights are uniform in [0.5, 2); deterministic in the seed.
     """
+    _check_counts(n=n, n_edges=n_edges)
     if n < 2:
         raise DomainError("need at least 2 vertices")
     max_edges = n * (n - 1) // 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .instance import CenteredFamily, _rng, center, gen_random_psd
+from .instance import CenteredFamily, _check_counts, _rng, center, gen_random_psd
 from .potential import (_check_delta, log_potential_from_eigenvalues, logsumexp, psi_value,
                         scalar_exp_bound_gap)
 from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
@@ -278,8 +278,7 @@ def run_suite(suite: str, trials: int, seed: int) -> CheckReport:
     """Run one named suite for the given number of random trials."""
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_counts(trials=trials)
     fn = _SUITES[suite][0]
     suite_index = SUITES.index(suite)
     slacks = [fn(_rng(seed, suite_index, t), t) for t in range(trials)]

@@ -129,6 +129,18 @@ def test_child_seed_is_deterministic_and_spread():
     assert len({a, c, d}) == 3
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["1.5", "True", "str"])
+def test_seeds_must_be_integers(canonical, seed):
+    with pytest.raises(ps.DomainError, match="seed must be an integer"):
+        ps.sample_run(canonical, 5, seed)
+    for key in ((seed, 0), (0, seed)):
+        with pytest.raises(ps.DomainError, match="seed must be an integer"):
+            baseline.child_seed(*key)
+    with pytest.raises(ps.DomainError, match="seed must be an integer"):
+        ps.run_suite("psi", 2, seed)
+    assert baseline.child_seed(np.uint64(3), np.int64(1)) == baseline.child_seed(3, 1)
+
+
 def test_negative_seeds_are_domain_errors(canonical):
     with pytest.raises(ps.DomainError):
         ps.sample_run(canonical, 5, seed=-1)

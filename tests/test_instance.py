@@ -773,6 +773,28 @@ def test_generators_reject_a_negative_seed(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: ps.gen_bases(2, 1, 1.5), "seed"),
+        (lambda: ps.gen_bases(2, 1, True), "seed"),
+        (lambda: ps.gen_random_psd(2, 4, 1, 1e4, 1.5), "seed"),
+        (lambda: ps.random_connected_edges(4, 4, 1.5), "seed"),
+        (lambda: ps.gen_bases(2.0, 1, 0), "d"),
+        (lambda: ps.gen_random_psd(4, 8.0, 2, 1e4, 0), "m"),
+        (lambda: ps.random_connected_edges(5.5, 6, 0), "n"),
+        (lambda: ps.random_connected_edges(5, 6.5, 0), "n_edges"),
+        (lambda: ps.gen_graph_edges([(0, 1.5, 1.0), (1, 2, 1.0)]), "vertex ids"),
+        (lambda: ps.gen_graph_edges([(0, True, 1.0), (1, 2, 1.0)]), "vertex ids"),
+    ],
+    ids=["bases-seed", "bases-seed-bool", "random-psd-seed", "random-graph-seed", "bases-d",
+         "random-psd-m", "random-graph-n", "random-graph-edges", "graph-vertex", "graph-vertex-bool"],
+)
+def test_generators_take_only_integer_seeds_counts_and_vertex_ids(make, what):
+    with pytest.raises(ps.DomainError, match=f"^{what} must be .*integer"):
+        make()
+
+
 def test_one_rng_serves_every_seeded_stream():
     # sample_run's and verify's streams as they were drawn before _rng served them
     def philox(ss):
