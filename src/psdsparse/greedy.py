@@ -10,7 +10,8 @@ Each step scores exactly only the members that could still be picked. One
 eigendecomposition of the running sum Y gives, for every member, two
 second-order bounds on log Phi_delta(Y + X_i) (see _bounds): an upper bound
 from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
-bound from a floor on the curvature of Phi along Y + tX_i that needs only
+bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
+at the point x of the path's spectral range nearest 0, which needs only
 ||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. A member whose
 lower bound exceeds the smallest upper bound by more than the tie tolerance
 cannot win and is skipped; the rest are formed as candidates block by block
@@ -272,6 +273,16 @@ def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
     return np.array(((1.0, -1.0), (psi_hi, psi_lo)))
 
 
+def _curvature(mu, delta, s, m_lo, m_hi) -> float:
+    """The curvature floor c of _bounds, for ascending eigenvalues mu of y and shift s.
+
+    c = (delta^2/2)(e^{delta x - s} + e^{-delta x - s}), with x the point of
+    [mu_min - m_lo, mu_max + m_hi] nearest 0, where cosh(delta x) is smallest.
+    """
+    x = min(max(0.0, float(mu[0]) - m_lo), float(mu[-1]) + m_hi)
+    return 0.5 * delta * delta * (math.exp(delta * x - s) + math.exp(-delta * x - s))
+
+
 def _bounds(y, stack, delta, psi):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
@@ -287,14 +298,16 @@ def _bounds(y, stack, delta, psi):
     two inner products: from X_i and X_i^2 for a dense family, from the
     factors for a factor family (see _factor_stack).
 
-    The curvature bound: let g(t) = tr e^{delta(y + tX)} + tr e^{-delta(y + tX)}.
-    The second derivative of tr e^{H + tK} is sum_jk (e^{a_j} - e^{a_k})/(a_j - a_k) |K_jk|^2
-    in the eigenbasis of H + tK (Daleckii-Krein), and each divided difference is at
-    least e^{min a}. So g''(t) >= delta^2 ||X||_F^2 (e^{delta lambda_min} + e^{-delta lambda_max})
-    of y + tX, and for t in [0, 1] the spectrum of y + tX lies in
-    [mu_min - m_lo, mu_max + m_hi]. Taylor's theorem then gives g(1) >= g(0) + g'(0)
-    + c ||X||_F^2 with c = (delta^2/2)(e^{delta(mu_min - m_lo) - s} + e^{-delta(mu_max + m_hi) - s})
-    in the e^{-s} frame. Each term of the log's argument may carry a relative
+    The curvature bound: let g(t) = tr f(y + tX) with f(x) = e^{delta x} + e^{-delta x}.
+    In the eigenbasis of y + tX with eigenvalues a_j, g''(t) is
+    sum_jk f'[a_j, a_k] |X_jk|^2 (Daleckii-Krein), and each divided difference
+    f'[a_j, a_k] = (f'(a_j) - f'(a_k))/(a_j - a_k) equals f''(xi) = 2 delta^2 cosh(delta xi)
+    for some xi between a_j and a_k. For t in [0, 1] the spectrum of y + tX lies in
+    [mu_min - m_lo, mu_max + m_hi], where cosh(delta xi) is smallest at
+    x* = clamp(0, mu_min - m_lo, mu_max + m_hi). So g''(t) >= 2 delta^2 cosh(delta x*) ||X||_F^2,
+    and Taylor's theorem gives g(1) >= g(0) + g'(0) + c ||X||_F^2 with
+    c = (delta^2/2)(e^{delta x* - s} + e^{-delta x* - s}) in the e^{-s} frame; both
+    exponents are at most 0. Each term of the log's argument may carry a relative
     rounding error of up to the margin, so the argument is lowered by that much
     first. Where the lowered argument is not positive, as it can be when the
     step is large, the member has no lower bound: it is -inf.
@@ -302,7 +315,10 @@ def _bounds(y, stack, delta, psi):
     The margin, PRUNE_RTOL * (1 + |log Phi(y)|), covers rounding. It also covers
     what validation leaves open in run's constants m_hi = M and m_lo = 1.
     validate accepts eigenvalues of A_i down to -PSD_TOL (1 + M), so -X_i <= 1
-    may fail by that much; with delta <= 1/M this scales c by no less than
+    may fail by eps = PSD_TOL (1 + M), which widens the range by eps below. Every
+    point of the wider range lies within eps of the range, and
+    cosh(delta(x - eps)) >= e^{-delta eps} cosh(delta x) for eps >= 0; with
+    delta <= 1/M, delta eps <= 2 PSD_TOL, so c shrinks by a factor no less than
     e^{-2 PSD_TOL} = 1 - 2e-10. X_i <= M - 1 leaves a whole unit below m_hi, so
     center's CENTER_NORM_TOL (1e-9) never enters. Both stay far below
     PRUNE_RTOL = 1e-9 relative to each term.
@@ -314,10 +330,7 @@ def _bounds(y, stack, delta, psi):
     lin, quad = stack.terms(q, psi @ e)
     lin *= delta
     margin = PRUNE_RTOL * (1.0 + abs(s + math.log(total)))
-    c = 0.5 * delta * delta * (
-        math.exp(delta * (float(mu[0]) - stack.m_lo) - s)
-        + math.exp(-delta * (float(mu[-1]) + stack.m_hi) - s)
-    )
+    c = _curvature(mu, delta, s, stack.m_lo, stack.m_hi)
     # each term of the argument may be off by margin times its size, and
     # |lin_i| <= delta max(m_hi, m_lo) tr(F+ + F-)
     slack = margin * (1.0 + delta * max(stack.m_hi, stack.m_lo))

@@ -583,7 +583,9 @@ def gen_graph_edges(edge_list) -> Instance:
 def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, int, float]]:
     """A random connected weighted graph: spanning tree plus distinct extra edges.
 
-    Weights are uniform in [0.5, 2); deterministic in the seed.
+    Weights are uniform in [0.5, 2); deterministic in the seed. Drawing extra
+    edges holds one seeded permutation of the n(n-1)/2 - (n-1) spare pair
+    indices (8 bytes each), never a list of the pairs themselves.
     """
     _check_counts(n=n, n_edges=n_edges)
     if n < 2:
@@ -594,11 +596,16 @@ def random_connected_edges(n: int, n_edges: int, seed: int) -> list[tuple[int, i
     rng = _rng(seed)
     pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
     extra = n_edges - (n - 1)
-    if extra:  # the O(n^2) list of candidate pairs, only when an extra edge is drawn from it
-        seen = set(pairs)
-        spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in seen]
-        idx = rng.permutation(len(spare))[:extra]
-        pairs.extend(spare[i] for i in idx)
+    if extra:
+        # the spare pairs are the upper-triangle pairs (u, v), u < v, in row-major
+        # order with the tree's pairs left out; draw spare indices and unrank them
+        starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))   # rank of (u, u + 1)
+        tree = np.sort([starts[u] + v - u - 1 for u, v in pairs])
+        idx = rng.permutation(max_edges - (n - 1))[:extra]
+        # a spare index i has rank i + (tree ranks below it); tree[j] - j spare ones precede tree[j]
+        ranks = idx + np.searchsorted(tree - np.arange(n - 1), idx, side="right")
+        rows = np.searchsorted(starts, ranks, side="right") - 1
+        pairs.extend(zip(rows.tolist(), (ranks - starts[rows] + rows + 1).tolist()))
     return [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs]
 
 

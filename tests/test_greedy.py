@@ -246,25 +246,32 @@ _COARSE_RAW = {
     "items": [{"lambda": 1 / 99, "A": [[50.0]]}, {"lambda": 98 / 99, "A": [[0.5]]}],
 }
 
+# d=1, X_i = -1 and +1: the curvature bound is nearly exact along a member at -m_lo
+_PLUS_MINUS_ONE_RAW = {
+    "d": 1,
+    "items": [{"lambda": 0.5, "A": [[0.0]]}, {"lambda": 0.5, "A": [[2.0]]}],
+}
+
 _STATE_FAMILIES = {
     "bases": lambda seed: ps.gen_bases(4, 3, seed),  # members of one basis tie exactly
     "psd": lambda seed: ps.gen_random_psd(5, 12, 2, 1e4, seed),
     "graph": lambda seed: ps.gen_graph_edges(ps.random_connected_edges(7, 12, seed)),
     "coarse": lambda seed: ps.validate(_COARSE_RAW),
+    "plus-minus-one": lambda seed: ps.validate(_PLUS_MINUS_ONE_RAW),
 }
 
 
-def _check_pruning_state(inst, y, delta):
+def _check_pruning_state(inst, y, delta, m_lo=1.0):
     """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact.
 
-    Checked for the dense stack and, for a factor family, for the factor stack run uses.
+    Checked for the dense stack and, for a factor family, for the factor stack run uses,
+    with the spectral bounds X_i <= M and -X_i <= m_lo (1 in run, M in select_next).
     """
     xs = ps.center(inst).xs
-    stacks = [greedy._stack(xs, inst.norm_bound, 1.0)]   # m_hi = M, m_lo = 1, and the norms
+    stacks = [greedy._stack(xs, inst.norm_bound, m_lo)]
     if inst.factors is not None:
-        stacks.append(greedy._factor_stack(inst, inst.norm_bound, 1.0))
-    psi_hi, psi_lo = ps.psi_value(inst.norm_bound, delta), ps.psi_value(1.0, delta)
-    psi = greedy._psi_weights(psi_hi, psi_lo)
+        stacks.append(greedy._factor_stack(inst, inst.norm_bound, m_lo))
+    psi = greedy._psi_weights(ps.psi_value(inst.norm_bound, delta), ps.psi_value(m_lo, delta))
     full, _ = greedy._candidate_scores(y, xs.copy(), delta)
     for stack in stacks:
         lower, upper, margin = greedy._bounds(y, stack, delta, psi)
@@ -307,9 +314,7 @@ def test_curvature_bound_is_sound_where_it_is_nearly_exact(t):
     # curvature of Phi along Y + tX is known exactly, so a bound that dropped
     # m_lo (t > 0) or m_hi (t < 0) from the spectrum's range would exceed the
     # exact score of the member that moves Y back toward 0
-    inst = ps.validate(
-        {"d": 1, "items": [{"lambda": 0.5, "A": [[0.0]]}, {"lambda": 0.5, "A": [[2.0]]}]}
-    )
+    inst = ps.validate(_PLUS_MINUS_ONE_RAW)
     _check_pruning_state(inst, np.array([[t]]), 0.5)
 
 
@@ -324,8 +329,8 @@ def test_eigvalsh_rows_do_not_depend_on_batch(d):
     assert np.array_equal(greedy._eigvalsh(gathered), greedy._eigvalsh(stack)[keep])
 
 
-# members scored per step, as a share of m: about 0.27, 0.28, 0.23 and 0.37,
-# against 0.54, 0.54, 0.57 and 0.54 with the curvature term c dropped from _bounds
+# members scored per step, as a share of m (the next test gives the shares scored now):
+# 0.54, 0.54, 0.57 and 0.54 with the curvature term c dropped from _bounds
 @pytest.mark.parametrize(
     "make, share",
     [
@@ -343,6 +348,52 @@ def test_pruning_skips_a_large_share_of_candidates(make, share):
     evaluated = [r.evaluated for r in trace.records]
     assert max(evaluated) <= inst.m
     assert np.mean(evaluated) <= share * inst.m
+
+
+# members scored per step, as a share of m: about 0.057, 0.064, 0.070 and 0.266 with
+# the curvature floored by the minimum of cosh over the path's spectral range, against
+# 0.270, 0.282, 0.227 and 0.367 with the sum of the minima of e^{delta x} and e^{-delta x}
+@pytest.mark.parametrize(
+    "make, share",
+    [
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 0.15, id="0"),
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 1), 0.15, id="1"),
+        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(13, 30, 617)), 0.15,
+                     id="graph-n13-e30"),
+        pytest.param(lambda: ps.gen_bases(8, 4, 408), 0.32, id="bases-d8-b4"),
+    ],
+)
+def test_curvature_floor_is_the_minimum_of_cosh(make, share):
+    inst = make()
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=200))
+    assert np.mean([r.evaluated for r in trace.records]) <= share * inst.m
+
+
+@given(
+    st.sampled_from(sorted(_STATE_FAMILIES)),
+    st.integers(0, 2**16),
+    st.integers(0, 40),
+    st.floats(0.01, 27.0),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_pruning_is_sound_on_random_sums(kind, seed, k, step, lo_is_m):
+    # Y is a sum of k members drawn at random, so reachable by some sequence of
+    # picks, and often far from 0 where the clamp in _curvature matters
+    inst = _STATE_FAMILIES[kind](seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    y = greedy._symmetrize(np.sum(ps.center(inst).xs[rng.integers(0, inst.m, k)], axis=0))
+    m_hi = inst.norm_bound
+    m_lo = m_hi if lo_is_m else 1.0
+    delta = step / m_hi
+    _check_pruning_state(inst, y, delta, m_lo)
+
+    # the minimum of cosh is at least the sum of the separate minima of its two exponentials
+    mu = np.linalg.eigvalsh(y)
+    s = delta * max(mu[-1], -mu[0])
+    separate = 0.5 * delta * delta * (math.exp(delta * (mu[0] - m_lo) - s)
+                                      + math.exp(-delta * (mu[-1] + m_hi) - s))
+    assert greedy._curvature(mu, delta, s, m_lo, m_hi) >= separate
 
 
 def test_non_finite_candidate_bound_raises(canonical):

@@ -721,6 +721,20 @@ def test_a_spanning_tree_draw_skips_the_quadratic_pair_list():
     assert peak < 2 << 20  # the pair list alone would take about 180 MB
 
 
+def test_extra_edges_are_drawn_without_the_quadratic_pair_list():
+    tracemalloc.start()
+    try:
+        edges = ps.random_connected_edges(2000, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 2000
+    assert len({(u, v) for u, v, _ in edges}) == 2000
+    # the seeded permutation of the 1997001 spare indices takes 15.2 MiB and the
+    # whole draw peaks at 16.4 MiB; a Python list of the spare pairs peaked at 199 MiB
+    assert peak < 24 << 20
+
+
 def test_random_connected_edges_rejects_bad_counts():
     with pytest.raises(ps.DomainError):
         ps.random_connected_edges(1, 0, seed=0)
