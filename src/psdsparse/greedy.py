@@ -12,13 +12,14 @@ second-order bounds on log Phi_delta(Y + X_i) (see _bounds): an upper bound
 from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
 bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
 at the point x of the path's spectral range nearest 0, which needs only
-||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. A member whose
-lower bound exceeds the smallest upper bound by more than the tie tolerance
-cannot win and is skipped; the rest are formed as candidates block by block
-and scored with a batched eigvalsh per block. The picks and recorded
-potentials are those of scoring every member, bit for bit. Every step checks
-that its smallest exact score meets the smallest upper bound and that no
-exact score falls below its member's lower bound.
+||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. The member with
+the smallest upper bound is scored exactly first. Any other member whose
+lower bound exceeds the smaller of that upper bound and that exact score by
+more than the tie tolerance cannot win and is skipped; the rest are formed
+as candidates block by block and scored with a batched eigvalsh per block.
+The picks and recorded potentials are those of scoring every member, bit for
+bit. Every step checks that its smallest exact score meets the smallest
+upper bound and that no exact score falls below its member's lower bound.
 
 The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
 two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
@@ -340,47 +341,73 @@ def _bounds(y, stack, delta, psi):
     return lower, s + np.log(total + lin + quad), margin
 
 
+def _scores(y, stack, idx, delta):
+    """Exact scores of the members idx, and their eigenvalues, formed and scored block by block."""
+    scores, eigs = [], []
+    for _, rows in stack.rows(idx):
+        block_scores, block_eigs = _candidate_scores(y, rows, delta)
+        scores.append(block_scores)
+        eigs.append(block_eigs)
+        del rows   # freed before the next block is formed
+    if len(scores) == 1:
+        return scores[0], eigs[0]
+    return np.concatenate(scores), np.concatenate(eigs)
+
+
 def _step(y, stack, delta, psi):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
 
-    A member is skipped when its lower bound exceeds the smallest upper bound
-    by more than TIE_TOL plus the rounding margins: its score then exceeds the
-    minimum by more than TIE_TOL, so it is neither the minimum nor tied with
-    it. The rest are formed block by block as candidates and scored exactly;
-    each row's score does not depend on which rows share the batch, so the
-    pick and its score equal those of scoring every member. Two checks run on
-    the exact scores: the smallest must not exceed the smallest upper bound,
-    which is what makes the skip sound, and none may fall below its member's
-    lower bound.
+    The member with the least upper bound, first, is scored alone, before
+    the others. Every other member is skipped when its lower bound exceeds
+    tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least
+    upper bound plus the margin and s_first is first's exact score. A skipped
+    member's score is at least its lower bound less the margin, so it exceeds
+    min(cap, s_first) + TIE_TOL, which is at least the minimum score plus
+    TIE_TOL: it is neither the minimum nor tied with it. The rest are formed
+    block by block and scored exactly; each row's score does not depend on
+    which rows share the batch, so the pick and its score equal those of
+    scoring every member. The scored members lie among those whose lower
+    bound is at most cap + TIE_TOL + margin, as first does whenever its
+    bounds hold.
+
+    Two checks run on every exact score, first's included: the smallest must
+    not exceed cap, which is what makes the skip sound, and none may fall
+    below its member's lower bound by more than the margin.
     """
     lower, upper, margin = _bounds(y, stack, delta, psi)
-    cap = float(upper.min()) + margin
+    first = int(np.argmin(upper))
+    cap = float(upper[first]) + margin
     if not math.isfinite(cap):
         raise NonFinite(f"candidate upper bound is {cap!r}")
     keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
     if keep.size == 0:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
-    scores, eigs = [], []
-    for _, rows in stack.rows(keep):
-        block_scores, block_eigs = _candidate_scores(y, rows, delta)
-        scores.append(block_scores)
-        eigs.append(block_eigs)
-        del rows   # freed before the next block is formed
-    scores, eigs = np.concatenate(scores), np.concatenate(eigs)
-    # keep is ascending, so this is _pick over all members with the skipped ones at +inf
+    scored = np.array([first])
+    scores, eigs = _scores(y, stack, scored, delta)
+    if keep.size > 1:   # a keep of one member is first, or a check below fails on first
+        tight = min(cap, float(scores[0])) + TIE_TOL + margin
+        rest = keep[(lower[keep] <= tight) & (keep != first)]
+        if rest.size:
+            # merged in ascending index order, so _pick below is _pick over all
+            # members with the skipped ones at +inf
+            rest_scores, rest_eigs = _scores(y, stack, rest, delta)
+            at = int(np.searchsorted(rest, first))
+            scored = np.insert(rest, at, first)
+            scores = np.insert(rest_scores, at, scores[0])
+            eigs = np.insert(rest_eigs, at, eigs[0], axis=0)
     j = _pick(scores)
     if scores.min() > cap:
         raise PruningCertificateFailed(
             f"smallest exact score {float(scores.min())!r} exceeds the smallest upper bound {cap!r}"
         )
-    excess = lower[keep] - scores
+    excess = lower[scored] - scores
     if excess.max() > margin:
         worst = int(np.argmax(excess))
         raise PruningCertificateFailed(
-            f"member {int(keep[worst]) + 1}: lower bound {float(lower[keep[worst]])!r} "
+            f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    return int(keep[j]), float(scores[j]), eigs[j], keep
+    return int(scored[j]), float(scores[j]), eigs[j], scored
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:

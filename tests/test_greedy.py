@@ -264,6 +264,9 @@ _STATE_FAMILIES = {
 def _check_pruning_state(inst, y, delta, m_lo=1.0):
     """Bounds bracket every exact score, no tie is skipped, and the pruned pick is exact.
 
+    The member with the least upper bound is always scored, and every member scored
+    has a lower bound within TIE_TOL plus twice the margin of the least upper bound.
+
     Checked for the dense stack and, for a factor family, for the factor stack run uses,
     with the spectral bounds X_i <= M and -X_i <= m_lo (1 in run, M in select_next).
     """
@@ -281,6 +284,9 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         best, score, _, keep = greedy._step(y, stack, delta, psi)
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
+        assert int(np.argmin(upper)) in keep
+        within = np.flatnonzero(lower <= np.min(upper) + greedy.TIE_TOL + 2.0 * margin)
+        assert set(keep.tolist()) <= set(within.tolist())
         assert best == greedy._pick(full)
         assert score == full[best]
 
@@ -369,6 +375,28 @@ def test_curvature_floor_is_the_minimum_of_cosh(make, share):
     assert np.mean([r.evaluated for r in trace.records]) <= share * inst.m
 
 
+# members scored per step, as a share of m: about 0.038, 0.013, 0.034 and 0.041 with the
+# cap tightened by the exact score of the member with the least upper bound, against
+# 0.114, 0.028, 0.057 and 0.070 with the least upper bound alone
+@pytest.mark.parametrize(
+    "make, fixed_n, k_max, share",
+    [
+        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)),
+                     None, 300, 0.07, id="graph-n31-e120-decaying"),
+        pytest.param(lambda: ps.gen_random_psd(16, 200, 1, 1e6, 0), None, 300, 0.02,
+                     id="psd-m200-decaying"),
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 200, 200, 0.045,
+                     id="psd-m32-fixed"),
+        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(13, 30, 617)),
+                     200, 200, 0.055, id="graph-n13-e30-fixed"),
+    ],
+)
+def test_cap_is_tightened_by_the_first_exact_score(make, fixed_n, k_max, share):
+    inst = make()
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+    assert np.mean([r.evaluated for r in trace.records]) <= share * inst.m
+
+
 @given(
     st.sampled_from(sorted(_STATE_FAMILIES)),
     st.integers(0, 2**16),
@@ -419,8 +447,12 @@ def test_failed_pruning_certificate_raises(monkeypatch, canonical):
     [
         (lambda lower, upper: upper, "member 1: lower bound"),   # above every exact score at k = 1
         (lambda lower, upper: upper + 1.0, "every lower bound"),  # nothing left to score
+        # only the least-upper-bound member's lower bound is above the cap, so it is
+        # not kept; it is scored anyway, and its lower bound is above its score
+        (lambda lower, upper: np.where(np.arange(upper.size) == np.argmin(upper),
+                                       upper.min() + 1.0, lower), "member 1: lower bound"),
     ],
-    ids=["above-scores", "above-every-cap"],
+    ids=["above-scores", "above-every-cap", "first-outside-keep"],
 )
 def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_lower, message):
     exact = greedy._bounds
@@ -446,6 +478,28 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
     assert cap + margin < lower[0] <= cap + margin + greedy.TIE_TOL
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
+    stack = greedy._stack(xs, 1.0, 1.0)
+    best, score, _, keep = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
+    assert keep.tolist() == [0, 1]
+    assert best == greedy._pick(scores) == 0
+    assert score == scores[0]
+
+
+def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
+    # member 2 has the least upper bound and is scored first; member 1 scores
+    # 4.6e-13 above it, so _pick over all members takes member 1, whose lower bound
+    # lies above member 2's score plus the margin but within TIE_TOL of it.
+    # Member 3's lower bound lies under the cap but above member 2's score.
+    xs = np.array([[[0.5 + 1e-12]], [[0.5]], [[0.9]]])
+    y = np.zeros((1, 1))
+    scores, _ = greedy._candidate_scores(y, xs.copy(), 1.0)
+    upper = scores + np.array([1.0, 0.5, 1.0])
+    lower = np.array([scores[0] + 1e-13, scores[1], scores[1] + 0.1])
+    margin = lower[0] - scores[0]   # exactly, so the lower-bound check passes
+    assert scores[1] + margin < lower[0] <= scores[1] + margin + greedy.TIE_TOL
+    assert lower[2] <= scores[2] and lower[2] < upper[1]
+
+    monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
     best, score, _, keep = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
