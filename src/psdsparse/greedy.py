@@ -30,6 +30,19 @@ G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F,
 <F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F and
 ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d, so a step holds O(m d r) plus one
 block of candidate rows, never the dense family.
+
+While few members are picked, run scores a factor family's survivors from a
+(p + r)-sized Gram instead of their d x d rows (see _Gram): after the picks
+so far, Y = W W^T - (k - 1) Id with W holding sqrt(c_j) V_j for each distinct
+pick j, picked c_j times, so eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k
+plus -k with multiplicity d - p - r. It is used while p + r <= GRAM_SHARE * d,
+and as p never falls, once off it stays off. The pruning certificates run on
+those scores unchanged. The winner alone is re-scored from its dense row,
+which is Y_k itself, so every record and Y keep the bits of dense scoring; its
+two scores must agree within the step's margin. Gram and dense scores differ
+by rounding only, so the picks could differ from dense scoring's only where
+two scores lie TIE_TOL apart to within that rounding; over the acceptance
+sweep they never do.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from .errors import (
 )
 from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _check_counts,
                        _fits_one_block, _is_int, _row_parts, center)
-from .potential import _check_delta, log_potential_from_eigenvalues, psi_value
+from .potential import _check_delta, log_potential_from_eigenvalues, logsumexp, psi_value
 from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 
 TIE_TOL = 1e-12
@@ -60,6 +73,7 @@ STEP_TOL = 1e-9
 BOUND_RTOL = 1e-9
 AUDIT_INTERVAL = 64
 AUDIT_TOL = 1e-9
+GRAM_SHARE = 0.75   # a factor family is scored from its Gram while p + r <= GRAM_SHARE * d
 
 REGIME_COARSE = "coarse"
 REGIME_FINE = "fine"
@@ -185,12 +199,17 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class GreedyTrace:
-    """A finished run: the 1-based picks, one StepRecord per step, and the final Y (read-only)."""
+    """A finished run: the 1-based picks, one StepRecord per step, and the final Y (read-only).
+
+    gram_steps counts the leading steps whose members were scored from the Gram
+    (see _Gram); they are a prefix of the run, since the Gram's size never falls.
+    """
 
     schedule: Schedule
     indices: tuple[int, ...]    # 1-based into the instance family
     records: tuple[StepRecord, ...]
     running_sum: np.ndarray
+    gram_steps: int = 0
 
 
 def _candidate_scores(y, xs, delta):
@@ -267,6 +286,69 @@ def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
         return lin - np.add.reduce(w[0]), quad + np.add.reduce(w[1])
 
     return _Stack(terms, functools.partial(_centered_rows, inst), norms, m_hi, m_lo)
+
+
+class _Gram:
+    """Exact scores of a factor family's members from a (p + r)-sized Gram matrix.
+
+    After k - 1 picks, y = W W^T - (k - 1) Id, where W (d x p) holds sqrt(c_j) V_j for
+    each distinct pick j, picked c_j times. So y + X_i = [W | V_i][W | V_i]^T - k Id,
+    and as B B^T and B^T B share their nonzero eigenvalues, its spectrum is
+    eig(G_i) - k with G_i = [[W^T W, W^T V_i], [V_i^T W, V_i^T V_i]], plus -k with
+    multiplicity d - p - r. W and W^T W are kept for at most floor(GRAM_SHARE * d)
+    columns, the most that p + r may reach while the Gram is used.
+    """
+
+    def __init__(self, factors):
+        _, d, r = factors.shape
+        self.cols = factors.transpose(1, 0, 2)   # (d, m, r): V_i is cols[:, i]
+        self.vtv = factors.swapaxes(1, 2) @ factors
+        self.limit = math.floor(GRAM_SHARE * d)
+        self.w = np.empty((d, self.limit))
+        self.wtw = np.empty((self.limit, self.limit))
+        self.start = {}   # first column of each distinct pick in W
+        self.p = 0
+
+    def scores(self, idx, k, delta):
+        """log Phi_delta(y + X_i) for the members idx at step k, and eig(G_i) - k.
+
+        The G_i are formed and scored block by block, each block under the cap on dense rows.
+        """
+        (d, _, r), p = self.cols.shape, self.p
+        weights = np.ones(2 * (p + r + 1))
+        weights[[p + r, -1]] = d - p - r   # of the eigenvalue -k, appended to each spectrum
+        scores, eigs = [], []
+        for part in _row_parts(idx, p + r):
+            n = len(part)
+            g = np.empty((n, p + r, p + r))
+            g[:, :p, :p] = self.wtw[:p, :p]
+            cross = (self.w[:, :p].T @ self.cols[:, part].reshape(d, n * r)).reshape(p, n, r)
+            g[:, :p, p:] = cross.transpose(1, 0, 2)   # W^T V_i
+            g[:, p:, :p] = cross.transpose(1, 2, 0)
+            g[:, p:, p:] = self.vtv[part]
+            block_eigs = _eigvalsh(g) - k
+            z = delta * block_eigs
+            flat = np.full((n, 1), -delta * k)
+            scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
+            eigs.append(block_eigs)
+        return _joined(scores, eigs)
+
+    def add(self, j, c) -> bool:
+        """Record a pick of member j, now picked c times; False once the next step may not use W."""
+        r = self.cols.shape[2]
+        start = self.start.get(j)
+        if start is None:   # a new distinct pick appends r columns
+            start = self.p
+            if start + 2 * r > self.limit:
+                return False
+            self.start[j] = start
+            self.p += r
+        cols = slice(start, start + r)
+        self.w[:, cols] = math.sqrt(c) * self.cols[:, j]
+        row = self.w[:, cols].T @ self.w[:, :self.p]
+        self.wtw[cols, :self.p] = row
+        self.wtw[:self.p, cols] = row.T
+        return True
 
 
 def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
@@ -349,13 +431,26 @@ def _scores(y, stack, idx, delta):
         scores.append(block_scores)
         eigs.append(block_eigs)
         del rows   # freed before the next block is formed
+    return _joined(scores, eigs)
+
+
+def _joined(scores, eigs):
+    """Per-block lists of scores and eigenvalues, each joined into one array."""
     if len(scores) == 1:
         return scores[0], eigs[0]
     return np.concatenate(scores), np.concatenate(eigs)
 
 
-def _step(y, stack, delta, psi):
-    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored).
+def _step(y, stack, delta, psi, score=None):
+    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored, margin).
+
+    score(idx) gives the exact scores of the members idx and their eigenvalues;
+    by default _scores, from their dense rows. run passes _Gram.scores while
+    p + r <= GRAM_SHARE * d. Those scores differ from the dense ones by rounding
+    only, far below the margin; the skip and both checks below use them as
+    they are. The eigenvalues returned are then those of the winner's Gram,
+    and run re-scores the winner from its dense row and holds the two scores
+    to within the returned margin.
 
     The member with the least upper bound, first, is scored alone, before
     the others. Every other member is skipped when its lower bound exceeds
@@ -374,6 +469,9 @@ def _step(y, stack, delta, psi):
     not exceed cap, which is what makes the skip sound, and none may fall
     below its member's lower bound by more than the margin.
     """
+    if score is None:
+        def score(idx):
+            return _scores(y, stack, idx, delta)
     lower, upper, margin = _bounds(y, stack, delta, psi)
     first = int(np.argmin(upper))
     cap = float(upper[first]) + margin
@@ -383,14 +481,14 @@ def _step(y, stack, delta, psi):
     if keep.size == 0:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     scored = np.array([first])
-    scores, eigs = _scores(y, stack, scored, delta)
+    scores, eigs = score(scored)
     if keep.size > 1:   # a keep of one member is first, or a check below fails on first
         tight = min(cap, float(scores[0])) + TIE_TOL + margin
         rest = keep[(lower[keep] <= tight) & (keep != first)]
         if rest.size:
             # merged in ascending index order, so _pick below is _pick over all
             # members with the skipped ones at +inf
-            rest_scores, rest_eigs = _scores(y, stack, rest, delta)
+            rest_scores, rest_eigs = score(rest)
             at = int(np.searchsorted(rest, first))
             scored = np.insert(rest, at, first)
             scores = np.insert(rest_scores, at, scores[0])
@@ -407,7 +505,7 @@ def _step(y, stack, delta, psi):
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    return int(scored[j]), float(scores[j]), eigs[j], scored
+    return int(scored[j]), float(scores[j]), eigs[j], scored, margin
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
@@ -421,7 +519,7 @@ def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, 
     y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, score, _, _ = _step(y, stack, delta, _psi_weights(p, p))
+    best, score, *_ = _step(y, stack, delta, _psi_weights(p, p))
     return best + 1, score
 
 
@@ -432,7 +530,9 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps.
+    fresh summation every 64 steps. On the steps scored from the Gram (see
+    _Gram), the winner's Gram score must match its dense re-score within the
+    step's margin, else PruningCertificateFailed; trace.gram_steps counts them.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
@@ -457,6 +557,11 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     else:
         stack = _factor_stack(inst, m_bound, 1.0)
 
+    gram = None   # see _Gram
+    if inst.factors is not None and inst.factors.shape[2] <= GRAM_SHARE * inst.d:
+        gram = _Gram(inst.factors)
+    gram_steps = 0
+
     y = np.zeros((inst.d, inst.d))
     counts = np.zeros(inst.m)
     prev_eigs = np.zeros(inst.d)
@@ -473,7 +578,24 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
             psi_hi = psi_value(stack.m_hi, delta)
             psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
-        best, log_phi, prev_eigs, keep = _step(y, stack, delta, psi)
+        score = None if gram is None else functools.partial(gram.scores, k=k, delta=delta)
+        best, log_phi, prev_eigs, keep, margin = _step(y, stack, delta, psi, score)
+        ((_, row),) = stack.rows(np.array([best]))
+        if gram is None:
+            y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
+        else:
+            # the winner re-scored from its dense row, which becomes y + X_b = Y_k, so
+            # every record and Y keep the bits of dense scoring
+            gram_steps += 1
+            gram_phi = log_phi
+            (log_phi,), (prev_eigs,) = _candidate_scores(y, row, delta)
+            log_phi = float(log_phi)
+            if not abs(log_phi - gram_phi) <= margin:
+                raise PruningCertificateFailed(
+                    f"step {k}: member {best + 1}: Gram score {gram_phi!r} and dense score "
+                    f"{log_phi!r} differ by more than the margin {margin!r}"
+                )
+            y = row[0]
 
         step_cap = m_bound * psi_hi + prev_log_phi
         if log_phi > step_cap + STEP_TOL:
@@ -483,8 +605,8 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
 
         indices.append(best + 1)
         counts[best] += 1
-        ((_, row),) = stack.rows(np.array([best]))
-        y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
+        if gram is not None and not gram.add(best, counts[best]):
+            gram = None   # p never falls, so the Gram is never used again
         error = float(np.max(np.abs(prev_eigs))) / k
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):
@@ -519,4 +641,5 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         indices=tuple(indices),
         records=tuple(records),
         running_sum=y,
+        gram_steps=gram_steps,
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse import cli
+from psdsparse import cli, greedy
 
 from conftest import canonical_raw, dense_mats, raw_payload
 
@@ -199,6 +199,28 @@ def _one_error_line(args, prefix, **run_kwargs):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, capsys, monkeypatch):
+    exact = greedy._Gram.scores
+
+    def shifted(self, idx, k, delta):
+        scores, eigs = exact(self, idx, k, delta)
+        return scores + 1e-6, eigs
+
+    monkeypatch.setattr(greedy._Gram, "scores", shifted)
+    inst = ps.gen_bases(8, 2, 0)
+    with pytest.raises(ps.PruningCertificateFailed,
+                       match=r"step 1: member \d+: Gram score .* and dense score .* differ"):
+        ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=4)
+    path = tmp_path / "b8.json"
+    ps.save_instance(inst, path)
+    args = ["run", str(path), "--mode", "all-steps", "--k-max", "4", "--out", str(tmp_path / "b8.csv")]
+    assert cli.main(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: PruningCertificateFailed: step 1: member "), lines
+    assert "Gram score" in lines[0]
 
 
 def test_generate_graph_overflow_prints_one_error_line(tmp_path):

@@ -11,7 +11,7 @@ from psdsparse import greedy, instance
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
-from conftest import raw_payload
+from conftest import dense_mats, raw_payload
 
 
 # --- schedules --------------------------------------------------------------------
@@ -281,7 +281,7 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         assert np.all(lower - margin <= full)
         assert np.all(full <= upper + margin)
 
-        best, score, _, keep = greedy._step(y, stack, delta, psi)
+        best, score, _, keep, _ = greedy._step(y, stack, delta, psi)
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
         assert int(np.argmin(upper)) in keep
@@ -479,7 +479,7 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _ = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -501,7 +501,7 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _ = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -554,7 +554,8 @@ def _full_run(inst, sched, k_max):
     for k in range(1, k_max + 1):
         delta = sched.delta(k)
         prev.append(float(log_potential_from_eigenvalues(eigs, delta)))
-        scores, all_eigs = greedy._candidate_scores(y, xs.copy(), delta)
+        all_eigs = greedy._eigvalsh(xs + y)   # the bits of _candidate_scores, with one copy fewer
+        scores = log_potential_from_eigenvalues(all_eigs, delta)
         best = greedy._pick(scores)
         indices.append(best + 1)
         current.append(float(scores[best]))
@@ -576,6 +577,86 @@ def test_run_matches_exact_greedy_bit_for_bit(label):
         assert trace.indices == indices
         assert [r.prev_log_potential for r in trace.records] == prev
         assert [r.log_potential for r in trace.records] == current
+
+
+# factor families all of whose rows fit one block (dense operands in run) and one above
+# that cap (factor operands), each scored from the Gram for its first gram_steps steps
+@pytest.mark.parametrize(
+    "make, k_max, gram_steps",
+    [
+        pytest.param(lambda: ps.gen_bases(64, 4, 0), 128, 48, id="bases-d64-b4-factor-operands"),
+        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), 300, 22,
+                     id="graph-n31-e120-dense-operands"),
+    ],
+)
+def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps):
+    inst = make()
+    sched = ps.Schedule(inst.norm_bound, inst.d)
+    trace = ps.run(inst, sched, k_max=k_max)
+    assert 0 < trace.gram_steps == gram_steps < k_max
+    indices, prev, current = _full_run(inst, sched, k_max)
+    assert trace.indices == indices
+    assert [r.prev_log_potential for r in trace.records] == prev
+    assert [r.log_potential for r in trace.records] == current
+
+
+_GRAM_FAMILIES = {
+    "bases": lambda seed: ps.gen_bases(8, 2, seed),
+    "psd-r1": lambda seed: ps.gen_random_psd(8, 16, 1, 1e4, seed),
+    "psd-r2": lambda seed: ps.gen_random_psd(9, 12, 2, 1e4, seed),
+    "psd-r3": lambda seed: ps.gen_random_psd(12, 10, 3, 1e4, seed),
+    # 20 edges on 9 vertices: picks and a scored edge often close a cycle, so [W | V_i]
+    # is rank-deficient; so it is for every member already picked
+    "graph": lambda seed: ps.gen_graph_edges(ps.random_connected_edges(9, 20, seed)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_GRAM_FAMILIES)),
+    st.integers(0, 2**16),
+    st.lists(st.integers(0, 9), max_size=16),
+    st.one_of(st.none(), st.integers(1, 10**4)),
+)
+@settings(max_examples=80, deadline=None)
+def test_gram_scores_match_dense_scores(kind, seed, picks, fixed_n):
+    # picks among the first 10 members, so that members are often picked again
+    inst = _GRAM_FAMILIES[kind](seed)
+    xs = ps.center(inst).xs
+    gram = greedy._Gram(inst.factors)
+    y = np.zeros((inst.d, inst.d))
+    counts = np.zeros(inst.m)
+    for j in picks:
+        counts[j] += 1
+        if not gram.add(j, counts[j]):
+            counts[j] -= 1
+            break
+        y = y + xs[j]
+    assert gram.p + inst.factors.shape[2] <= greedy.GRAM_SHARE * inst.d
+    k = int(counts.sum()) + 1
+    delta = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n).delta(k)
+    scores, _ = gram.scores(np.arange(inst.m), k, delta)
+    dense, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    assert np.max(np.abs(scores - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make, fixed_n, k_max, gram_steps",
+    [
+        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, 48, id="bases-d64-b4"),
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547, 2547, 3, id="psd-d16"),
+        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), None,
+                     300, 22, id="graph-n31-e120"),
+        pytest.param(lambda: ps.Instance(np.full(16, 1 / 16), dense_mats(ps.gen_bases(8, 2, 0))),
+                     None, 64, 0, id="dense-bases-d8-b2"),
+    ],
+)
+def test_gram_steps_counts_the_leading_gram_steps(make, fixed_n, k_max, gram_steps):
+    # at GRAM_SHARE = 0.75: the first 48 picks of bases-d64 are distinct members (p = 47
+    # at step 48), psd-d16 (r = 4) can add two more members to the first, and a dense
+    # "A" family has no factors
+    inst = make()
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+    assert trace.gram_steps == gram_steps
 
 
 # --- runs -------------------------------------------------------------------------
