@@ -95,6 +95,11 @@ def _open_out(path):
     return open(path, "w", newline="", encoding="utf-8"), True
 
 
+def _summary(line: str, owned: bool) -> None:
+    """The closing "ok ..." line: on stdout, or on stderr when stdout carries the CSV."""
+    print(line, file=sys.stdout if owned else sys.stderr)
+
+
 def _require(cond: bool, detail: str) -> None:
     if not cond:
         raise DomainError(detail)
@@ -152,7 +157,8 @@ def _cmd_run(args) -> int:
         if owned:
             fh.close()
     last = trace.records[-1]
-    print(f"ok steps={last.k} final_error={_fmt(last.error)} final_bound={_fmt(last.bound)}")
+    _summary(f"ok steps={last.k} final_error={_fmt(last.error)} final_bound={_fmt(last.bound)}",
+             owned)
     return 0
 
 
@@ -173,7 +179,8 @@ def _cmd_baseline(args) -> int:
     finally:
         if owned:
             fh.close()
-    print(f"ok trials={args.trials} k_max={args.k_max} mean_final_error={_fmt(final / args.trials)}")
+    _summary(f"ok trials={args.trials} k_max={args.k_max} "
+             f"mean_final_error={_fmt(final / args.trials)}", owned)
     return 0
 
 

@@ -32,12 +32,14 @@ G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F,
 block of candidate rows, never the dense family.
 
 While few members are picked, run scores a factor family's survivors from a
-(p + r)-sized Gram instead of their d x d rows (see _Gram): after the picks
-so far, Y = W W^T - (k - 1) Id with W holding sqrt(c_j) V_j for each distinct
-pick j, picked c_j times, so eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k
-plus -k with multiplicity d - p - r. It is used while p + r <= GRAM_SHARE * d,
-and as p never falls, once off it stays off. The pruning certificates run on
-those scores unchanged. The winner alone is re-scored from its dense row,
+(p + r)-sized Gram instead of their d x d rows (see _gram_scores): after k - 1
+picks, Y + (k - 1) Id is a sum of picked A_j = V_j V_j^T, of rank at most
+p = r times the number of distinct picks, so it is W W^T with W read off the
+top p eigenpairs of the eigh of Y that the bounds take anyway, and
+eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k plus -k with multiplicity
+d - p - r. It is used while p + r <= GRAM_SHARE * d, and as distinct picks
+never fall, once off it stays off. The pruning certificates run on those
+scores unchanged. The winner alone is re-scored from its dense row,
 which is Y_k itself, so every record and Y keep the bits of dense scoring; its
 two scores must agree within the step's margin. Gram and dense scores differ
 by rounding only, so the picks could differ from dense scoring's only where
@@ -202,7 +204,7 @@ class GreedyTrace:
     """A finished run: the 1-based picks, one StepRecord per step, and the final Y (read-only).
 
     gram_steps counts the leading steps whose members were scored from the Gram
-    (see _Gram); they are a prefix of the run, since the Gram's size never falls.
+    (see _gram_scores); they are a prefix of the run, since distinct picks never fall.
     """
 
     schedule: Schedule
@@ -259,10 +261,10 @@ def _stack(xs, m_hi, m_lo) -> _Stack:
     return _Stack(terms, rows, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
 
 
-def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
+def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
     """A factor family, A_i = V_i V_i^T, read through its (m, d, r) factors only.
 
-    With G_i = V_i^T V_i and X_i = V_i V_i^T - Id:
+    With vtv holding G_i = V_i^T V_i and X_i = V_i V_i^T - Id:
     <F, X_i> = tr(V_i^T F V_i) - tr F, <F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F
     and ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d. With F = Q diag(w) Q^T and
     Z = Q^T [V_1 ... V_m], tr(V_i^T F V_i H) = sum_j w_j (Z_i H)_j . (Z_i)_j, so a
@@ -270,11 +272,10 @@ def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
     """
     v = inst.factors
     m, d, r = v.shape
-    gram = v.swapaxes(1, 2) @ v
-    vh = v @ (gram - 2.0 * np.eye(r))   # V_i H_i with H_i = G_i - 2 Id
+    vh = v @ (vtv - 2.0 * np.eye(r))   # V_i H_i with H_i = G_i - 2 Id
     # columns [V_1 ... V_m | V_1 H_1 ... V_m H_m]
     cols = np.concatenate((v, vh)).transpose(1, 0, 2).reshape(d, 2 * m * r)
-    norms = np.sum(gram * gram, axis=(1, 2)) - 2.0 * np.trace(gram, axis1=1, axis2=2) + d
+    norms = np.sum(vtv * vtv, axis=(1, 2)) - 2.0 * np.trace(vtv, axis1=1, axis2=2) + d
 
     def terms(q, w):
         z = q.T @ cols
@@ -288,67 +289,41 @@ def _factor_stack(inst: Instance, m_hi, m_lo) -> _Stack:
     return _Stack(terms, functools.partial(_centered_rows, inst), norms, m_hi, m_lo)
 
 
-class _Gram:
-    """Exact scores of a factor family's members from a (p + r)-sized Gram matrix.
+def _gram_scores(eig, p, factors, vtv, idx, k, delta):
+    """log Phi_delta(y + X_i) for the members idx at step k, and eig(G_i) - k.
 
-    After k - 1 picks, y = W W^T - (k - 1) Id, where W (d x p) holds sqrt(c_j) V_j for
-    each distinct pick j, picked c_j times. So y + X_i = [W | V_i][W | V_i]^T - k Id,
-    and as B B^T and B^T B share their nonzero eigenvalues, its spectrum is
-    eig(G_i) - k with G_i = [[W^T W, W^T V_i], [V_i^T W, V_i^T V_i]], plus -k with
-    multiplicity d - p - r. W and W^T W are kept for at most floor(GRAM_SHARE * d)
-    columns, the most that p + r may reach while the Gram is used.
+    After k - 1 picks, y + (k - 1) Id is a sum of members A_j = V_j V_j^T, PSD of
+    rank at most p = r times the number of distinct picks. With eig = (mu, Q) = _eigh(y),
+    lam = max(mu_top + k - 1, 0) over the top p eigenvalues and W = Q_top diag(sqrt(lam)),
+    y + (k - 1) Id = W W^T up to rounding, so y + X_i = [W | V_i][W | V_i]^T - k Id.
+    As B B^T and B^T B share their nonzero eigenvalues, its spectrum is eig(G_i) - k
+    with G_i = [[diag(lam), W^T V_i], [V_i^T W, V_i^T V_i]], plus -k with multiplicity
+    d - p - r. factors holds the V_i and vtv the V_i^T V_i.
+
+    The G_i are formed and scored block by block, each block under the cap on dense rows.
     """
-
-    def __init__(self, factors):
-        _, d, r = factors.shape
-        self.cols = factors.transpose(1, 0, 2)   # (d, m, r): V_i is cols[:, i]
-        self.vtv = factors.swapaxes(1, 2) @ factors
-        self.limit = math.floor(GRAM_SHARE * d)
-        self.w = np.empty((d, self.limit))
-        self.wtw = np.empty((self.limit, self.limit))
-        self.start = {}   # first column of each distinct pick in W
-        self.p = 0
-
-    def scores(self, idx, k, delta):
-        """log Phi_delta(y + X_i) for the members idx at step k, and eig(G_i) - k.
-
-        The G_i are formed and scored block by block, each block under the cap on dense rows.
-        """
-        (d, _, r), p = self.cols.shape, self.p
-        weights = np.ones(2 * (p + r + 1))
-        weights[[p + r, -1]] = d - p - r   # of the eigenvalue -k, appended to each spectrum
-        scores, eigs = [], []
-        for part in _row_parts(idx, p + r):
-            n = len(part)
-            g = np.empty((n, p + r, p + r))
-            g[:, :p, :p] = self.wtw[:p, :p]
-            cross = (self.w[:, :p].T @ self.cols[:, part].reshape(d, n * r)).reshape(p, n, r)
-            g[:, :p, p:] = cross.transpose(1, 0, 2)   # W^T V_i
-            g[:, p:, :p] = cross.transpose(1, 2, 0)
-            g[:, p:, p:] = self.vtv[part]
-            block_eigs = _eigvalsh(g) - k
-            z = delta * block_eigs
-            flat = np.full((n, 1), -delta * k)
-            scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
-            eigs.append(block_eigs)
-        return _joined(scores, eigs)
-
-    def add(self, j, c) -> bool:
-        """Record a pick of member j, now picked c times; False once the next step may not use W."""
-        r = self.cols.shape[2]
-        start = self.start.get(j)
-        if start is None:   # a new distinct pick appends r columns
-            start = self.p
-            if start + 2 * r > self.limit:
-                return False
-            self.start[j] = start
-            self.p += r
-        cols = slice(start, start + r)
-        self.w[:, cols] = math.sqrt(c) * self.cols[:, j]
-        row = self.w[:, cols].T @ self.w[:, :self.p]
-        self.wtw[cols, :self.p] = row
-        self.wtw[:self.p, cols] = row.T
-        return True
+    mu, q = eig
+    _, d, r = factors.shape
+    cols = factors.transpose(1, 0, 2)   # (d, m, r): V_i is cols[:, i]
+    lam = np.maximum(mu[d - p:] + (k - 1), 0.0)
+    w = q[:, d - p:] * np.sqrt(lam)
+    weights = np.ones(2 * (p + r + 1))
+    weights[[p + r, -1]] = d - p - r   # of the eigenvalue -k, appended to each spectrum
+    scores, eigs = [], []
+    for part in _row_parts(idx, p + r):
+        n = len(part)
+        g = np.empty((n, p + r, p + r))
+        g[:, :p, :p] = np.diag(lam)
+        cross = (w.T @ cols[:, part].reshape(d, n * r)).reshape(p, n, r)
+        g[:, :p, p:] = cross.transpose(1, 0, 2)   # W^T V_i
+        g[:, p:, :p] = cross.transpose(1, 2, 0)
+        g[:, p:, p:] = vtv[part]
+        block_eigs = _eigvalsh(g) - k
+        z = delta * block_eigs
+        flat = np.full((n, 1), -delta * k)
+        scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
+        eigs.append(block_eigs)
+    return _joined(scores, eigs)
 
 
 def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
@@ -366,10 +341,11 @@ def _curvature(mu, delta, s, m_lo, m_hi) -> float:
     return 0.5 * delta * delta * (math.exp(delta * x - s) + math.exp(-delta * x - s))
 
 
-def _bounds(y, stack, delta, psi):
+def _bounds(eig, stack, delta, psi):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
-    Needs psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
+    Needs eig = (mu, Q) = _eigh(y) and
+    psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
     y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
     and lin_i = delta<F+ - F-, X_i>, both bounds are
     s + log(tr(F+ + F-) + lin_i + a second-order term), with the term
@@ -406,7 +382,7 @@ def _bounds(y, stack, delta, psi):
     center's CENTER_NORM_TOL (1e-9) never enters. Both stay far below
     PRUNE_RTOL = 1e-9 relative to each term.
     """
-    mu, q = _eigh(y)
+    mu, q = eig
     s = delta * max(float(mu[-1]), -float(mu[0]))
     e = np.exp(np.multiply.outer((delta, -delta), mu) - s)   # spectra of F+ and F-
     total = float(e.sum())
@@ -441,16 +417,16 @@ def _joined(scores, eigs):
     return np.concatenate(scores), np.concatenate(eigs)
 
 
-def _step(y, stack, delta, psi, score=None):
+def _step(y, eig, stack, delta, psi, score=None):
     """One greedy choice: (0-based index, its score, its eigenvalues, indices scored, margin).
 
-    score(idx) gives the exact scores of the members idx and their eigenvalues;
-    by default _scores, from their dense rows. run passes _Gram.scores while
-    p + r <= GRAM_SHARE * d. Those scores differ from the dense ones by rounding
-    only, far below the margin; the skip and both checks below use them as
-    they are. The eigenvalues returned are then those of the winner's Gram,
-    and run re-scores the winner from its dense row and holds the two scores
-    to within the returned margin.
+    eig = _eigh(y) feeds _bounds. score(idx) gives the exact scores of the members
+    idx and their eigenvalues; by default _scores, from their dense rows. run passes
+    _gram_scores, read off the same eig, while p + r <= GRAM_SHARE * d. Those
+    scores differ from the dense ones by rounding only, far below the margin;
+    the skip and both checks below use them as they are. The eigenvalues
+    returned are then those of the winner's Gram, and run re-scores the winner
+    from its dense row and holds the two scores to within the returned margin.
 
     The member with the least upper bound, first, is scored alone, before
     the others. Every other member is skipped when its lower bound exceeds
@@ -472,7 +448,7 @@ def _step(y, stack, delta, psi, score=None):
     if score is None:
         def score(idx):
             return _scores(y, stack, idx, delta)
-    lower, upper, margin = _bounds(y, stack, delta, psi)
+    lower, upper, margin = _bounds(eig, stack, delta, psi)
     first = int(np.argmin(upper))
     cap = float(upper[first]) + margin
     if not math.isfinite(cap):
@@ -519,7 +495,7 @@ def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, 
     y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, score, *_ = _step(y, stack, delta, _psi_weights(p, p))
+    best, score, *_ = _step(y, _eigh(y), stack, delta, _psi_weights(p, p))
     return best + 1, score
 
 
@@ -531,7 +507,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
     fresh summation every 64 steps. On the steps scored from the Gram (see
-    _Gram), the winner's Gram score must match its dense re-score within the
+    _gram_scores), the winner's Gram score must match its dense re-score within the
     step's margin, else PruningCertificateFailed; trace.gram_steps counts them.
     """
     if k_max is None:
@@ -550,21 +526,22 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         )
 
     m_bound = schedule.norm_bound
+    factors = inst.factors
+    if factors is not None:
+        r = factors.shape[2]
+        vtv = factors.swapaxes(1, 2) @ factors
     # X_i <= M, and -X_i <= 1 because A_i is PSD. A factor family is read
     # through its factors unless it is small enough to hold densely
-    if inst.factors is None or _fits_one_block(inst):
+    if factors is None or _fits_one_block(inst):
         stack = _stack(center(inst).xs, m_bound, 1.0)
     else:
-        stack = _factor_stack(inst, m_bound, 1.0)
+        stack = _factor_stack(inst, vtv, m_bound, 1.0)
 
-    gram = None   # see _Gram
-    if inst.factors is not None and inst.factors.shape[2] <= GRAM_SHARE * inst.d:
-        gram = _Gram(inst.factors)
-    gram_steps = 0
-
-    y = np.zeros((inst.d, inst.d))
+    d = inst.d
+    y = np.zeros((d, d))
     counts = np.zeros(inst.m)
-    prev_eigs = np.zeros(inst.d)
+    distinct = gram_steps = 0   # members picked so far, and steps scored from the Gram
+    prev_eigs = np.zeros(d)
     delta = log_phi = None
     indices: list[int] = []
     records: list[StepRecord] = []
@@ -578,10 +555,15 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
             psi_hi = psi_value(stack.m_hi, delta)
             psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
-        score = None if gram is None else functools.partial(gram.scores, k=k, delta=delta)
-        best, log_phi, prev_eigs, keep, margin = _step(y, stack, delta, psi, score)
+        eig = _eigh(y)
+        score = None
+        # p + r <= GRAM_SHARE * d with p = r * distinct, which never falls: once off, off for good
+        if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
+            score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
+                                      k=k, delta=delta)
+        best, log_phi, prev_eigs, keep, margin = _step(y, eig, stack, delta, psi, score)
         ((_, row),) = stack.rows(np.array([best]))
-        if gram is None:
+        if score is None:
             y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
         else:
             # the winner re-scored from its dense row, which becomes y + X_b = Y_k, so
@@ -604,9 +586,9 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             )
 
         indices.append(best + 1)
+        if not counts[best]:
+            distinct += 1
         counts[best] += 1
-        if gram is not None and not gram.add(best, counts[best]):
-            gram = None   # p never falls, so the Gram is never used again
         error = float(np.max(np.abs(prev_eigs))) / k
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):

@@ -151,6 +151,23 @@ def test_run_writes_to_stdout_with_dash(tmp_path, capsys):
     assert out.startswith("k,delta,error,bound,regime,log_potential,ratio")
 
 
+@pytest.mark.parametrize(
+    "args, summary",
+    [
+        (["run", "{path}", "--mode", "all-steps", "--k-max", "2"], "ok steps=2 "),
+        (["baseline", "{path}", "--k-max", "3", "--seed", "0", "--trials", "2"], "ok trials=2 "),
+    ],
+    ids=["run", "baseline"],
+)
+def test_dash_out_writes_only_csv_to_stdout(tmp_path, capsys, args, summary):
+    path = _write_canonical(tmp_path)
+    assert cli.main([a.format(path=path) for a in args] + ["--out", "-"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), rows
+    assert captured.err.startswith(summary)
+
+
 def test_run_maps_bound_violation_to_exit_2(tmp_path, capsys, monkeypatch):
     path = _write_canonical(tmp_path)
 
@@ -202,13 +219,13 @@ def _one_error_line(args, prefix, **run_kwargs):
 
 
 def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, capsys, monkeypatch):
-    exact = greedy._Gram.scores
+    exact = greedy._gram_scores
 
-    def shifted(self, idx, k, delta):
-        scores, eigs = exact(self, idx, k, delta)
+    def shifted(*args, **kwargs):
+        scores, eigs = exact(*args, **kwargs)
         return scores + 1e-6, eigs
 
-    monkeypatch.setattr(greedy._Gram, "scores", shifted)
+    monkeypatch.setattr(greedy, "_gram_scores", shifted)
     inst = ps.gen_bases(8, 2, 0)
     with pytest.raises(ps.PruningCertificateFailed,
                        match=r"step 1: member \d+: Gram score .* and dense score .* differ"):

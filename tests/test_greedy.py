@@ -11,7 +11,7 @@ from psdsparse import greedy, instance
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
-from conftest import dense_mats, raw_payload
+from conftest import dense_mats, raw_payload, rng_for
 
 
 # --- schedules --------------------------------------------------------------------
@@ -273,15 +273,17 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
     xs = ps.center(inst).xs
     stacks = [greedy._stack(xs, inst.norm_bound, m_lo)]
     if inst.factors is not None:
-        stacks.append(greedy._factor_stack(inst, inst.norm_bound, m_lo))
+        vtv = inst.factors.swapaxes(1, 2) @ inst.factors
+        stacks.append(greedy._factor_stack(inst, vtv, inst.norm_bound, m_lo))
     psi = greedy._psi_weights(ps.psi_value(inst.norm_bound, delta), ps.psi_value(m_lo, delta))
     full, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    eig = greedy._eigh(y)
     for stack in stacks:
-        lower, upper, margin = greedy._bounds(y, stack, delta, psi)
+        lower, upper, margin = greedy._bounds(eig, stack, delta, psi)
         assert np.all(lower - margin <= full)
         assert np.all(full <= upper + margin)
 
-        best, score, _, keep, _ = greedy._step(y, stack, delta, psi)
+        best, score, _, keep, _ = greedy._step(y, eig, stack, delta, psi)
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
         assert int(np.argmin(upper)) in keep
@@ -427,7 +429,8 @@ def test_pruning_is_sound_on_random_sums(kind, seed, k, step, lo_is_m):
 def test_non_finite_candidate_bound_raises(canonical):
     stack = greedy._stack(ps.center(canonical).xs, 2.0, 1.0)
     with pytest.raises(ps.NonFinite), np.errstate(invalid="ignore"):
-        greedy._step(np.zeros((2, 2)), stack, 0.5, greedy._psi_weights(math.inf, 0.1))
+        y = np.zeros((2, 2))
+        greedy._step(y, greedy._eigh(y), stack, 0.5, greedy._psi_weights(math.inf, 0.1))
 
 
 def test_failed_pruning_certificate_raises(monkeypatch, canonical):
@@ -479,7 +482,8 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _ = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                           greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -501,7 +505,8 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _ = greedy._step(y, stack, 1.0, greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                           greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -579,21 +584,36 @@ def test_run_matches_exact_greedy_bit_for_bit(label):
         assert [r.log_potential for r in trace.records] == current
 
 
+def _repeat_family():
+    """d = 8, rank one: sqrt(2) q_1 of weight 1/2 and sqrt(14) q_j of weight 1/14 for j = 2..8.
+
+    q is a seeded random orthogonal matrix. Greedy picks member 1 six times in its
+    first 11 steps, so the Gram scores members while one of them is picked repeatedly.
+    """
+    q, _ = np.linalg.qr(rng_for(0).standard_normal((8, 8)))
+    factors = (q * np.sqrt(np.concatenate(([2.0], np.full(7, 14.0))))).T[:, :, np.newaxis]
+    return ps.Instance(np.concatenate(([0.5], np.full(7, 1 / 14))), factors=factors)
+
+
 # factor families all of whose rows fit one block (dense operands in run) and one above
-# that cap (factor operands), each scored from the Gram for its first gram_steps steps
+# that cap (factor operands), each scored from the Gram for its first gram_steps steps,
+# whose picks hold gram_distinct distinct members
 @pytest.mark.parametrize(
-    "make, k_max, gram_steps",
+    "make, k_max, gram_steps, gram_distinct",
     [
-        pytest.param(lambda: ps.gen_bases(64, 4, 0), 128, 48, id="bases-d64-b4-factor-operands"),
+        pytest.param(lambda: ps.gen_bases(64, 4, 0), 128, 48, 48,
+                     id="bases-d64-b4-factor-operands"),
         pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), 300, 22,
-                     id="graph-n31-e120-dense-operands"),
+                     22, id="graph-n31-e120-dense-operands"),
+        pytest.param(_repeat_family, 64, 11, 6, id="repeat-d8-dense-operands"),
     ],
 )
-def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps):
+def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps, gram_distinct):
     inst = make()
     sched = ps.Schedule(inst.norm_bound, inst.d)
     trace = ps.run(inst, sched, k_max=k_max)
     assert 0 < trace.gram_steps == gram_steps < k_max
+    assert len(set(trace.indices[:gram_steps])) == gram_distinct
     indices, prev, current = _full_run(inst, sched, k_max)
     assert trace.indices == indices
     assert [r.prev_log_potential for r in trace.records] == prev
@@ -611,6 +631,31 @@ _GRAM_FAMILIES = {
 }
 
 
+def _check_gram_scores(kind, seed, picks, fixed_n):
+    """Gram scores within 1e-12 of the dense ones after picks; returns the top p of mu + k - 1."""
+    inst = _GRAM_FAMILIES[kind](seed)
+    xs = ps.center(inst).xs
+    r = inst.factors.shape[2]
+    y = np.zeros((inst.d, inst.d))
+    counts = np.zeros(inst.m)
+    for j in picks:
+        # stop where run would: a new distinct pick adds r to p, and p + r may not pass the share
+        if not counts[j] and r * (np.count_nonzero(counts) + 2) > greedy.GRAM_SHARE * inst.d:
+            break
+        counts[j] += 1
+        y = y + xs[j]
+    p = r * np.count_nonzero(counts)
+    assert p + r <= greedy.GRAM_SHARE * inst.d
+    k = int(counts.sum()) + 1
+    delta = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n).delta(k)
+    vtv = inst.factors.swapaxes(1, 2) @ inst.factors
+    eig = greedy._eigh(y)
+    scores, _ = greedy._gram_scores(eig, p, inst.factors, vtv, np.arange(inst.m), k, delta)
+    dense, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    assert np.max(np.abs(scores - dense)) <= 1e-12
+    return eig[0][inst.d - p:] + (k - 1)
+
+
 @given(
     st.sampled_from(sorted(_GRAM_FAMILIES)),
     st.integers(0, 2**16),
@@ -620,23 +665,13 @@ _GRAM_FAMILIES = {
 @settings(max_examples=80, deadline=None)
 def test_gram_scores_match_dense_scores(kind, seed, picks, fixed_n):
     # picks among the first 10 members, so that members are often picked again
-    inst = _GRAM_FAMILIES[kind](seed)
-    xs = ps.center(inst).xs
-    gram = greedy._Gram(inst.factors)
-    y = np.zeros((inst.d, inst.d))
-    counts = np.zeros(inst.m)
-    for j in picks:
-        counts[j] += 1
-        if not gram.add(j, counts[j]):
-            counts[j] -= 1
-            break
-        y = y + xs[j]
-    assert gram.p + inst.factors.shape[2] <= greedy.GRAM_SHARE * inst.d
-    k = int(counts.sum()) + 1
-    delta = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n).delta(k)
-    scores, _ = gram.scores(np.arange(inst.m), k, delta)
-    dense, _ = greedy._candidate_scores(y, xs.copy(), delta)
-    assert np.max(np.abs(scores - dense)) <= 1e-12
+    _check_gram_scores(kind, seed, picks, fixed_n)
+
+
+def test_gram_scores_clip_a_top_eigenvalue_that_rounds_below_zero():
+    # the five distinct edges picked close a cycle, so Y + (k - 1) Id has rank 4 < p = 5 and
+    # one of its top five eigenvalues rounds to -8.9e-16: the Gram must clip it at 0
+    assert _check_gram_scores("graph", 15, [1, 2, 7, 7, 0, 8], None).min() < 0
 
 
 @pytest.mark.parametrize(
