@@ -13,13 +13,14 @@ from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
 bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
 at the point x of the path's spectral range nearest 0, which needs only
 ||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. The member with
-the smallest upper bound is scored exactly first. Any other member whose
-lower bound exceeds the smaller of that upper bound and that exact score by
-more than the tie tolerance cannot win and is skipped; the rest are formed
-as candidates block by block and scored with a batched eigvalsh per block.
-The picks and recorded potentials are those of scoring every member, bit for
-bit. Every step checks that its smallest exact score meets the smallest
-upper bound and that no exact score falls below its member's lower bound.
+the smallest upper bound is scored exactly first, from its candidate alone. Any
+other member whose lower bound exceeds the smaller of that upper bound and
+that exact score by more than the tie tolerance cannot win and is skipped;
+the rest, if any, are formed as candidates block by block and scored with a
+batched eigvalsh per block. The picks and recorded potentials are those of
+scoring every member, bit for bit. Every step checks that its smallest exact
+score meets the smallest upper bound and that no exact score falls below its
+member's lower bound.
 
 The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
 two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
@@ -91,6 +92,12 @@ def _check_family_constants(norm_bound: float, d: int) -> float:
     return ml
 
 
+def _check_k(k) -> None:
+    """_check_counts(k=k), with a plain int k >= 1 passed without the kwargs loop."""
+    if type(k) is not int or k < 1:
+        _check_counts(k=k)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Step sizes delta_k for a run; fixed_n = None selects the decaying schedule.
@@ -110,17 +117,17 @@ class Schedule:
         if self.fixed_n is not None:
             _check_counts(fixed_n=self.fixed_n)
 
-    @property
+    @functools.cached_property
     def log_2d(self) -> float:
         return math.log(2 * self.dim)
 
-    @property
+    @functools.cached_property
     def fine_start(self) -> int:
         """First step of the decaying schedule's square-root phase."""
         return int(math.floor(self.norm_bound * self.log_2d)) + 1
 
     def delta(self, k: int) -> float:
-        _check_counts(k=k)
+        _check_k(k)
         m, l = self.norm_bound, self.log_2d
         if self.fixed_n is not None:
             return min(1.0 / m, math.sqrt(l / (m * self.fixed_n)))
@@ -141,13 +148,13 @@ class Schedule:
         return self.log_2d / (k * delta) + self.norm_bound * delta
 
     def regime(self, k: int) -> str:
-        _check_counts(k=k)
+        _check_k(k)
         return REGIME_COARSE if k <= self.norm_bound * self.log_2d else REGIME_FINE
 
 
 def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
-    _check_counts(k=k)
+    _check_k(k)
     ml = _check_family_constants(norm_bound, d)
     if k <= ml:
         return 2.0 * ml / k
@@ -341,6 +348,14 @@ def _curvature(mu, delta, s, m_lo, m_hi) -> float:
     return 0.5 * delta * delta * (math.exp(delta * x - s) + math.exp(-delta * x - s))
 
 
+@functools.lru_cache(maxsize=1)
+def _signs(delta: float) -> np.ndarray:
+    """The column (delta, -delta), built once per delta; read-only, as calls share it."""
+    signs = np.array(((delta,), (-delta,)))
+    signs.setflags(write=False)
+    return signs
+
+
 def _bounds(eig, stack, delta, psi):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
@@ -384,7 +399,7 @@ def _bounds(eig, stack, delta, psi):
     """
     mu, q = eig
     s = delta * max(float(mu[-1]), -float(mu[0]))
-    e = np.exp(np.multiply.outer((delta, -delta), mu) - s)   # spectra of F+ and F-
+    e = np.exp(_signs(delta) * mu - s)   # spectra of F+ and F-
     total = float(e.sum())
     lin, quad = stack.terms(q, psi @ e)
     lin *= delta
@@ -418,7 +433,7 @@ def _joined(scores, eigs):
 
 
 def _step(y, eig, stack, delta, psi, score=None):
-    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored, margin).
+    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored, margin, Y_k).
 
     eig = _eigh(y) feeds _bounds. score(idx) gives the exact scores of the members
     idx and their eigenvalues; by default _scores, from their dense rows. run passes
@@ -429,59 +444,71 @@ def _step(y, eig, stack, delta, psi, score=None):
     from its dense row and holds the two scores to within the returned margin.
 
     The member with the least upper bound, first, is scored alone, before
-    the others. Every other member is skipped when its lower bound exceeds
+    the others: by default from its candidate y + X_first, one fresh block.
+    Every other member is skipped when its lower bound exceeds
     tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least
     upper bound plus the margin and s_first is first's exact score. A skipped
     member's score is at least its lower bound less the margin, so it exceeds
     min(cap, s_first) + TIE_TOL, which is at least the minimum score plus
-    TIE_TOL: it is neither the minimum nor tied with it. The rest are formed
-    block by block and scored exactly; each row's score does not depend on
-    which rows share the batch, so the pick and its score equal those of
-    scoring every member. The scored members lie among those whose lower
-    bound is at most cap + TIE_TOL + margin, as first does whenever its
-    bounds hold.
+    TIE_TOL: it is neither the minimum nor tied with it. The rest, when there
+    are any, are formed block by block and scored exactly; each row's score
+    does not depend on which rows share the batch, so the pick and its score
+    equal those of scoring every member. The scored members lie among those
+    whose lower bound is at most cap + TIE_TOL + margin, as first does whenever
+    its bounds hold.
 
     Two checks run on every exact score, first's included: the smallest must
     not exceed cap, which is what makes the skip sound, and none may fall
-    below its member's lower bound by more than the margin.
+    below its member's lower bound by more than the margin. When first is
+    scored alone they are two scalar comparisons.
+
+    Y_k is first's candidate when first wins and was scored from its dense
+    row, else None. It is bitwise y + X_first, as addition commutes, so run
+    takes it as the next y without gathering the row again.
     """
-    if score is None:
-        def score(idx):
-            return _scores(y, stack, idx, delta)
     lower, upper, margin = _bounds(eig, stack, delta, psi)
-    first = int(np.argmin(upper))
+    first = int(upper.argmin())
     cap = float(upper[first]) + margin
     if not math.isfinite(cap):
         raise NonFinite(f"candidate upper bound is {cap!r}")
-    keep = np.flatnonzero(lower <= cap + TIE_TOL + margin)
-    if keep.size == 0:
+    near = np.count_nonzero(lower <= cap + TIE_TOL + margin)
+    if not near:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     scored = np.array([first])
-    scores, eigs = score(scored)
-    if keep.size > 1:   # a keep of one member is first, or a check below fails on first
-        tight = min(cap, float(scores[0])) + TIE_TOL + margin
-        rest = keep[(lower[keep] <= tight) & (keep != first)]
-        if rest.size:
+    if score is None:
+        ((_, candidate),) = stack.rows(scored)
+        scores, eigs = _candidate_scores(y, candidate, delta)
+    else:
+        candidate = None
+        scores, eigs = score(scored)
+    least = float(scores[0])
+    j = worst = at = 0   # with first alone: the pick, the worst excess and first's place
+    if near > 1:   # a lone member near the cap is first, or a check below fails on first
+        rest = lower <= min(cap, least) + TIE_TOL + margin   # tight <= near's bound: rest lies in near
+        rest[first] = False
+        if rest.any():
             # merged in ascending index order, so _pick below is _pick over all
             # members with the skipped ones at +inf
-            rest_scores, rest_eigs = score(rest)
+            rest = np.flatnonzero(rest)
+            rest_scores, rest_eigs = _scores(y, stack, rest, delta) if score is None else score(rest)
             at = int(np.searchsorted(rest, first))
             scored = np.insert(rest, at, first)
             scores = np.insert(rest_scores, at, scores[0])
             eigs = np.insert(rest_eigs, at, eigs[0], axis=0)
-    j = _pick(scores)
-    if scores.min() > cap:
+            j = _pick(scores)
+            least = float(scores.min())
+            worst = int(np.argmax(lower[scored] - scores))
+    if least > cap:
         raise PruningCertificateFailed(
-            f"smallest exact score {float(scores.min())!r} exceeds the smallest upper bound {cap!r}"
+            f"smallest exact score {least!r} exceeds the smallest upper bound {cap!r}"
         )
-    excess = lower[scored] - scores
-    if excess.max() > margin:
-        worst = int(np.argmax(excess))
+    if lower[scored[worst]] - scores[worst] > margin:
         raise PruningCertificateFailed(
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    return int(scored[j]), float(scores[j]), eigs[j], scored, margin
+    y_k = candidate[0] if candidate is not None and j == at else None
+    return int(scored[j]), float(scores[j]), eigs[j], scored, margin, y_k
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
@@ -506,7 +533,9 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps. On the steps scored from the Gram (see
+    fresh summation every 64 steps. When the member with the least upper bound
+    wins from its dense row, its candidate, formed to score it, becomes Y_k
+    (see _step). On the steps scored from the Gram (see
     _gram_scores), the winner's Gram score must match its dense re-score within the
     step's margin, else PruningCertificateFailed; trace.gram_steps counts them.
     """
@@ -561,11 +590,14 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
             score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
                                       k=k, delta=delta)
-        best, log_phi, prev_eigs, keep, margin = _step(y, eig, stack, delta, psi, score)
-        ((_, row),) = stack.rows(np.array([best]))
-        if score is None:
+        best, log_phi, prev_eigs, scored, margin, y_k = _step(y, eig, stack, delta, psi, score)
+        if y_k is not None:
+            y = y_k   # y + X_best, formed when it was scored
+        elif score is None:
+            ((_, row),) = stack.rows(np.array([best]))
             y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
         else:
+            ((_, row),) = stack.rows(np.array([best]))
             # the winner re-scored from its dense row, which becomes y + X_b = Y_k, so
             # every record and Y keep the bits of dense scoring
             gram_steps += 1
@@ -589,7 +621,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         if not counts[best]:
             distinct += 1
         counts[best] += 1
-        error = float(np.max(np.abs(prev_eigs))) / k
+        error = abs(float(max(prev_eigs[-1], -prev_eigs[0]))) / k   # max |eig|, as eigs ascend
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):
             raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
@@ -602,7 +634,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
                 error=error,
                 bound=cap,
                 regime=schedule.regime(k),
-                evaluated=keep.size,
+                evaluated=scored.size,
             )
         )
 

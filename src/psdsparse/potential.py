@@ -61,12 +61,12 @@ def logsumexp(a, b=None) -> np.ndarray | float:
     a = np.asarray(a, dtype=np.float64)
     if b is not None:
         a = np.where(np.asarray(b) > 0, a, -np.inf)
-    shift = np.max(a, axis=-1, keepdims=True)
+    shift = a.max(axis=-1, keepdims=True)   # np.max's reduction, without its wrapper
     terms = np.exp(a - shift)
     if b is not None:
         terms *= b
-    out = np.log(np.sum(terms, axis=-1)) + shift[..., 0]
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.log(terms.sum(axis=-1)) + shift[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.ndarray | float:

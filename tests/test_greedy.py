@@ -182,6 +182,16 @@ def test_select_next_strictly_prefers_cancellation(canonical):
     assert value == pytest.approx(math.log(4.0), rel=1e-14)
 
 
+def test_step_counts_accept_numpy_integers(canonical):
+    decaying, fixed = ps.Schedule(2.0, 2), ps.Schedule(2.0, 2, fixed_n=4)
+    for sched in (decaying, fixed):
+        assert sched.delta(np.int64(5)) == sched.delta(5)
+        assert sched.bound(np.int64(5)) == sched.bound(5)
+        assert sched.regime(np.int64(5)) == sched.regime(5)
+    assert ps.bound_all_steps(np.int64(5), 2.0, 2) == ps.bound_all_steps(5, 2.0, 2)
+    assert ps.run(canonical, decaying, k_max=np.int64(5)).indices == (1, 2, 1, 2, 1)
+
+
 def test_select_next_single_member_keeps_potential():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
     fam = ps.center(inst)
@@ -191,7 +201,8 @@ def test_select_next_single_member_keeps_potential():
     assert value == pytest.approx(ps.log_potential(y, 0.3), rel=1e-15)
 
 
-@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", math.nan], ids=["2.5", "2.0", "True", "str", "nan"])
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2", math.nan, 0, -1, np.int64(0)],
+                         ids=["2.5", "2.0", "True", "str", "nan", "0", "-1", "int64-0"])
 def test_step_counts_must_be_integers(canonical, count):
     with pytest.raises(ps.DomainError, match="integer"):
         ps.Schedule(2.0, 2, fixed_n=count)
@@ -201,7 +212,8 @@ def test_step_counts_must_be_integers(canonical, count):
         ps.sample_run(canonical, count, 0)
     decaying, fixed = ps.Schedule(2.0, 2), ps.Schedule(2.0, 2, fixed_n=4)
     for call in (decaying.delta, decaying.bound, decaying.regime, fixed.delta, fixed.bound,
-                 lambda k: ps.bound_all_steps(k, 2.0, 2), lambda k: ps.bound_fixed_n(k, 2.0, 2),
+                 fixed.regime, lambda k: ps.bound_all_steps(k, 2.0, 2),
+                 lambda k: ps.bound_fixed_n(k, 2.0, 2),
                  lambda trials: ps.run_suite("psi", trials, 0), lambda trials: ps.run_all(trials, 0)):
         with pytest.raises(ps.DomainError, match="integer"):
             call(count)
@@ -283,7 +295,7 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         assert np.all(lower - margin <= full)
         assert np.all(full <= upper + margin)
 
-        best, score, _, keep, _ = greedy._step(y, eig, stack, delta, psi)
+        best, score, _, keep, _, _ = greedy._step(y, eig, stack, delta, psi)
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
         assert int(np.argmin(upper)) in keep
@@ -445,6 +457,21 @@ def test_failed_pruning_certificate_raises(monkeypatch, canonical):
         ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
 
 
+def test_failed_cap_certificate_raises_on_a_lone_survivor(monkeypatch, canonical):
+    # upper bounds 1 too low, and every other member's lower bound above the cap: the
+    # member with the least upper bound is scored alone, and its score exceeds the cap
+    exact = greedy._bounds
+
+    def too_low(*args):
+        lower, upper, margin = exact(*args)
+        first = np.arange(upper.size) == np.argmin(upper)
+        return np.where(first, -np.inf, upper + 1.0), upper - 1.0, margin
+
+    monkeypatch.setattr(greedy, "_bounds", too_low)
+    with pytest.raises(ps.PruningCertificateFailed, match="smallest exact score"):
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+
+
 @pytest.mark.parametrize(
     "raise_lower, message",
     [
@@ -482,8 +509,8 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                           greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                              greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -505,8 +532,8 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                           greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, _, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                              greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -618,6 +645,46 @@ def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps
     assert trace.indices == indices
     assert [r.prev_log_potential for r in trace.records] == prev
     assert [r.log_potential for r in trace.records] == current
+
+
+@pytest.mark.parametrize("operands", ["dense-operands", "dense-A-family", "factor-operands"])
+def test_lone_survivor_steps_keep_records_and_running_sum_exact(monkeypatch, operands):
+    # on this family nearly every step scores only the member with the least upper
+    # bound: its candidate becomes Y_k and its spectrum gives the step's error
+    inst = ps.gen_random_psd(16, 32, 4, 1e6, 0)
+    if operands == "dense-A-family":
+        inst = ps.Instance(inst.weights, dense_mats(inst))
+    elif operands == "factor-operands":
+        monkeypatch.setattr(instance, "_CHUNK_ENTRIES", inst.m * inst.d * inst.d - 1)
+    xs = ps.center(inst).xs
+    # rows that each _step hands to _eigvalsh: the members it scored exactly
+    calls, inside = [], [False]
+    eigvalsh, step = greedy._eigvalsh, greedy._step
+
+    def counted_eigvalsh(a):
+        if inside[0]:
+            calls[-1].append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a)
+
+    def marked_step(*args):
+        calls.append([])
+        inside[0] = True
+        try:
+            return step(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(greedy, "_eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(greedy, "_step", marked_step)
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=300))
+    assert len(calls) == 300
+    assert sum(rows == [1] for rows in calls) >= 280   # lone-survivor steps: 291 of 300
+    y = np.zeros((inst.d, inst.d))
+    for k, (i, rec, rows) in enumerate(zip(trace.indices, trace.records, calls), start=1):
+        y = y + xs[i - 1]
+        assert rec.error == float(np.max(np.abs(eigvalsh(y)))) / k
+        assert rec.evaluated == sum(rows)
+    assert trace.running_sum.tobytes() == y.tobytes()
 
 
 _GRAM_FAMILIES = {

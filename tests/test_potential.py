@@ -189,6 +189,28 @@ def test_log_potential_batch_rows_equal_single_calls_bitwise():
                 assert batch[i] == ps.log_potential_from_eigenvalues(eigs[i], delta)
 
 
+@given(st.integers(1, 6), st.integers(1, 40), st.floats(1e-3, 900.0), st.integers(0, 2**32 - 1),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_logsumexp_rows_equal_single_row_calls_bitwise(rows, n, scale, seed, weighted):
+    rng = rng_for(seed)
+    a = rng.standard_normal((rows, n)) * scale
+    b = None
+    if weighted:
+        b = rng.random((rows, n))
+        b[rng.random((rows, n)) < 0.3] = 0.0
+        b[np.arange(rows), rng.integers(0, n, rows)] = rng.uniform(0.1, 1.0, rows)
+    stacked = logsumexp(a, b)
+    assert stacked.shape == (rows,)
+    for i in range(rows):
+        assert float(stacked[i]).hex() == logsumexp(a[i], None if b is None else b[i]).hex()
+    # the spectra of greedy: one spectrum scored alone against it inside a stacked call
+    delta = float(rng.uniform(1e-3, 3.0))
+    potentials = ps.log_potential_from_eigenvalues(a, delta)
+    for i in range(rows):
+        assert float(potentials[i]).hex() == ps.log_potential_from_eigenvalues(a[i], delta).hex()
+
+
 def test_weighted_logsumexp_matches_scipy():
     # the weighted form behind verify's one-step suite
     from scipy.special import logsumexp as scipy_logsumexp
