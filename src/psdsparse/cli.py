@@ -138,16 +138,16 @@ def _cmd_run(args) -> int:
         _require(args.n is not None, "run --mode fixed-n needs --n")
         _require(args.k_max is None, "run --mode fixed-n takes --n, not --k-max")
         schedule = Schedule(inst.norm_bound, inst.d, fixed_n=args.n)
-        trace = run(inst, schedule)
     else:
         _require(args.n is None, "run --mode all-steps takes --k-max, not --n")
         schedule = Schedule(inst.norm_bound, inst.d)
-        trace = run(inst, schedule, k_max=args.k_max)
 
+    # opened before the run, so that an unwritable path fails before any step is taken
     fh, owned = _open_out(args.out)
     try:
         writer = csv.writer(fh)
         writer.writerow(RUN_HEADER)
+        trace = run(inst, schedule, k_max=args.k_max)
         for r in trace.records:
             writer.writerow(
                 (r.k, _fmt(r.delta), _fmt(r.error), _fmt(r.bound), r.regime,

@@ -13,14 +13,23 @@ from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
 bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
 at the point x of the path's spectral range nearest 0, which needs only
 ||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. The member with
-the smallest upper bound is scored exactly first, from its candidate alone. Any
-other member whose lower bound exceeds the smaller of that upper bound and
-that exact score by more than the tie tolerance cannot win and is skipped;
-the rest, if any, are formed as candidates block by block and scored with a
-batched eigvalsh per block. The picks and recorded potentials are those of
-scoring every member, bit for bit. Every step checks that its smallest exact
+the smallest upper bound is scored exactly first, from the eigh of its candidate
+alone. Any other member whose lower bound exceeds the smaller of that upper
+bound and that exact score by more than the tie tolerance cannot win and is
+skipped; the rest, if any, are formed as candidates block by block and scored
+with a batched eigvalsh per block. Every step checks that its smallest exact
 score meets the smallest upper bound and that no exact score falls below its
 member's lower bound.
+
+Each step decomposes Y_k = Y + X_pick once, by eigh. When the first member wins
+from its candidate, that is the eigh that scored it; otherwise the winner's row
+is gathered again and decomposed. The step's error and log-potentials are read
+off that eigh, and the next step's bounds read it as their eigh of Y. The picks
+are those of scoring every member by eigvalsh: the first member's eigh score
+differs from its eigvalsh score by rounding only, so a pick could differ only
+where two scores lie TIE_TOL apart to within that rounding, which over the
+acceptance sweep they never do. The records differ from eigvalsh values by
+rounding only.
 
 The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
 two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
@@ -40,12 +49,12 @@ top p eigenpairs of the eigh of Y that the bounds take anyway, and
 eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k plus -k with multiplicity
 d - p - r. It is used while p + r <= GRAM_SHARE * d, and as distinct picks
 never fall, once off it stays off. The pruning certificates run on those
-scores unchanged. The winner alone is re-scored from its dense row,
-which is Y_k itself, so every record and Y keep the bits of dense scoring; its
-two scores must agree within the step's margin. Gram and dense scores differ
-by rounding only, so the picks could differ from dense scoring's only where
-two scores lie TIE_TOL apart to within that rounding; over the acceptance
-sweep they never do.
+scores unchanged. The winner's dense row gives Y_k, as on every step, so Y
+keeps the bits of dense scoring and the records come from the eigh of Y_k;
+the winner's Gram score must agree with that eigh's score within the step's
+margin. Gram and dense scores differ by rounding only, so the picks could
+differ from dense scoring's only where two scores lie TIE_TOL apart to within
+that rounding; over the acceptance sweep they never do.
 """
 
 from __future__ import annotations
@@ -193,7 +202,9 @@ class StepRecord:
     ``evaluated`` depends on the instance and the schedule, and at rounding
     level on whether the bounds came from dense rows or from factors (see
     _bounds); the members it leaves out were proven unable to win. The picks
-    and potentials do not depend on either.
+    and potentials do not depend on either. Both potentials and the error are
+    read off the eigh of Y_{k-1} and of Y_k, the one decomposition of each
+    that the run takes.
     """
 
     k: int
@@ -222,14 +233,13 @@ class GreedyTrace:
 
 
 def _candidate_scores(y, xs, delta):
-    """Log-potential of y + x for every row x of xs, plus the eigenvalues.
+    """Log-potential of y + x for every row x of xs.
 
     The candidates are formed in place: xs must be writable, and is left
     holding y + x.
     """
     xs += y
-    eigs = _eigvalsh(xs)
-    return log_potential_from_eigenvalues(eigs, delta), eigs
+    return log_potential_from_eigenvalues(_eigvalsh(xs), delta)
 
 
 def _pick(scores: np.ndarray) -> int:
@@ -297,7 +307,7 @@ def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
 
 
 def _gram_scores(eig, p, factors, vtv, idx, k, delta):
-    """log Phi_delta(y + X_i) for the members idx at step k, and eig(G_i) - k.
+    """log Phi_delta(y + X_i) for the members idx at step k.
 
     After k - 1 picks, y + (k - 1) Id is a sum of members A_j = V_j V_j^T, PSD of
     rank at most p = r times the number of distinct picks. With eig = (mu, Q) = _eigh(y),
@@ -316,7 +326,7 @@ def _gram_scores(eig, p, factors, vtv, idx, k, delta):
     w = q[:, d - p:] * np.sqrt(lam)
     weights = np.ones(2 * (p + r + 1))
     weights[[p + r, -1]] = d - p - r   # of the eigenvalue -k, appended to each spectrum
-    scores, eigs = [], []
+    scores = []
     for part in _row_parts(idx, p + r):
         n = len(part)
         g = np.empty((n, p + r, p + r))
@@ -325,12 +335,10 @@ def _gram_scores(eig, p, factors, vtv, idx, k, delta):
         g[:, :p, p:] = cross.transpose(1, 0, 2)   # W^T V_i
         g[:, p:, :p] = cross.transpose(1, 2, 0)
         g[:, p:, p:] = vtv[part]
-        block_eigs = _eigvalsh(g) - k
-        z = delta * block_eigs
+        z = delta * (_eigvalsh(g) - k)
         flat = np.full((n, 1), -delta * k)
         scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
-        eigs.append(block_eigs)
-    return _joined(scores, eigs)
+    return _joined(scores)
 
 
 def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
@@ -415,56 +423,56 @@ def _bounds(eig, stack, delta, psi):
 
 
 def _scores(y, stack, idx, delta):
-    """Exact scores of the members idx, and their eigenvalues, formed and scored block by block."""
-    scores, eigs = [], []
+    """Exact scores of the members idx, formed and scored block by block."""
+    scores = []
     for _, rows in stack.rows(idx):
-        block_scores, block_eigs = _candidate_scores(y, rows, delta)
-        scores.append(block_scores)
-        eigs.append(block_eigs)
+        scores.append(_candidate_scores(y, rows, delta))
         del rows   # freed before the next block is formed
-    return _joined(scores, eigs)
+    return _joined(scores)
 
 
-def _joined(scores, eigs):
-    """Per-block lists of scores and eigenvalues, each joined into one array."""
-    if len(scores) == 1:
-        return scores[0], eigs[0]
-    return np.concatenate(scores), np.concatenate(eigs)
+def _joined(scores):
+    """Per-block scores joined into one array."""
+    return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
 
 def _step(y, eig, stack, delta, psi, score=None):
-    """One greedy choice: (0-based index, its score, its eigenvalues, indices scored, margin, Y_k).
+    """One greedy step: (0-based pick, its score, log Phi_delta(Y_k), indices scored, margin,
+    Y_k, _eigh(Y_k)).
 
     eig = _eigh(y) feeds _bounds. score(idx) gives the exact scores of the members
-    idx and their eigenvalues; by default _scores, from their dense rows. run passes
+    idx; by default _scores, from their dense rows. run passes
     _gram_scores, read off the same eig, while p + r <= GRAM_SHARE * d. Those
     scores differ from the dense ones by rounding only, far below the margin;
-    the skip and both checks below use them as they are. The eigenvalues
-    returned are then those of the winner's Gram, and run re-scores the winner
-    from its dense row and holds the two scores to within the returned margin.
+    the skip and both checks below use them as they are, and run holds the
+    winner's Gram score to within the returned margin of log Phi_delta(Y_k).
 
     The member with the least upper bound, first, is scored alone, before
-    the others: by default from its candidate y + X_first, one fresh block.
-    Every other member is skipped when its lower bound exceeds
+    the others: by default from the eigh of its candidate y + X_first, one fresh
+    block. Every other member is skipped when its lower bound exceeds
     tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least
     upper bound plus the margin and s_first is first's exact score. A skipped
     member's score is at least its lower bound less the margin, so it exceeds
     min(cap, s_first) + TIE_TOL, which is at least the minimum score plus
     TIE_TOL: it is neither the minimum nor tied with it. The rest, when there
-    are any, are formed block by block and scored exactly; each row's score
-    does not depend on which rows share the batch, so the pick and its score
-    equal those of scoring every member. The scored members lie among those
-    whose lower bound is at most cap + TIE_TOL + margin, as first does whenever
-    its bounds hold.
+    are any, are formed block by block and scored exactly by a batched eigvalsh;
+    each row's score does not depend on which rows share the batch, so the pick
+    equals that of scoring every member with first at its eigh score. That score
+    differs from first's eigvalsh score by rounding only, so the pick could differ
+    from eigvalsh scoring of every member only where two scores lie TIE_TOL apart
+    to within that rounding. The scored members lie among those whose lower bound
+    is at most cap + TIE_TOL + margin, as first does whenever its bounds hold.
 
     Two checks run on every exact score, first's included: the smallest must
     not exceed cap, which is what makes the skip sound, and none may fall
     below its member's lower bound by more than the margin. When first is
     scored alone they are two scalar comparisons.
 
-    Y_k is first's candidate when first wins and was scored from its dense
-    row, else None. It is bitwise y + X_first, as addition commutes, so run
-    takes it as the next y without gathering the row again.
+    Y_k = y + X_pick is decomposed once, and log Phi_delta(Y_k) is read off that
+    eigh. When first wins from its dense row, its candidate, bitwise y + X_first as
+    addition commutes, is Y_k and its eigh is the one that scored it; otherwise the
+    winner's row is gathered once more and decomposed. run carries Y_k and its eigh
+    into the next step, whose bounds read that eigh.
     """
     lower, upper, margin = _bounds(eig, stack, delta, psi)
     first = int(upper.argmin())
@@ -475,12 +483,15 @@ def _step(y, eig, stack, delta, psi, score=None):
     if not near:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     scored = np.array([first])
+    eig_k = None
     if score is None:
         ((_, candidate),) = stack.rows(scored)
-        scores, eigs = _candidate_scores(y, candidate, delta)
+        y_k = candidate[0]
+        y_k += y
+        eig_k = _eigh(y_k)
+        scores = np.array([log_potential_from_eigenvalues(eig_k[0], delta)])
     else:
-        candidate = None
-        scores, eigs = score(scored)
+        scores = score(scored)
     least = float(scores[0])
     j = worst = at = 0   # with first alone: the pick, the worst excess and first's place
     if near > 1:   # a lone member near the cap is first, or a check below fails on first
@@ -490,11 +501,10 @@ def _step(y, eig, stack, delta, psi, score=None):
             # merged in ascending index order, so _pick below is _pick over all
             # members with the skipped ones at +inf
             rest = np.flatnonzero(rest)
-            rest_scores, rest_eigs = _scores(y, stack, rest, delta) if score is None else score(rest)
+            rest_scores = _scores(y, stack, rest, delta) if score is None else score(rest)
             at = int(np.searchsorted(rest, first))
             scored = np.insert(rest, at, first)
             scores = np.insert(rest_scores, at, scores[0])
-            eigs = np.insert(rest_eigs, at, eigs[0], axis=0)
             j = _pick(scores)
             least = float(scores.min())
             worst = int(np.argmax(lower[scored] - scores))
@@ -507,8 +517,16 @@ def _step(y, eig, stack, delta, psi, score=None):
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    y_k = candidate[0] if candidate is not None and j == at else None
-    return int(scored[j]), float(scores[j]), eigs[j], scored, margin, y_k
+    best_score = float(scores[j])
+    if eig_k is not None and j == at:
+        log_phi = best_score
+    else:
+        ((_, row),) = stack.rows(scored[j:j + 1])
+        y_k = row[0]
+        y_k += y   # exactly symmetric: Instance enforces it for every X_i
+        eig_k = _eigh(y_k)
+        log_phi = float(log_potential_from_eigenvalues(eig_k[0], delta))
+    return int(scored[j]), best_score, log_phi, scored, margin, y_k, eig_k
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
@@ -516,14 +534,15 @@ def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, 
 
     Y is a symmetric fam.d x fam.d matrix. fam must have ||X_i|| <= fam.m1,
     and delta * fam.m1 may not exceed 700. Ties (within 1e-12 in log scale)
-    resolve to the smallest index.
+    resolve to the smallest index. The value is read off the eigh of Y + X_i
+    for the chosen i (see _step).
     """
     _check_delta(delta)
     y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, score, *_ = _step(y, _eigh(y), stack, delta, _psi_weights(p, p))
-    return best + 1, score
+    best, _, log_phi, *_ = _step(y, _eigh(y), stack, delta, _psi_weights(p, p))
+    return best + 1, log_phi
 
 
 def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyTrace:
@@ -533,11 +552,12 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps. When the member with the least upper bound
-    wins from its dense row, its candidate, formed to score it, becomes Y_k
-    (see _step). On the steps scored from the Gram (see
-    _gram_scores), the winner's Gram score must match its dense re-score within the
-    step's margin, else PruningCertificateFailed; trace.gram_steps counts them.
+    fresh summation every 64 steps. Each step decomposes Y_k once, by eigh
+    (see _step): the step's records are read off it, and the next step's
+    bounds and Gram read it as their eigh of Y. On the steps scored from the
+    Gram (see _gram_scores), the winner's Gram score must match the score read
+    off that eigh within the step's margin, else PruningCertificateFailed;
+    trace.gram_steps counts them.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
@@ -568,9 +588,9 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
 
     d = inst.d
     y = np.zeros((d, d))
+    eig = _eigh(y)
     counts = np.zeros(inst.m)
     distinct = gram_steps = 0   # members picked so far, and steps scored from the Gram
-    prev_eigs = np.zeros(d)
     delta = log_phi = None
     indices: list[int] = []
     records: list[StepRecord] = []
@@ -578,38 +598,26 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     for k in range(1, k_max + 1):
         prev_delta, delta = delta, schedule.delta(k)
         if delta == prev_delta:
-            # the last step's chosen score is log Phi_delta(Y_{k-1}), from the same eigenvalues
+            # the last step's log Phi_delta(Y_{k-1}), read off the same eigh
             prev_log_phi = log_phi
         else:
-            prev_log_phi = float(log_potential_from_eigenvalues(prev_eigs, delta))
+            prev_log_phi = float(log_potential_from_eigenvalues(eig[0], delta))
             psi_hi = psi_value(stack.m_hi, delta)
             psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
-        eig = _eigh(y)
         score = None
         # p + r <= GRAM_SHARE * d with p = r * distinct, which never falls: once off, off for good
         if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
             score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
                                       k=k, delta=delta)
-        best, log_phi, prev_eigs, scored, margin, y_k = _step(y, eig, stack, delta, psi, score)
-        if y_k is not None:
-            y = y_k   # y + X_best, formed when it was scored
-        elif score is None:
-            ((_, row),) = stack.rows(np.array([best]))
-            y = y + row[0]   # exactly symmetric: Instance enforces it for every X_i
-        else:
-            ((_, row),) = stack.rows(np.array([best]))
-            # the winner re-scored from its dense row, which becomes y + X_b = Y_k, so
-            # every record and Y keep the bits of dense scoring
+        best, best_score, log_phi, scored, margin, y, eig = _step(y, eig, stack, delta, psi,
+                                                                  score)
+        if score is not None:
             gram_steps += 1
-            gram_phi = log_phi
-            (log_phi,), (prev_eigs,) = _candidate_scores(y, row, delta)
-            log_phi = float(log_phi)
-            if not abs(log_phi - gram_phi) <= margin:
+            if not abs(log_phi - best_score) <= margin:
                 raise PruningCertificateFailed(
-                    f"step {k}: member {best + 1}: Gram score {gram_phi!r} and dense score "
+                    f"step {k}: member {best + 1}: Gram score {best_score!r} and dense score "
                     f"{log_phi!r} differ by more than the margin {margin!r}"
                 )
-            y = row[0]
 
         step_cap = m_bound * psi_hi + prev_log_phi
         if log_phi > step_cap + STEP_TOL:
@@ -621,7 +629,8 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         if not counts[best]:
             distinct += 1
         counts[best] += 1
-        error = abs(float(max(prev_eigs[-1], -prev_eigs[0]))) / k   # max |eig|, as eigs ascend
+        mu = eig[0]
+        error = abs(float(max(mu[-1], -mu[0]))) / k   # max |eig|, as eigs ascend
         cap = schedule.bound(k)
         if error > cap * (1.0 + BOUND_RTOL):
             raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")

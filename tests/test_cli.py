@@ -143,6 +143,20 @@ def test_run_flag_conflicts(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: DomainError:") == 3
 
 
+def test_run_opens_its_output_before_running(tmp_path, capsys, monkeypatch):
+    # an unwritable --out fails before any step is taken, not after the whole run
+    def refuse(*args, **kwargs):
+        raise AssertionError("run was called before --out was opened")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    path = _write_canonical(tmp_path)
+    out = tmp_path / "absent" / "trace.csv"
+    assert cli.main(["run", str(path), "--mode", "all-steps", "--k-max", "20000",
+                     "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: IO:"), lines
+
+
 def test_run_writes_to_stdout_with_dash(tmp_path, capsys):
     path = _write_canonical(tmp_path)
     assert cli.main(["run", str(path), "--mode", "all-steps", "--k-max", "2",
@@ -222,8 +236,7 @@ def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, cap
     exact = greedy._gram_scores
 
     def shifted(*args, **kwargs):
-        scores, eigs = exact(*args, **kwargs)
-        return scores + 1e-6, eigs
+        return exact(*args, **kwargs) + 1e-6
 
     monkeypatch.setattr(greedy, "_gram_scores", shifted)
     inst = ps.gen_bases(8, 2, 0)

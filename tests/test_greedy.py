@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +281,9 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
 
     The member with the least upper bound is always scored, and every member scored
     has a lower bound within TIE_TOL plus twice the margin of the least upper bound.
+    The pick's score is its eigvalsh score, or the eigh score of its candidate when it
+    has the least upper bound; Y_k = Y + X_pick is returned with its eigh, and the
+    returned log Phi_delta(Y_k) is read off that eigh.
 
     Checked for the dense stack and, for a factor family, for the factor stack run uses,
     with the spectral bounds X_i <= M and -X_i <= m_lo (1 in run, M in select_next).
@@ -288,21 +294,27 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         vtv = inst.factors.swapaxes(1, 2) @ inst.factors
         stacks.append(greedy._factor_stack(inst, vtv, inst.norm_bound, m_lo))
     psi = greedy._psi_weights(ps.psi_value(inst.norm_bound, delta), ps.psi_value(m_lo, delta))
-    full, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    full = greedy._candidate_scores(y, xs.copy(), delta)
     eig = greedy._eigh(y)
     for stack in stacks:
         lower, upper, margin = greedy._bounds(eig, stack, delta, psi)
         assert np.all(lower - margin <= full)
         assert np.all(full <= upper + margin)
 
-        best, score, _, keep, _, _ = greedy._step(y, eig, stack, delta, psi)
+        best, score, log_phi, keep, _, y_k, eig_k = greedy._step(y, eig, stack, delta, psi)
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
-        assert int(np.argmin(upper)) in keep
+        first = int(np.argmin(upper))
+        assert first in keep
         within = np.flatnonzero(lower <= np.min(upper) + greedy.TIE_TOL + 2.0 * margin)
         assert set(keep.tolist()) <= set(within.tolist())
         assert best == greedy._pick(full)
-        assert score == full[best]
+        want = y + xs[best]
+        mu = greedy._eigh(want)[0]
+        assert y_k.tobytes() == want.tobytes()
+        assert eig_k[0].tobytes() == mu.tobytes()
+        assert log_phi == log_potential_from_eigenvalues(mu, delta)
+        assert score == (log_phi if best == first else full[best])
 
 
 @given(
@@ -501,7 +513,7 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
     # its lower bound lies above cap + margin but within TIE_TOL of it
     xs = np.array([[[0.5 + 1e-12]], [[0.5]]])
     y = np.zeros((1, 1))
-    scores, _ = greedy._candidate_scores(y, xs.copy(), 1.0)
+    scores = greedy._candidate_scores(y, xs.copy(), 1.0)
     lower = np.array([scores[0] + 1e-13, scores[1]])
     margin = lower[0] - scores[0]   # exactly, so the lower-bound check passes
     cap = float(scores.min()) + margin
@@ -509,8 +521,8 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                              greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, *_ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                            greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -523,7 +535,7 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
     # Member 3's lower bound lies under the cap but above member 2's score.
     xs = np.array([[[0.5 + 1e-12]], [[0.5]], [[0.9]]])
     y = np.zeros((1, 1))
-    scores, _ = greedy._candidate_scores(y, xs.copy(), 1.0)
+    scores = greedy._candidate_scores(y, xs.copy(), 1.0)
     upper = scores + np.array([1.0, 0.5, 1.0])
     lower = np.array([scores[0] + 1e-13, scores[1], scores[1] + 0.1])
     margin = lower[0] - scores[0]   # exactly, so the lower-bound check passes
@@ -532,8 +544,8 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, _, _ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                              greedy._psi_weights(0.1, 0.1))
+    best, score, _, keep, *_ = greedy._step(y, greedy._eigh(y), stack, 1.0,
+                                            greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -551,9 +563,10 @@ def test_select_next_is_exact_where_the_curvature_bound_is_void(step):
         g = rngy.standard_normal((4, 4))
         y = (g + g.T) / 2
         idx, value = ps.select_next(y, delta, fam)
-        full, _ = greedy._candidate_scores(y, xs.copy(), delta)
+        full = greedy._candidate_scores(y, xs.copy(), delta)
         assert idx == greedy._pick(full) + 1
-        assert value == full[idx - 1]
+        # the value is read off the eigh of Y + X_idx
+        assert value == log_potential_from_eigenvalues(greedy._eigh(y + xs[idx - 1])[0], delta)
 
 
 # 12 instances of the acceptance sweep, with its generator arguments
@@ -574,25 +587,24 @@ _REFERENCE_FAMILIES = {
 
 
 def _full_run(inst, sched, k_max):
-    """Exact greedy without pruning: every member scored at every step.
+    """Exact greedy without pruning: every member scored by eigvalsh at every step.
 
     Returns the 1-based picks and the recorded log-potentials before and after
-    each step, computed as run records them.
+    each step, computed as run records them: off the eigh of Y_{k-1} and of Y_k.
     """
     xs = ps.center(inst).xs
     y = np.zeros((inst.d, inst.d))
-    eigs = np.zeros(inst.d)
+    mu = greedy._eigh(y)[0]
     indices, prev, current = [], [], []
     for k in range(1, k_max + 1):
         delta = sched.delta(k)
-        prev.append(float(log_potential_from_eigenvalues(eigs, delta)))
+        prev.append(float(log_potential_from_eigenvalues(mu, delta)))
         all_eigs = greedy._eigvalsh(xs + y)   # the bits of _candidate_scores, with one copy fewer
-        scores = log_potential_from_eigenvalues(all_eigs, delta)
-        best = greedy._pick(scores)
+        best = greedy._pick(log_potential_from_eigenvalues(all_eigs, delta))
         indices.append(best + 1)
-        current.append(float(scores[best]))
-        eigs = all_eigs[best]
         y = greedy._symmetrize(y + xs[best])
+        mu = greedy._eigh(y)[0]
+        current.append(float(log_potential_from_eigenvalues(mu, delta)))
     return tuple(indices), prev, current
 
 
@@ -647,44 +659,115 @@ def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps
     assert [r.log_potential for r in trace.records] == current
 
 
+def _decompositions(monkeypatch):
+    """Per greedy step, the shapes handed to greedy's _eigh and _eigvalsh, run's own included.
+
+    Entry 0 lists the calls before the first step; entry k those from step k's _step
+    up to step k + 1's. Each entry is (eigh shapes, eigvalsh shapes).
+    """
+    steps = [([], [])]
+    eigh, eigvalsh, step = greedy._eigh, greedy._eigvalsh, greedy._step
+
+    def counted(decompose, at):
+        def call(a):
+            steps[-1][at].append(a.shape)
+            return decompose(a)
+        return call
+
+    def marked_step(*args):
+        steps.append(([], []))
+        return step(*args)
+
+    monkeypatch.setattr(greedy, "_eigh", counted(eigh, 0))
+    monkeypatch.setattr(greedy, "_eigvalsh", counted(eigvalsh, 1))
+    monkeypatch.setattr(greedy, "_step", marked_step)
+    return steps
+
+
 @pytest.mark.parametrize("operands", ["dense-operands", "dense-A-family", "factor-operands"])
 def test_lone_survivor_steps_keep_records_and_running_sum_exact(monkeypatch, operands):
     # on this family nearly every step scores only the member with the least upper
-    # bound: its candidate becomes Y_k and its spectrum gives the step's error
+    # bound, from the eigh of its candidate: the candidate becomes Y_k and that eigh
+    # gives the step's error
     inst = ps.gen_random_psd(16, 32, 4, 1e6, 0)
     if operands == "dense-A-family":
         inst = ps.Instance(inst.weights, dense_mats(inst))
     elif operands == "factor-operands":
         monkeypatch.setattr(instance, "_CHUNK_ENTRIES", inst.m * inst.d * inst.d - 1)
     xs = ps.center(inst).xs
-    # rows that each _step hands to _eigvalsh: the members it scored exactly
-    calls, inside = [], [False]
-    eigvalsh, step = greedy._eigvalsh, greedy._step
-
-    def counted_eigvalsh(a):
-        if inside[0]:
-            calls[-1].append(len(a) if a.ndim == 3 else 1)
-        return eigvalsh(a)
-
-    def marked_step(*args):
-        calls.append([])
-        inside[0] = True
-        try:
-            return step(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(greedy, "_eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(greedy, "_step", marked_step)
+    eigh = greedy._eigh
+    steps = _decompositions(monkeypatch)
     trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=300))
-    assert len(calls) == 300
-    assert sum(rows == [1] for rows in calls) >= 280   # lone-survivor steps: 291 of 300
+    assert len(steps) == 301
+    lone = [eighs == [(16, 16)] and not eigvalshs for eighs, eigvalshs in steps[1:]]
+    assert sum(lone) >= 280   # lone-survivor steps: 291 of 300
     y = np.zeros((inst.d, inst.d))
-    for k, (i, rec, rows) in enumerate(zip(trace.indices, trace.records, calls), start=1):
+    for k, (i, rec, (_, eigvalshs)) in enumerate(zip(trace.indices, trace.records, steps[1:]),
+                                                  start=1):
         y = y + xs[i - 1]
-        assert rec.error == float(np.max(np.abs(eigvalsh(y)))) / k
-        assert rec.evaluated == sum(rows)
+        assert rec.error == float(np.max(np.abs(eigh(y)[0]))) / k
+        # the members scored exactly: rows handed to _eigvalsh, plus the candidate whose
+        # eigh scores the member with the least upper bound on a step scored densely
+        rows = sum(shape[0] if len(shape) == 3 else 1 for shape in eigvalshs)
+        assert rec.evaluated == rows + (k > trace.gram_steps)
     assert trace.running_sum.tobytes() == y.tobytes()
+
+
+# psd16 at the fixedn-psd16 benchmark's N, where nearly every step scores one member
+# densely, and bases64 at the decay-bases64 benchmark's k, where every step is a Gram step
+@pytest.mark.parametrize(
+    "make, fixed_n, k_max, gram_steps, lone_steps",
+    [
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547, 2547, 3, 2500,
+                     id="psd-d16"),
+        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, 48, 0, id="bases-d64-b4"),
+    ],
+)
+def test_each_step_decomposes_y_k_once(monkeypatch, make, fixed_n, k_max, gram_steps,
+                                       lone_steps):
+    inst = make()
+    d, r = inst.d, inst.factors.shape[2]
+    steps = _decompositions(monkeypatch)
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, d, fixed_n=fixed_n), k_max=k_max)
+    assert steps[0] == ([(d, d)], [])   # Y_0 = 0, before the first step
+    assert len(steps) == k_max + 1
+    lone = 0
+    for k, (rec, (eighs, eigvalshs)) in enumerate(zip(trace.records, steps[1:]), start=1):
+        if k <= trace.gram_steps:
+            # one d x d eigh, of Y_k; every member scored from its (p + r)-sized Gram
+            p = r * len(set(trace.indices[:k - 1]))
+            assert eighs == [(d, d)]
+            assert eigvalshs and all(len(s) == 3 and s[1:] == (p + r, p + r) for s in eigvalshs)
+        elif rec.evaluated == 1:
+            # the lone member's eigh scores it and is the eigh of Y_k
+            assert (eighs, eigvalshs) == ([(d, d)], [])
+            lone += 1
+    assert lone >= lone_steps
+    assert trace.gram_steps == gram_steps
+
+
+_REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json")
+                        .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "workload, make, fixed_n, k_max, gram_steps",
+    [
+        ("fixedn-psd16", lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0),
+         ps.required_n(0.35, 10.0, 16), None, 3),
+        ("decay-bases64", lambda: ps.gen_bases(64, 4, 0), None, 48, 48),
+    ],
+)
+def test_run_keeps_the_benchmark_reference_picks(workload, make, fixed_n, k_max, gram_steps):
+    # the picks and final error bench/run.py checks for seed 0, from its reference file
+    ref = _REFERENCE["full"][workload]
+    assert _REFERENCE["seed"] == 0
+    inst = make()
+    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+    digest = hashlib.sha256(",".join(str(i) for i in trace.indices).encode()).hexdigest()
+    assert digest == ref["indices_sha256"]
+    assert trace.gram_steps == gram_steps
+    assert math.isclose(trace.records[-1].error, ref["final_error"], rel_tol=1e-9)
 
 
 _GRAM_FAMILIES = {
@@ -717,8 +800,8 @@ def _check_gram_scores(kind, seed, picks, fixed_n):
     delta = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n).delta(k)
     vtv = inst.factors.swapaxes(1, 2) @ inst.factors
     eig = greedy._eigh(y)
-    scores, _ = greedy._gram_scores(eig, p, inst.factors, vtv, np.arange(inst.m), k, delta)
-    dense, _ = greedy._candidate_scores(y, xs.copy(), delta)
+    scores = greedy._gram_scores(eig, p, inst.factors, vtv, np.arange(inst.m), k, delta)
+    dense = greedy._candidate_scores(y, xs.copy(), delta)
     assert np.max(np.abs(scores - dense)) <= 1e-12
     return eig[0][inst.d - p:] + (k - 1)
 
