@@ -23,8 +23,12 @@ member's lower bound.
 
 Each step decomposes Y_k = Y + X_pick once, by eigh. When the first member wins
 from its candidate, that is the eigh that scored it; otherwise the winner's row
-is gathered again and decomposed. The step's error and log-potentials are read
-off that eigh, and the next step's bounds read it as their eigh of Y. The picks
+is gathered again and decomposed. Its eigenvalues are exponentiated once per
+delta (see _spectrum): at delta_k, which gives log Phi_delta_k(Y_k) and the
+step's error, and the next step's bounds read that eigh and, while delta holds,
+those exponentials; where delta changes, run exponentiates them once more, for
+the next step's bounds and prev_log_potential alike. So log-sum-exp over a d x d
+spectrum runs only for members scored in a batch. The picks
 are those of scoring every member by eigvalsh: the first member's eigh score
 differs from its eigvalsh score by rounding only, so a pick could differ only
 where two scores lie TIE_TOL apart to within that rounding, which over the
@@ -75,7 +79,7 @@ from .errors import (
     PruningCertificateFailed,
 )
 from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _check_counts,
-                       _fits_one_block, _is_int, _row_parts, center)
+                       _fits_one_block, _is_int, _minus_identity, _products, _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, logsumexp, psi_value
 from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 
@@ -137,12 +141,7 @@ class Schedule:
 
     def delta(self, k: int) -> float:
         _check_k(k)
-        m, l = self.norm_bound, self.log_2d
-        if self.fixed_n is not None:
-            return min(1.0 / m, math.sqrt(l / (m * self.fixed_n)))
-        if k < self.fine_start:
-            return 1.0 / m
-        return math.sqrt(l / (m * k))
+        return self._delta(k)
 
     def bound(self, k: int) -> float:
         """Guaranteed cap on the prefix error after k steps of this schedule.
@@ -151,23 +150,44 @@ class Schedule:
         schedule: L/(k*delta) + M*delta, the potential-argument bound that
         holds for every prefix and collapses to the closed form at k = N.
         """
-        if self.fixed_n is None:
-            return bound_all_steps(k, self.norm_bound, self.dim)
-        delta = self.delta(k)
-        return self.log_2d / (k * delta) + self.norm_bound * delta
+        _check_k(k)
+        return self._bound(k, self._delta(k))
 
     def regime(self, k: int) -> str:
         _check_k(k)
         return REGIME_COARSE if k <= self.norm_bound * self.log_2d else REGIME_FINE
 
+    def steps(self, k_max: int) -> list[tuple[float, float, str]]:
+        """(delta(k), bound(k), regime(k)) for k = 1..k_max, with delta_k worked out once."""
+        _check_k(k_max)
+        steps = []
+        for k in range(1, k_max + 1):
+            delta = self._delta(k)
+            steps.append((delta, self._bound(k, delta), self.regime(k)))
+        return steps
+
+    def _delta(self, k: int) -> float:
+        m, l = self.norm_bound, self.log_2d
+        if self.fixed_n is not None:
+            return min(1.0 / m, math.sqrt(l / (m * self.fixed_n)))
+        if k < self.fine_start:
+            return 1.0 / m
+        return math.sqrt(l / (m * k))
+
+    def _bound(self, k: int, delta: float) -> float:
+        if self.fixed_n is None:
+            return _all_steps_bound(k, self.norm_bound * self.log_2d)
+        return self.log_2d / (k * delta) + self.norm_bound * delta
+
 
 def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
     _check_k(k)
-    ml = _check_family_constants(norm_bound, d)
-    if k <= ml:
-        return 2.0 * ml / k
-    return 3.0 * math.sqrt(ml / k)
+    return _all_steps_bound(k, _check_family_constants(norm_bound, d))
+
+
+def _all_steps_bound(k: int, ml: float) -> float:
+    return 2.0 * ml / k if k <= ml else 3.0 * math.sqrt(ml / k)
 
 
 def bound_fixed_n(n: int, norm_bound: float, d: int) -> float:
@@ -204,7 +224,7 @@ class StepRecord:
     _bounds); the members it leaves out were proven unable to win. The picks
     and potentials do not depend on either. Both potentials and the error are
     read off the eigh of Y_{k-1} and of Y_k, the one decomposition of each
-    that the run takes.
+    that the run takes, through the one exponential of each spectrum at delta_k.
     """
 
     k: int
@@ -252,11 +272,13 @@ class _Stack(NamedTuple):
 
     terms(q, w) gives <F0, X_i> and <F1, X_i^2> for every member, where
     Fj = Q diag(w[j]) Q^T; rows(idx) yields (part, X_i for i in part) as fresh
-    writable blocks over consecutive parts of idx.
+    writable blocks over consecutive parts of idx; row(i) gives X_i alone, not
+    to be written to.
     """
 
     terms: Callable
     rows: Callable
+    row: Callable
     norms: np.ndarray     # ||X_i||_F^2 = tr X_i^2
     m_hi: float
     m_lo: float
@@ -275,7 +297,7 @@ def _stack(xs, m_hi, m_lo) -> _Stack:
     def rows(idx):
         return ((part, xs[part]) for part in _row_parts(idx, d))
 
-    return _Stack(terms, rows, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
+    return _Stack(terms, rows, xs.__getitem__, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
 
 
 def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
@@ -303,7 +325,10 @@ def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
                      for a in (w[0] @ plain, w[1] @ shifted))
         return lin - np.add.reduce(w[0]), quad + np.add.reduce(w[1])
 
-    return _Stack(terms, functools.partial(_centered_rows, inst), norms, m_hi, m_lo)
+    def row(i):
+        return _minus_identity(_products(v[i:i + 1]))[0]
+
+    return _Stack(terms, functools.partial(_centered_rows, inst), row, norms, m_hi, m_lo)
 
 
 def _gram_scores(eig, p, factors, vtv, idx, k, delta):
@@ -364,10 +389,35 @@ def _signs(delta: float) -> np.ndarray:
     return signs
 
 
-def _bounds(eig, stack, delta, psi):
+class _Spectrum(NamedTuple):
+    """The exponentials of a spectrum mu at delta, and the log potential they give.
+
+    norm = max|mu|; s = delta*norm; e holds e^{delta mu - s} and e^{-delta mu - s}
+    as its two rows; total is their sum, and log_phi = log(total) + s is
+    log Phi_delta. These are the bits of log_potential_from_eigenvalues(mu, delta):
+    the same shift, the same exponentials in the same order, the same sum and np.log.
+    """
+
+    norm: float
+    s: float
+    e: np.ndarray
+    total: float
+    log_phi: float
+
+
+def _spectrum(mu, delta) -> _Spectrum:
+    """_Spectrum of the ascending eigenvalues mu at delta."""
+    norm = max(float(mu[-1]), -float(mu[0]))
+    s = delta * norm
+    e = np.exp(_signs(delta) * mu - s)
+    total = float(e.sum())
+    return _Spectrum(norm, s, e, total, float(np.log(total) + s))
+
+
+def _bounds(eig, spec, stack, delta, psi):
     """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
 
-    Needs eig = (mu, Q) = _eigh(y) and
+    Needs eig = (mu, Q) = _eigh(y), spec = _spectrum(mu, delta) and
     psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
     y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
     and lin_i = delta<F+ - F-, X_i>, both bounds are
@@ -376,7 +426,8 @@ def _bounds(eig, stack, delta, psi):
     - c ||X_i||_F^2 for the lower bound, by the curvature of Phi (below);
     - <psi_hi F+ + psi_lo F-, X_i^2> for the upper bound, by Golden-Thompson.
 
-    The shift by s keeps every exponential in (0, 1]. The stack supplies the
+    The shift by s keeps every exponential in (0, 1]; s, the exponentials and
+    tr(F+ + F-) come from spec, which also gave log Phi_delta(y). The stack supplies the
     two inner products: from X_i and X_i^2 for a dense family, from the
     factors for a factor family (see _factor_stack).
 
@@ -406,9 +457,7 @@ def _bounds(eig, stack, delta, psi):
     PRUNE_RTOL = 1e-9 relative to each term.
     """
     mu, q = eig
-    s = delta * max(float(mu[-1]), -float(mu[0]))
-    e = np.exp(_signs(delta) * mu - s)   # spectra of F+ and F-
-    total = float(e.sum())
+    _, s, e, total, _ = spec   # e: the spectra of F+ and F-
     lin, quad = stack.terms(q, psi @ e)
     lin *= delta
     margin = PRUNE_RTOL * (1.0 + abs(s + math.log(total)))
@@ -436,13 +485,14 @@ def _joined(scores):
     return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
 
-def _step(y, eig, stack, delta, psi, score=None):
-    """One greedy step: (0-based pick, its score, log Phi_delta(Y_k), indices scored, margin,
-    Y_k, _eigh(Y_k)).
+def _step(y, eig, spec, stack, delta, psi, score=None):
+    """One greedy step: (0-based pick, its score, indices scored, margin, Y_k, _eigh(Y_k),
+    _spectrum of Y_k at delta).
 
-    eig = _eigh(y) feeds _bounds. score(idx) gives the exact scores of the members
-    idx; by default _scores, from their dense rows. run passes
-    _gram_scores, read off the same eig, while p + r <= GRAM_SHARE * d. Those
+    eig = _eigh(y) and spec = _spectrum(eig[0], delta) feed _bounds. score(idx)
+    gives the exact scores of the members idx; by default _scores, from their
+    dense rows. run passes _gram_scores, read off the same eig, while
+    p + r <= GRAM_SHARE * d. Those
     scores differ from the dense ones by rounding only, far below the margin;
     the skip and both checks below use them as they are, and run holds the
     winner's Gram score to within the returned margin of log Phi_delta(Y_k).
@@ -468,13 +518,14 @@ def _step(y, eig, stack, delta, psi, score=None):
     below its member's lower bound by more than the margin. When first is
     scored alone they are two scalar comparisons.
 
-    Y_k = y + X_pick is decomposed once, and log Phi_delta(Y_k) is read off that
-    eigh. When first wins from its dense row, its candidate, bitwise y + X_first as
-    addition commutes, is Y_k and its eigh is the one that scored it; otherwise the
-    winner's row is gathered once more and decomposed. run carries Y_k and its eigh
-    into the next step, whose bounds read that eigh.
+    Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once,
+    by _spectrum: log Phi_delta(Y_k) is that spectrum's log_phi. When first is
+    scored from its dense row, its candidate y + X_first is Y_k if first wins, and
+    its score is that log_phi; otherwise the winner's row is gathered once more and
+    decomposed. run carries Y_k, its eigh and its spectrum into the next step, whose
+    bounds read them while delta holds.
     """
-    lower, upper, margin = _bounds(eig, stack, delta, psi)
+    lower, upper, margin = _bounds(eig, spec, stack, delta, psi)
     first = int(upper.argmin())
     cap = float(upper[first]) + margin
     if not math.isfinite(cap):
@@ -485,11 +536,10 @@ def _step(y, eig, stack, delta, psi, score=None):
     scored = np.array([first])
     eig_k = None
     if score is None:
-        ((_, candidate),) = stack.rows(scored)
-        y_k = candidate[0]
-        y_k += y
+        y_k = stack.row(first) + y
         eig_k = _eigh(y_k)
-        scores = np.array([log_potential_from_eigenvalues(eig_k[0], delta)])
+        spec_k = _spectrum(eig_k[0], delta)
+        scores = np.array([spec_k.log_phi])
     else:
         scores = score(scored)
     least = float(scores[0])
@@ -517,16 +567,11 @@ def _step(y, eig, stack, delta, psi, score=None):
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    best_score = float(scores[j])
-    if eig_k is not None and j == at:
-        log_phi = best_score
-    else:
-        ((_, row),) = stack.rows(scored[j:j + 1])
-        y_k = row[0]
-        y_k += y   # exactly symmetric: Instance enforces it for every X_i
+    if eig_k is None or j != at:
+        y_k = stack.row(int(scored[j])) + y   # exactly symmetric, as Instance makes every X_i
         eig_k = _eigh(y_k)
-        log_phi = float(log_potential_from_eigenvalues(eig_k[0], delta))
-    return int(scored[j]), best_score, log_phi, scored, margin, y_k, eig_k
+        spec_k = _spectrum(eig_k[0], delta)
+    return int(scored[j]), float(scores[j]), scored, margin, y_k, eig_k, spec_k
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
@@ -541,8 +586,9 @@ def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, 
     y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
     p = psi_value(fam.m1, delta)
-    best, _, log_phi, *_ = _step(y, _eigh(y), stack, delta, _psi_weights(p, p))
-    return best + 1, log_phi
+    eig = _eigh(y)
+    best, *_, spec = _step(y, eig, _spectrum(eig[0], delta), stack, delta, _psi_weights(p, p))
+    return best + 1, spec.log_phi
 
 
 def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyTrace:
@@ -552,12 +598,16 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     log Phi(Y_k) <= M * psi_M(delta_k) + log Phi(Y_{k-1}) and the prefix
     error bound; violations raise, since the guarantees are unconditional
     and a failure means a bug. The running sum is re-verified against a
-    fresh summation every 64 steps. Each step decomposes Y_k once, by eigh
-    (see _step): the step's records are read off it, and the next step's
-    bounds and Gram read it as their eigh of Y. On the steps scored from the
-    Gram (see _gram_scores), the winner's Gram score must match the score read
-    off that eigh within the step's margin, else PruningCertificateFailed;
-    trace.gram_steps counts them.
+    fresh summation every 64 steps. Each step decomposes Y_k once, by eigh,
+    and exponentiates its spectrum once at delta_k (see _step): the step's
+    log Phi(Y_k) and error are read off that _spectrum, and the next step's
+    bounds and Gram read the eigh as their eigh of Y. The next step's bounds and
+    its prev_log_potential share one spectrum of Y_{k-1}: the last step's while
+    delta holds, else one more exponential at the new delta. delta_k, the bound
+    and the regime come from schedule.steps, once per run. On the steps scored
+    from the Gram (see _gram_scores), the winner's Gram score must match the
+    score read off that eigh within the step's margin, else
+    PruningCertificateFailed; trace.gram_steps counts them.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
@@ -591,26 +641,26 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     eig = _eigh(y)
     counts = np.zeros(inst.m)
     distinct = gram_steps = 0   # members picked so far, and steps scored from the Gram
-    delta = log_phi = None
+    delta = None
     indices: list[int] = []
     records: list[StepRecord] = []
 
-    for k in range(1, k_max + 1):
-        prev_delta, delta = delta, schedule.delta(k)
-        if delta == prev_delta:
-            # the last step's log Phi_delta(Y_{k-1}), read off the same eigh
-            prev_log_phi = log_phi
-        else:
-            prev_log_phi = float(log_potential_from_eigenvalues(eig[0], delta))
+    for k, (step_delta, cap, regime) in enumerate(schedule.steps(k_max), start=1):
+        if step_delta != delta:
+            # else the last step's spectrum of Y_{k-1} is at this delta already
+            delta = step_delta
+            spec = _spectrum(eig[0], delta)
             psi_hi = psi_value(stack.m_hi, delta)
             psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
+        prev_log_phi = spec.log_phi
         score = None
         # p + r <= GRAM_SHARE * d with p = r * distinct, which never falls: once off, off for good
         if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
             score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
                                       k=k, delta=delta)
-        best, best_score, log_phi, scored, margin, y, eig = _step(y, eig, stack, delta, psi,
-                                                                  score)
+        best, best_score, scored, margin, y, eig, spec = _step(y, eig, spec, stack, delta, psi,
+                                                               score)
+        log_phi = spec.log_phi
         if score is not None:
             gram_steps += 1
             if not abs(log_phi - best_score) <= margin:
@@ -629,9 +679,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         if not counts[best]:
             distinct += 1
         counts[best] += 1
-        mu = eig[0]
-        error = abs(float(max(mu[-1], -mu[0]))) / k   # max |eig|, as eigs ascend
-        cap = schedule.bound(k)
+        error = abs(spec.norm) / k   # ||Y_k|| / k
         if error > cap * (1.0 + BOUND_RTOL):
             raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
         records.append(
@@ -642,7 +690,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
                 log_potential=log_phi,
                 error=error,
                 bound=cap,
-                regime=schedule.regime(k),
+                regime=regime,
                 evaluated=scored.size,
             )
         )

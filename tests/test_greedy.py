@@ -296,12 +296,14 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
     psi = greedy._psi_weights(ps.psi_value(inst.norm_bound, delta), ps.psi_value(m_lo, delta))
     full = greedy._candidate_scores(y, xs.copy(), delta)
     eig = greedy._eigh(y)
+    spec = greedy._spectrum(eig[0], delta)
     for stack in stacks:
-        lower, upper, margin = greedy._bounds(eig, stack, delta, psi)
+        lower, upper, margin = greedy._bounds(eig, spec, stack, delta, psi)
         assert np.all(lower - margin <= full)
         assert np.all(full <= upper + margin)
 
-        best, score, log_phi, keep, _, y_k, eig_k = greedy._step(y, eig, stack, delta, psi)
+        best, score, keep, _, y_k, eig_k, spec_k = greedy._step(y, eig, spec, stack, delta, psi)
+        log_phi = spec_k.log_phi
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
         first = int(np.argmin(upper))
@@ -454,7 +456,9 @@ def test_non_finite_candidate_bound_raises(canonical):
     stack = greedy._stack(ps.center(canonical).xs, 2.0, 1.0)
     with pytest.raises(ps.NonFinite), np.errstate(invalid="ignore"):
         y = np.zeros((2, 2))
-        greedy._step(y, greedy._eigh(y), stack, 0.5, greedy._psi_weights(math.inf, 0.1))
+        eig = greedy._eigh(y)
+        greedy._step(y, eig, greedy._spectrum(eig[0], 0.5), stack, 0.5,
+                     greedy._psi_weights(math.inf, 0.1))
 
 
 def test_failed_pruning_certificate_raises(monkeypatch, canonical):
@@ -521,8 +525,9 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, scores.copy(), margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, *_ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                            greedy._psi_weights(0.1, 0.1))
+    eig = greedy._eigh(y)
+    best, score, keep, *_ = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0,
+                                         greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -544,8 +549,9 @@ def test_ties_with_the_least_upper_bound_member_are_scored(monkeypatch):
 
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, upper, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
-    best, score, _, keep, *_ = greedy._step(y, greedy._eigh(y), stack, 1.0,
-                                            greedy._psi_weights(0.1, 0.1))
+    eig = greedy._eigh(y)
+    best, score, keep, *_ = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0,
+                                         greedy._psi_weights(0.1, 0.1))
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
     assert score == scores[0]
@@ -746,6 +752,110 @@ def test_each_step_decomposes_y_k_once(monkeypatch, make, fixed_n, k_max, gram_s
     assert trace.gram_steps == gram_steps
 
 
+def _exponentials(monkeypatch):
+    """Per greedy step, run's calls that decompose or exponentiate a spectrum, in order.
+
+    Entry 0 lists the calls before the first step; entry k those from step k's _step
+    up to step k + 1's. Each call is ("eigh", mu) for a d x d eigh giving mu,
+    ("exp", mu, delta, spectrum) for _spectrum, ("np.exp",) for an exponential of
+    an array in greedy, ("bounds", spectrum) for the spectrum _bounds is handed, and
+    ("lpfe",) for log_potential_from_eigenvalues.
+    """
+    steps = [[]]
+    eigh, spectrum, bounds, lpfe, step = (greedy._eigh, greedy._spectrum, greedy._bounds,
+                                          greedy.log_potential_from_eigenvalues, greedy._step)
+
+    def counted_eigh(a):
+        out = eigh(a)
+        if a.ndim == 2:
+            steps[-1].append(("eigh", out[0]))
+        return out
+
+    def counted_spectrum(mu, delta):
+        out = spectrum(mu, delta)
+        steps[-1].append(("exp", mu, delta, out))
+        return out
+
+    def counted_bounds(eig, spec, *args):
+        steps[-1].append(("bounds", spec))
+        return bounds(eig, spec, *args)
+
+    def counted_lpfe(*args):
+        steps[-1].append(("lpfe",))
+        return lpfe(*args)
+
+    def marked_step(*args):
+        steps.append([])
+        return step(*args)
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            steps[-1].append(("np.exp",))
+            return np.exp(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "np", CountedNumpy())
+    monkeypatch.setattr(greedy, "_eigh", counted_eigh)
+    monkeypatch.setattr(greedy, "_spectrum", counted_spectrum)
+    monkeypatch.setattr(greedy, "_bounds", counted_bounds)
+    monkeypatch.setattr(greedy, "log_potential_from_eigenvalues", counted_lpfe)
+    monkeypatch.setattr(greedy, "_step", marked_step)
+    return steps
+
+
+# psd16 at the fixedn-psd16 benchmark's N, at one delta throughout, and a decaying run
+# well into the fine regime, where delta changes on every step
+@pytest.mark.parametrize("fixed_n, k_max", [(2547, 2547), (None, 120)])
+def test_each_spectrum_is_exponentiated_once_per_delta(monkeypatch, fixed_n, k_max):
+    inst = ps.gen_random_psd(16, 32, 4, 1e6, 0)
+    sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n)
+    steps = _exponentials(monkeypatch)
+    trace = ps.run(inst, sched, k_max=k_max)
+    assert len(steps) == k_max + 1
+    deltas = [None] + [rec.delta for rec in trace.records]
+    changes = sum(deltas[k + 1] != deltas[k] for k in range(1, k_max))
+    assert changes == (0 if fixed_n else k_max - sched.fine_start + 1)
+    eighs, spectra, y_mu = {}, {}, []   # spectra: id(mu) -> [(delta, _spectrum(mu, delta))]
+    for k, calls in enumerate(steps):
+        for call in calls:
+            if call[0] == "eigh":
+                eighs[id(call[1])], mu = k, call[1]
+            elif call[0] == "exp":
+                spectra.setdefault(id(call[1]), []).append(call[2:])
+        y_mu.append(mu)   # the last eigh up to step k + 1 is Y_k's
+    # every spectrum exponentiated is a fresh eigh's, and every eigh's is exponentiated;
+    # greedy exponentiates arrays only there
+    assert spectra.keys() == eighs.keys()
+    assert (sum(call == ("np.exp",) for calls in steps for call in calls)
+            == sum(len(taken) for taken in spectra.values()))
+    for key, k in eighs.items():
+        if key != id(y_mu[k]):
+            # a candidate that did not win: scored once, by its one spectrum
+            assert [delta for delta, _ in spectra[key]] == [deltas[k]]
+    lone = 0
+    for k, calls in enumerate(steps):
+        # Y_k's spectrum: at delta_k for its record, and at delta_{k+1} when that differs
+        taken = spectra[id(y_mu[k])]
+        want = [deltas[k]] if k else []
+        if k < k_max and deltas[k + 1] != deltas[k]:
+            want.append(deltas[k + 1])
+        assert [delta for delta, _ in taken] == want
+        if k:
+            rec = trace.records[k - 1]
+            assert rec.log_potential == taken[0][1].log_phi
+            # the bounds and prev_log_potential read the one spectrum of Y_{k-1} at delta_k
+            delta, prev = spectra[id(y_mu[k - 1])][-1]
+            assert delta == deltas[k]
+            assert calls[0][0] == "bounds" and calls[0][1] is prev
+            assert rec.prev_log_potential == prev.log_phi
+            if rec.evaluated == 1 and k > trace.gram_steps:
+                assert ("lpfe",) not in calls
+                lone += 1
+    assert lone >= (2500 if fixed_n else 60)
+
+
 _REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json")
                         .read_text(encoding="utf-8"))
 
@@ -881,6 +991,21 @@ def test_run_records_are_schedule_consistent(canonical):
     for rec in trace.records:
         assert rec.delta == sched.delta(rec.k)
         assert rec.regime == sched.regime(rec.k)
+
+
+@pytest.mark.parametrize("fixed_n", [None, 300])
+def test_run_records_take_the_schedule_bit_for_bit(fixed_n):
+    inst = ps.gen_bases(4, 2, seed=31)
+    sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n)
+    trace = ps.run(inst, sched, k_max=300)
+    assert sched.fine_start < 300
+    assert {rec.regime for rec in trace.records} == {REGIME_COARSE, REGIME_FINE}
+    for rec in trace.records:
+        assert rec.delta == sched.delta(rec.k)
+        assert rec.bound == sched.bound(rec.k)
+        assert rec.regime == sched.regime(rec.k)
+        if fixed_n is None:
+            assert rec.bound == ps.bound_all_steps(rec.k, inst.norm_bound, inst.d)
 
 
 def test_run_running_sum_matches_indices():
