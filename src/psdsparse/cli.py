@@ -133,14 +133,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    inst = load_instance(args.file)
+    # flags are checked before the instance is loaded, so a usage error is reported first
     if args.mode == "fixed-n":
         _require(args.n is not None, "run --mode fixed-n needs --n")
         _require(args.k_max is None, "run --mode fixed-n takes --n, not --k-max")
-        schedule = Schedule(inst.norm_bound, inst.d, fixed_n=args.n)
     else:
         _require(args.n is None, "run --mode all-steps takes --k-max, not --n")
-        schedule = Schedule(inst.norm_bound, inst.d)
+    inst = load_instance(args.file)
+    schedule = Schedule(inst.norm_bound, inst.d, fixed_n=args.n)
 
     # opened before the run, so that an unwritable path fails before any step is taken
     fh, owned = _open_out(args.out)
@@ -163,8 +163,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    inst = load_instance(args.file)
     _require(args.trials >= 1, "baseline needs --trials >= 1")
+    inst = load_instance(args.file)
     fh, owned = _open_out(args.out)
     final = 0.0
     try:

@@ -12,28 +12,28 @@ second-order bounds on log Phi_delta(Y + X_i) (see _bounds): an upper bound
 from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
 bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
 at the point x of the path's spectral range nearest 0, which needs only
-||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. The member with
-the smallest upper bound is scored exactly first, from the eigh of its candidate
-alone. Any other member whose lower bound exceeds the smaller of that upper
-bound and that exact score by more than the tie tolerance cannot win and is
-skipped; the rest, if any, are formed as candidates block by block and scored
-with a batched eigvalsh per block. Every step checks that its smallest exact
-score meets the smallest upper bound and that no exact score falls below its
-member's lower bound.
+||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. On every step the
+member with the smallest upper bound, first, is scored exactly before the
+others, from the eigh of its candidate alone. Any other member whose lower bound
+exceeds the smaller of that upper bound and that exact score by more than the
+tie tolerance cannot win and is skipped; the rest, if any, are scored as a
+batch: from their dense rows, formed block by block, with a batched eigvalsh
+per block, or from their Grams (below). Every step checks that its smallest
+exact score meets the smallest upper bound and that no exact score falls below
+its member's lower bound.
 
-Each step decomposes Y_k = Y + X_pick once, by eigh. When the first member wins
-from its candidate, that is the eigh that scored it; otherwise the winner's row
-is gathered again and decomposed. Its eigenvalues are exponentiated once per
-delta (see _spectrum): at delta_k, which gives log Phi_delta_k(Y_k) and the
-step's error, and the next step's bounds read that eigh and, while delta holds,
-those exponentials; where delta changes, run exponentiates them once more, for
-the next step's bounds and prev_log_potential alike. So log-sum-exp over a d x d
-spectrum runs only for members scored in a batch. The picks
-are those of scoring every member by eigvalsh: the first member's eigh score
-differs from its eigvalsh score by rounding only, so a pick could differ only
-where two scores lie TIE_TOL apart to within that rounding, which over the
-acceptance sweep they never do. The records differ from eigvalsh values by
-rounding only.
+Each step decomposes Y_k = Y + X_pick once, by eigh. When first wins, that is
+the eigh that scored it; otherwise the winner's row is gathered again and
+decomposed. Its eigenvalues are exponentiated once per delta (see _spectrum):
+at delta_k, which gives log Phi_delta_k(Y_k) and the step's error, and the next
+step's bounds read that eigh and, while delta holds, those exponentials; where
+delta changes, run exponentiates them once more, for the next step's bounds and
+prev_log_potential alike. So log-sum-exp over a d x d spectrum runs only for
+members scored in a batch. The picks are those of scoring every member by
+eigvalsh: first's eigh score differs from its eigvalsh score by rounding only,
+so a pick could differ only where two scores lie TIE_TOL apart to within that
+rounding, which over the acceptance sweep they never do. The records differ
+from eigvalsh values by rounding only.
 
 The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
 two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
@@ -45,17 +45,17 @@ G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F,
 ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d, so a step holds O(m d r) plus one
 block of candidate rows, never the dense family.
 
-While few members are picked, run scores a factor family's survivors from a
-(p + r)-sized Gram instead of their d x d rows (see _gram_scores): after k - 1
+While few members are picked, run scores the batch of a factor family from a
+(p + r)-sized Gram instead of its d x d rows (see _gram_scores): after k - 1
 picks, Y + (k - 1) Id is a sum of picked A_j = V_j V_j^T, of rank at most
 p = r times the number of distinct picks, so it is W W^T with W read off the
 top p eigenpairs of the eigh of Y that the bounds take anyway, and
 eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k plus -k with multiplicity
 d - p - r. It is used while p + r <= GRAM_SHARE * d, and as distinct picks
 never fall, once off it stays off. The pruning certificates run on those
-scores unchanged. The winner's dense row gives Y_k, as on every step, so Y
-keeps the bits of dense scoring and the records come from the eigh of Y_k;
-the winner's Gram score must agree with that eigh's score within the step's
+scores unchanged. A winner from the batch gives Y_k from its dense row, as on
+every step, so Y keeps the bits of dense scoring and the records come from the
+eigh of Y_k; its Gram score must agree with that eigh's score within the step's
 margin. Gram and dense scores differ by rounding only, so the picks could
 differ from dense scoring's only where two scores lie TIE_TOL apart to within
 that rounding; over the acceptance sweep they never do.
@@ -219,9 +219,11 @@ def default_k_max(norm_bound: float, d: int) -> int:
 class StepRecord:
     """One greedy step; ``evaluated`` counts the members scored exactly (at most m).
 
-    ``evaluated`` depends on the instance and the schedule, and at rounding
-    level on whether the bounds came from dense rows or from factors (see
-    _bounds); the members it leaves out were proven unable to win. The picks
+    They are the member with the least upper bound, scored from its candidate's
+    eigh, and the batch of members that pruning leaves (see _step). The count
+    depends on the instance and the schedule, and at rounding level on whether
+    the bounds came from dense rows or from factors (see _bounds); the members
+    it leaves out were proven unable to win. The picks
     and potentials do not depend on either. Both potentials and the error are
     read off the eigh of Y_{k-1} and of Y_k, the one decomposition of each
     that the run takes, through the one exponential of each spectrum at delta_k.
@@ -489,41 +491,38 @@ def _step(y, eig, spec, stack, delta, psi, score=None):
     """One greedy step: (0-based pick, its score, indices scored, margin, Y_k, _eigh(Y_k),
     _spectrum of Y_k at delta).
 
-    eig = _eigh(y) and spec = _spectrum(eig[0], delta) feed _bounds. score(idx)
-    gives the exact scores of the members idx; by default _scores, from their
-    dense rows. run passes _gram_scores, read off the same eig, while
-    p + r <= GRAM_SHARE * d. Those
-    scores differ from the dense ones by rounding only, far below the margin;
-    the skip and both checks below use them as they are, and run holds the
-    winner's Gram score to within the returned margin of log Phi_delta(Y_k).
+    eig = _eigh(y) and spec = _spectrum(eig[0], delta) feed _bounds.
 
-    The member with the least upper bound, first, is scored alone, before
-    the others: by default from the eigh of its candidate y + X_first, one fresh
-    block. Every other member is skipped when its lower bound exceeds
-    tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least
-    upper bound plus the margin and s_first is first's exact score. A skipped
-    member's score is at least its lower bound less the margin, so it exceeds
-    min(cap, s_first) + TIE_TOL, which is at least the minimum score plus
-    TIE_TOL: it is neither the minimum nor tied with it. The rest, when there
-    are any, are formed block by block and scored exactly by a batched eigvalsh;
-    each row's score does not depend on which rows share the batch, so the pick
-    equals that of scoring every member with first at its eigh score. That score
-    differs from first's eigvalsh score by rounding only, so the pick could differ
-    from eigvalsh scoring of every member only where two scores lie TIE_TOL apart
-    to within that rounding. The scored members lie among those whose lower bound
-    is at most cap + TIE_TOL + margin, as first does whenever its bounds hold.
+    The member with the least upper bound, first, is scored alone, before the others,
+    on every step: from the eigh of its candidate y + X_first, one fresh row. Every
+    other member is skipped when its lower bound exceeds
+    tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least upper bound
+    plus the margin and s_first is first's exact score. A skipped member's score is at
+    least its lower bound less the margin, so it exceeds min(cap, s_first) + TIE_TOL,
+    which is at least the minimum score plus TIE_TOL: it is neither the minimum nor
+    tied with it. The rest, when there are any, are scored as one batch by score(idx):
+    by default _scores, which forms their dense rows block by block and scores them by
+    a batched eigvalsh; run passes _gram_scores instead, read off the same eig, while
+    p + r <= GRAM_SHARE * d. Gram scores differ from dense ones by rounding only, far
+    below the margin, and the skip and both checks below use them as they are. Each
+    row's score does not depend on which rows share the batch, so the pick equals that
+    of scoring every member with first at its eigh score, which differs from first's
+    eigvalsh score by rounding only: the pick could differ from eigvalsh scoring of
+    every member only where two scores lie TIE_TOL apart to within that rounding. The
+    scored members lie among those whose lower bound is at most cap + TIE_TOL + margin,
+    as first does when its bounds hold.
 
-    Two checks run on every exact score, first's included: the smallest must
-    not exceed cap, which is what makes the skip sound, and none may fall
-    below its member's lower bound by more than the margin. When first is
-    scored alone they are two scalar comparisons.
+    Two checks run on every exact score, first's included: the smallest must not exceed
+    cap, which is what makes the skip sound, and none may fall below its member's lower
+    bound by more than the margin. When first is scored alone they are two scalar
+    comparisons.
 
-    Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once,
-    by _spectrum: log Phi_delta(Y_k) is that spectrum's log_phi. When first is
-    scored from its dense row, its candidate y + X_first is Y_k if first wins, and
-    its score is that log_phi; otherwise the winner's row is gathered once more and
-    decomposed. run carries Y_k, its eigh and its spectrum into the next step, whose
-    bounds read them while delta holds.
+    Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once, by
+    _spectrum: log Phi_delta(Y_k) is that spectrum's log_phi. first's candidate is Y_k
+    if first wins, and its score is that log_phi; otherwise the winner's row is gathered
+    once more and decomposed, and run holds a Gram score of the winner to within the
+    returned margin of log Phi_delta(Y_k). run carries Y_k, its eigh and its spectrum
+    into the next step, whose bounds read them while delta holds.
     """
     lower, upper, margin = _bounds(eig, spec, stack, delta, psi)
     first = int(upper.argmin())
@@ -534,15 +533,11 @@ def _step(y, eig, spec, stack, delta, psi, score=None):
     if not near:
         raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
     scored = np.array([first])
-    eig_k = None
-    if score is None:
-        y_k = stack.row(first) + y
-        eig_k = _eigh(y_k)
-        spec_k = _spectrum(eig_k[0], delta)
-        scores = np.array([spec_k.log_phi])
-    else:
-        scores = score(scored)
-    least = float(scores[0])
+    y_k = stack.row(first) + y
+    eig_k = _eigh(y_k)
+    spec_k = _spectrum(eig_k[0], delta)
+    least = spec_k.log_phi
+    scores = np.array([least])
     j = worst = at = 0   # with first alone: the pick, the worst excess and first's place
     if near > 1:   # a lone member near the cap is first, or a check below fails on first
         rest = lower <= min(cap, least) + TIE_TOL + margin   # tight <= near's bound: rest lies in near
@@ -567,7 +562,7 @@ def _step(y, eig, spec, stack, delta, psi, score=None):
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
-    if eig_k is None or j != at:
+    if j != at:
         y_k = stack.row(int(scored[j])) + y   # exactly symmetric, as Instance makes every X_i
         eig_k = _eigh(y_k)
         spec_k = _spectrum(eig_k[0], delta)
@@ -604,10 +599,11 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     bounds and Gram read the eigh as their eigh of Y. The next step's bounds and
     its prev_log_potential share one spectrum of Y_{k-1}: the last step's while
     delta holds, else one more exponential at the new delta. delta_k, the bound
-    and the regime come from schedule.steps, once per run. On the steps scored
-    from the Gram (see _gram_scores), the winner's Gram score must match the
-    score read off that eigh within the step's margin, else
-    PruningCertificateFailed; trace.gram_steps counts them.
+    and the regime come from schedule.steps, once per run. On the steps whose
+    batch is scored from the Gram (see _gram_scores), trace.gram_steps counts
+    them, first is still scored from its candidate's eigh, and a winner from the
+    batch must have its Gram score match the score read off the eigh of Y_k
+    within the step's margin, else PruningCertificateFailed.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)

@@ -101,10 +101,13 @@ class Instance:
                 raise FormatError(f"need factors of shape (m, d, r), got {factors.shape}")
             if factors.shape[2] < 1:
                 raise DimensionMismatch(f"factors need rank r >= 1, got shape {factors.shape}")
+        noun, last = ("matrices", "d") if factors is None else ("factors", "r")
         if weights.ndim != 1 or members.ndim != 3:
-            raise FormatError(f"need shapes (m,) and (m, d, d), got {weights.shape}, {members.shape}")
+            raise FormatError(f"need shapes (m,) and (m, d, {last}), got {weights.shape}, {members.shape}")
         m = weights.shape[0]
-        if m < 1 or members.shape[0] != m:
+        if members.shape[0] != m:
+            raise FormatError(f"got {m} weights and {members.shape[0]} {noun}")
+        if m < 1:
             raise FormatError("family must contain at least one weighted matrix")
         d = members.shape[1]
         if d < 1 or mats is not None and mats.shape[1] != mats.shape[2]:

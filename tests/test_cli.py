@@ -133,14 +133,25 @@ def test_run_fixed_n(tmp_path):
     assert float(rows[-1][3]) == pytest.approx(ps.bound_fixed_n(5, 2.0, 2), rel=1e-12)
 
 
-def test_run_flag_conflicts(tmp_path, capsys):
-    path = _write_canonical(tmp_path)
-    assert cli.main(["run", str(path), "--mode", "fixed-n", "--out", "x.csv"]) == 1
-    assert cli.main(["run", str(path), "--mode", "fixed-n", "--n", "4", "--k-max", "9",
-                     "--out", "x.csv"]) == 1
-    assert cli.main(["run", str(path), "--mode", "all-steps", "--n", "4",
-                     "--out", "x.csv"]) == 1
-    assert capsys.readouterr().err.count("error: DomainError:") == 3
+def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
+    # flags are checked before the instance is loaded: the file is missing, and never read
+    def refuse(*args, **kwargs):
+        raise AssertionError("the instance was loaded before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_instance", refuse)
+    missing, out = str(tmp_path / "absent.json"), tmp_path / "x.csv"
+    for args, line in [
+        (["run", missing, "--mode", "fixed-n"], "run --mode fixed-n needs --n"),
+        (["run", missing, "--mode", "fixed-n", "--n", "4", "--k-max", "9"],
+         "run --mode fixed-n takes --n, not --k-max"),
+        (["run", missing, "--mode", "all-steps", "--n", "4"],
+         "run --mode all-steps takes --k-max, not --n"),
+        (["baseline", missing, "--k-max", "5", "--seed", "0", "--trials", "0"],
+         "baseline needs --trials >= 1"),
+    ]:
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: DomainError: {line}"]
+    assert not out.exists()
 
 
 def test_run_opens_its_output_before_running(tmp_path, capsys, monkeypatch):
@@ -236,12 +247,13 @@ def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, cap
     exact = greedy._gram_scores
 
     def shifted(*args, **kwargs):
-        return exact(*args, **kwargs) + 1e-6
+        return exact(*args, **kwargs) - 1e-6
 
+    # at Y = 0 every member ties, so a member scored from the Gram wins step 1 by the shift
     monkeypatch.setattr(greedy, "_gram_scores", shifted)
     inst = ps.gen_bases(8, 2, 0)
     with pytest.raises(ps.PruningCertificateFailed,
-                       match=r"step 1: member \d+: Gram score .* and dense score .* differ"):
+                       match=r"step 1: member 2: Gram score .* and dense score .* differ"):
         ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=4)
     path = tmp_path / "b8.json"
     ps.save_instance(inst, path)
@@ -249,7 +261,7 @@ def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, cap
     assert cli.main(args) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("error: PruningCertificateFailed: step 1: member "), lines
+    assert lines[0].startswith("error: PruningCertificateFailed: step 1: member 2: "), lines
     assert "Gram score" in lines[0]
 
 

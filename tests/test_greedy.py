@@ -706,49 +706,62 @@ def test_lone_survivor_steps_keep_records_and_running_sum_exact(monkeypatch, ope
     trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=300))
     assert len(steps) == 301
     lone = [eighs == [(16, 16)] and not eigvalshs for eighs, eigvalshs in steps[1:]]
-    assert sum(lone) >= 280   # lone-survivor steps: 291 of 300
+    assert sum(lone) == 291   # lone-survivor steps, the 3 Gram steps included
     y = np.zeros((inst.d, inst.d))
     for k, (i, rec, (_, eigvalshs)) in enumerate(zip(trace.indices, trace.records, steps[1:]),
                                                   start=1):
         y = y + xs[i - 1]
         assert rec.error == float(np.max(np.abs(eigh(y)[0]))) / k
-        # the members scored exactly: rows handed to _eigvalsh, plus the candidate whose
-        # eigh scores the member with the least upper bound on a step scored densely
-        rows = sum(shape[0] if len(shape) == 3 else 1 for shape in eigvalshs)
-        assert rec.evaluated == rows + (k > trace.gram_steps)
+        # the members scored exactly: the candidate whose eigh scores the member with
+        # the least upper bound, plus the rows (dense or Gram) handed to _eigvalsh
+        assert rec.evaluated == 1 + sum(shape[0] for shape in eigvalshs)
     assert trace.running_sum.tobytes() == y.tobytes()
 
 
-# psd16 at the fixedn-psd16 benchmark's N, where nearly every step scores one member
-# densely, and bases64 at the decay-bases64 benchmark's k, where every step is a Gram step
+# psd16 at the fixedn-psd16 benchmark's N, where every step scores one member, and
+# bases64 at the decay-bases64 benchmark's k, where every step is a Gram step and the
+# member with the least upper bound wins all but one
 @pytest.mark.parametrize(
-    "make, fixed_n, k_max, gram_steps, lone_steps",
+    "make, fixed_n, k_max, gram_steps, lone_steps, regathered",
     [
-        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547, 2547, 3, 2500,
+        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547, 2547, 3, 2547, 0,
                      id="psd-d16"),
-        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, 48, 0, id="bases-d64-b4"),
+        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, 48, 0, 1, id="bases-d64-b4"),
     ],
 )
 def test_each_step_decomposes_y_k_once(monkeypatch, make, fixed_n, k_max, gram_steps,
-                                       lone_steps):
+                                       lone_steps, regathered):
     inst = make()
     d, r = inst.d, inst.factors.shape[2]
     steps = _decompositions(monkeypatch)
+    firsts = []   # per step, the member with the least upper bound
+    bounds = greedy._bounds
+
+    def recorded(*args):
+        out = bounds(*args)
+        firsts.append(int(out[1].argmin()))
+        return out
+
+    monkeypatch.setattr(greedy, "_bounds", recorded)
     trace = ps.run(inst, ps.Schedule(inst.norm_bound, d, fixed_n=fixed_n), k_max=k_max)
     assert steps[0] == ([(d, d)], [])   # Y_0 = 0, before the first step
-    assert len(steps) == k_max + 1
-    lone = 0
-    for k, (rec, (eighs, eigvalshs)) in enumerate(zip(trace.records, steps[1:]), start=1):
-        if k <= trace.gram_steps:
-            # one d x d eigh, of Y_k; every member scored from its (p + r)-sized Gram
-            p = r * len(set(trace.indices[:k - 1]))
-            assert eighs == [(d, d)]
-            assert eigvalshs and all(len(s) == 3 and s[1:] == (p + r, p + r) for s in eigvalshs)
-        elif rec.evaluated == 1:
-            # the lone member's eigh scores it and is the eigh of Y_k
-            assert (eighs, eigvalshs) == ([(d, d)], [])
-            lone += 1
-    assert lone >= lone_steps
+    assert len(steps) == len(firsts) + 1 == k_max + 1
+    lone = again = 0
+    for k, (i, first, rec, (eighs, eigvalshs)) in enumerate(
+            zip(trace.indices, firsts, trace.records, steps[1:]), start=1):
+        # one d x d eigh, of first's candidate, on every step; one more, of Y_k, exactly
+        # when another member wins
+        other = i - 1 != first
+        assert eighs == [(d, d)] * (1 + other)
+        again += other
+        # every other member scored exactly is a row handed to _eigvalsh: a (p + r)-sized
+        # Gram on a Gram step, else a dense row; first never is
+        size = r * (len(set(trace.indices[:k - 1])) + 1) if k <= trace.gram_steps else d
+        assert all(s[1:] == (size, size) for s in eigvalshs)
+        assert sum(s[0] for s in eigvalshs) == rec.evaluated - 1
+        lone += not eigvalshs
+    assert lone == lone_steps
+    assert again == regathered
     assert trace.gram_steps == gram_steps
 
 
@@ -850,10 +863,11 @@ def test_each_spectrum_is_exponentiated_once_per_delta(monkeypatch, fixed_n, k_m
             assert delta == deltas[k]
             assert calls[0][0] == "bounds" and calls[0][1] is prev
             assert rec.prev_log_potential == prev.log_phi
-            if rec.evaluated == 1 and k > trace.gram_steps:
+            if rec.evaluated == 1:
                 assert ("lpfe",) not in calls
                 lone += 1
-    assert lone >= (2500 if fixed_n else 60)
+    # every step at N = 2547, its 3 Gram steps included
+    assert lone == (2547 if fixed_n else 82)
 
 
 _REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json")

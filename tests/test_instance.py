@@ -194,8 +194,23 @@ def test_certify_rejects_one_ulp_of_asymmetry():
     ids=["2-D weights", "2-D mats"],
 )
 def test_instance_rejects_wrong_array_ranks(weights, mats):
-    with pytest.raises(ps.FormatError):
+    with pytest.raises(ps.FormatError, match=r"need shapes \(m,\) and \(m, d, d\)"):
         ps.Instance(weights, mats)
+
+
+def test_instance_rejects_2d_weights_for_factors_with_the_factor_shape():
+    with pytest.raises(ps.FormatError, match=r"need shapes \(m,\) and \(m, d, r\), got \(1, 2\)"):
+        ps.Instance(np.full((1, 2), 0.5), factors=np.ones((2, 2, 1)))
+
+
+@pytest.mark.parametrize("operands, noun", [("mats", "matrices"), ("factors", "factors")])
+def test_instance_names_both_counts_when_they_differ(operands, noun):
+    with pytest.raises(ps.FormatError, match=f"got 2 weights and 3 {noun}$"):
+        ps.Instance(np.full(2, 0.5), **{operands: np.zeros((3, 2, 2))})
+    with pytest.raises(ps.FormatError, match=f"got 0 weights and 1 {noun}$"):
+        ps.Instance(np.zeros(0), **{operands: np.zeros((1, 2, 2))})
+    with pytest.raises(ps.FormatError, match="at least one weighted matrix"):
+        ps.Instance(np.zeros(0), **{operands: np.zeros((0, 2, 2))})
 
 
 def test_instance_keeps_a_float_family_without_copying(canonical):
