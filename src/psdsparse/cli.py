@@ -16,6 +16,8 @@ from . import verify as verify_mod
 from .errors import BoundViolation, DomainError, PsdSparseError
 from .greedy import Schedule, required_n, run
 from .instance import (
+    _check_counts,
+    _seed_sequence,
     gen_bases,
     gen_graph_edges,
     gen_random_psd,
@@ -133,12 +135,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    # flags are checked before the instance is loaded, so a usage error is reported first
+    # flags and their values are checked before the instance is loaded and --out is
+    # created, so a usage error is reported first and leaves no file
     if args.mode == "fixed-n":
         _require(args.n is not None, "run --mode fixed-n needs --n")
         _require(args.k_max is None, "run --mode fixed-n takes --n, not --k-max")
+        _check_counts(fixed_n=args.n)
     else:
         _require(args.n is None, "run --mode all-steps takes --k-max, not --n")
+        if args.k_max is not None:
+            _check_counts(k_max=args.k_max)
     inst = load_instance(args.file)
     schedule = Schedule(inst.norm_bound, inst.d, fixed_n=args.n)
 
@@ -164,6 +170,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_baseline(args) -> int:
     _require(args.trials >= 1, "baseline needs --trials >= 1")
+    _check_counts(k_max=args.k_max)
+    _seed_sequence(args.seed)   # the seed check of sample_run and child_seed
     inst = load_instance(args.file)
     fh, owned = _open_out(args.out)
     final = 0.0

@@ -7,20 +7,18 @@ whose prefix errors obey a closed-form bound at every k, and a constant one
 tuned to a known sparsity target N.
 
 Each step scores exactly only the members that could still be picked. One
-eigendecomposition of the running sum Y gives, for every member, two
-second-order bounds on log Phi_delta(Y + X_i) (see _bounds): an upper bound
-from e^{delta X} <= I + delta X + psi X^2 with Golden-Thompson, and a lower
-bound from a floor on the curvature of Phi along Y + tX_i: 2 delta^2 cosh(delta x)
-at the point x of the path's spectral range nearest 0, which needs only
-||X_i||_F and the spectral bounds X_i <= m_hi, -X_i <= m_lo. On every step the
-member with the smallest upper bound, first, is scored exactly before the
-others, from the eigh of its candidate alone. Any other member whose lower bound
-exceeds the smaller of that upper bound and that exact score by more than the
-tie tolerance cannot win and is skipped; the rest, if any, are scored as a
-batch: from their dense rows, formed block by block, with a batched eigvalsh
-per block, or from their Grams (below). Every step checks that its smallest
-exact score meets the smallest upper bound and that no exact score falls below
-its member's lower bound.
+eigendecomposition of the running sum Y gives every member a lower bound on
+log Phi_delta(Y + X_i) (see _bounds) from a floor on the curvature of Phi
+along Y + tX_i: 2 delta^2 cosh(delta x) at the point x of the path's spectral
+range nearest 0, which needs only ||X_i||_F and the spectral bounds
+X_i <= m_hi, -X_i <= m_lo. On every step the member with the least lower
+bound, first, is scored exactly before the others, from the eigh of its
+candidate alone. Any other member whose lower bound exceeds that exact score
+by more than the tie tolerance and the rounding margin cannot win and is
+skipped: its own score is at least its lower bound less the margin. The rest,
+if any, are scored as a batch: from their dense rows, formed block by block,
+with a batched eigvalsh per block, or from their Grams (below). Every step
+checks that no exact score falls below its member's lower bound.
 
 Each step decomposes Y_k = Y + X_pick once, by eigh. When first wins, that is
 the eigh that scored it; otherwise the winner's row is gathered again and
@@ -35,13 +33,11 @@ so a pick could differ only where two scores lie TIE_TOL apart to within that
 rounding, which over the acceptance sweep they never do. The records differ
 from eigvalsh values by rounding only.
 
-The bounds need, for every member, <F, X_i>, <F, X_i^2> and ||X_i||_F^2 for
-two matrices F diagonal in Y's eigenbasis. A dense family, or a factor
-family whose dense rows fit in one block, reads them off X_i and X_i^2 held
-as (m, d, d) arrays. A larger factor family A_i = V_i V_i^T reads them off
-its factors: with
-G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F,
-<F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F and
+The bound needs, for every member, <F, X_i> and ||X_i||_F^2 for one matrix F
+diagonal in Y's eigenbasis. A dense family, or a factor family whose dense
+rows fit in one block, reads them off X_i held as an (m, d, d) array. A
+larger factor family A_i = V_i V_i^T reads them off its factors: with
+G_i = V_i^T V_i, <F, X_i> = tr(V_i^T F V_i) - tr F and
 ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d, so a step holds O(m d r) plus one
 block of candidate rows, never the dense family.
 
@@ -52,13 +48,13 @@ p = r times the number of distinct picks, so it is W W^T with W read off the
 top p eigenpairs of the eigh of Y that the bounds take anyway, and
 eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k plus -k with multiplicity
 d - p - r. It is used while p + r <= GRAM_SHARE * d, and as distinct picks
-never fall, once off it stays off. The pruning certificates run on those
-scores unchanged. A winner from the batch gives Y_k from its dense row, as on
-every step, so Y keeps the bits of dense scoring and the records come from the
-eigh of Y_k; its Gram score must agree with that eigh's score within the step's
-margin. Gram and dense scores differ by rounding only, so the picks could
-differ from dense scoring's only where two scores lie TIE_TOL apart to within
-that rounding; over the acceptance sweep they never do.
+never fall, once off it stays off. The skip and the lower-bound check run on
+those scores unchanged. A winner from the batch gives Y_k from its dense row,
+as on every step, so Y keeps the bits of dense scoring and the records come
+from the eigh of Y_k; its Gram score must agree with that eigh's score within
+the step's margin. Gram and dense scores differ by rounding only, so the picks
+could differ from dense scoring's only where two scores lie TIE_TOL apart to
+within that rounding; over the acceptance sweep they never do.
 """
 
 from __future__ import annotations
@@ -219,14 +215,14 @@ def default_k_max(norm_bound: float, d: int) -> int:
 class StepRecord:
     """One greedy step; ``evaluated`` counts the members scored exactly (at most m).
 
-    They are the member with the least upper bound, scored from its candidate's
+    They are the member with the least lower bound, scored from its candidate's
     eigh, and the batch of members that pruning leaves (see _step). The count
     depends on the instance and the schedule, and at rounding level on whether
     the bounds came from dense rows or from factors (see _bounds); the members
-    it leaves out were proven unable to win. The picks
-    and potentials do not depend on either. Both potentials and the error are
-    read off the eigh of Y_{k-1} and of Y_k, the one decomposition of each
-    that the run takes, through the one exponential of each spectrum at delta_k.
+    it leaves out were proven unable to win. The picks and potentials do not
+    depend on either. Both potentials and the error are read off the eigh of
+    Y_{k-1} and of Y_k, the one decomposition of each that the run takes,
+    through the one exponential of each spectrum at delta_k.
     """
 
     k: int
@@ -272,10 +268,9 @@ def _pick(scores: np.ndarray) -> int:
 class _Stack(NamedTuple):
     """A centered family as _step reads it, with the spectral bounds X_i <= m_hi and -X_i <= m_lo.
 
-    terms(q, w) gives <F0, X_i> and <F1, X_i^2> for every member, where
-    Fj = Q diag(w[j]) Q^T; rows(idx) yields (part, X_i for i in part) as fresh
-    writable blocks over consecutive parts of idx; row(i) gives X_i alone, not
-    to be written to.
+    terms(q, w) gives <F, X_i> for every member, where F = Q diag(w) Q^T;
+    rows(idx) yields (part, X_i for i in part) as fresh writable blocks over
+    consecutive parts of idx; row(i) gives X_i alone, not to be written to.
     """
 
     terms: Callable
@@ -287,45 +282,39 @@ class _Stack(NamedTuple):
 
 
 def _stack(xs, m_hi, m_lo) -> _Stack:
-    """A dense (m, d, d) centered family, with its squares X_i^2 formed once."""
+    """A dense (m, d, d) centered family."""
     m, d = len(xs), xs.shape[1]
-    squares = xs @ xs
-    flat, flat_squares = xs.reshape(m, -1), squares.reshape(m, -1)
+    flat = xs.reshape(m, -1)
 
     def terms(q, w):
-        f = (q * w[:, np.newaxis, :]) @ q.T
-        return flat @ f[0].reshape(-1), flat_squares @ f[1].reshape(-1)
+        return flat @ ((q * w) @ q.T).reshape(-1)
 
     def rows(idx):
         return ((part, xs[part]) for part in _row_parts(idx, d))
 
-    return _Stack(terms, rows, xs.__getitem__, np.trace(squares, axis1=1, axis2=2), m_hi, m_lo)
+    norms = np.trace(xs @ xs, axis1=1, axis2=2)
+    return _Stack(terms, rows, xs.__getitem__, norms, m_hi, m_lo)
 
 
 def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
     """A factor family, A_i = V_i V_i^T, read through its (m, d, r) factors only.
 
     With vtv holding G_i = V_i^T V_i and X_i = V_i V_i^T - Id:
-    <F, X_i> = tr(V_i^T F V_i) - tr F, <F, X_i^2> = tr(V_i^T F V_i (G_i - 2 Id)) + tr F
-    and ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d. With F = Q diag(w) Q^T and
-    Z = Q^T [V_1 ... V_m], tr(V_i^T F V_i H) = sum_j w_j (Z_i H)_j . (Z_i)_j, so a
-    step costs one (d, d) x (d, 2mr) product and holds O(m d r).
+    <F, X_i> = tr(V_i^T F V_i) - tr F and ||X_i||_F^2 = ||G_i||_F^2 - 2 tr G_i + d.
+    With F = Q diag(w) Q^T and Z = Q^T [V_1 ... V_m], tr(V_i^T F V_i) is the sum
+    over member i's r columns of w . Z_i^2 (entrywise), so a step costs one
+    (d, d) x (d, mr) product and holds O(m d r).
     """
     v = inst.factors
     m, d, r = v.shape
-    vh = v @ (vtv - 2.0 * np.eye(r))   # V_i H_i with H_i = G_i - 2 Id
-    # columns [V_1 ... V_m | V_1 H_1 ... V_m H_m]
-    cols = np.concatenate((v, vh)).transpose(1, 0, 2).reshape(d, 2 * m * r)
+    cols = v.transpose(1, 0, 2).reshape(d, m * r)   # columns [V_1 ... V_m]
     norms = np.sum(vtv * vtv, axis=(1, 2)) - 2.0 * np.trace(vtv, axis1=1, axis2=2) + d
 
     def terms(q, w):
         z = q.T @ cols
-        plain, shifted = z[:, :m * r], z[:, m * r:]
-        shifted *= plain   # entries of Z_i H_i times those of Z_i
-        plain *= plain
-        lin, quad = (np.add.reduce(a.reshape(m, r), axis=1)   # sum each member's r columns
-                     for a in (w[0] @ plain, w[1] @ shifted))
-        return lin - np.add.reduce(w[0]), quad + np.add.reduce(w[1])
+        z *= z
+        # sum each member's r columns
+        return np.add.reduce((w @ z).reshape(m, r), axis=1) - np.add.reduce(w)
 
     def row(i):
         return _minus_identity(_products(v[i:i + 1]))[0]
@@ -366,11 +355,6 @@ def _gram_scores(eig, p, factors, vtv, idx, k, delta):
         flat = np.full((n, 1), -delta * k)
         scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
     return _joined(scores)
-
-
-def _psi_weights(psi_hi, psi_lo) -> np.ndarray:
-    """Maps the spectra of F+ and F- to those of F+ - F- and psi_hi F+ + psi_lo F-."""
-    return np.array(((1.0, -1.0), (psi_hi, psi_lo)))
 
 
 def _curvature(mu, delta, s, m_lo, m_hi) -> float:
@@ -416,22 +400,19 @@ def _spectrum(mu, delta) -> _Spectrum:
     return _Spectrum(norm, s, e, total, float(np.log(total) + s))
 
 
-def _bounds(eig, spec, stack, delta, psi):
-    """Lower and upper bounds on log Phi_delta(y + X_i) for every member, and their margin.
+def _bounds(eig, spec, stack, delta):
+    """A lower bound on log Phi_delta(y + X_i) for every member, and its margin.
 
-    Needs eig = (mu, Q) = _eigh(y), spec = _spectrum(mu, delta) and
-    psi = _psi_weights(psi(stack.m_hi, delta), psi(stack.m_lo, delta)). With
+    Needs eig = (mu, Q) = _eigh(y) and spec = _spectrum(mu, delta). With
     y = Q diag(mu) Q^T, s = delta*max|mu|, F+- = Q diag(e^{+-delta mu - s}) Q^T
-    and lin_i = delta<F+ - F-, X_i>, both bounds are
-    s + log(tr(F+ + F-) + lin_i + a second-order term), with the term
-
-    - c ||X_i||_F^2 for the lower bound, by the curvature of Phi (below);
-    - <psi_hi F+ + psi_lo F-, X_i^2> for the upper bound, by Golden-Thompson.
+    and lin_i = delta<F+ - F-, X_i>, the bound is
+    s + log(tr(F+ + F-) + lin_i + c ||X_i||_F^2), with c from the curvature of
+    Phi (below).
 
     The shift by s keeps every exponential in (0, 1]; s, the exponentials and
-    tr(F+ + F-) come from spec, which also gave log Phi_delta(y). The stack supplies the
-    two inner products: from X_i and X_i^2 for a dense family, from the
-    factors for a factor family (see _factor_stack).
+    tr(F+ + F-) come from spec, which also gave log Phi_delta(y). The stack supplies
+    the inner product: from X_i for a dense family, from the factors for a
+    factor family (see _factor_stack).
 
     The curvature bound: let g(t) = tr f(y + tX) with f(x) = e^{delta x} + e^{-delta x}.
     In the eigenbasis of y + tX with eigenvalues a_j, g''(t) is
@@ -460,8 +441,7 @@ def _bounds(eig, spec, stack, delta, psi):
     """
     mu, q = eig
     _, s, e, total, _ = spec   # e: the spectra of F+ and F-
-    lin, quad = stack.terms(q, psi @ e)
-    lin *= delta
+    lin = delta * stack.terms(q, e[0] - e[1])
     margin = PRUNE_RTOL * (1.0 + abs(s + math.log(total)))
     c = _curvature(mu, delta, s, stack.m_lo, stack.m_hi)
     # each term of the argument may be off by margin times its size, and
@@ -470,7 +450,7 @@ def _bounds(eig, spec, stack, delta, psi):
     floor = lin + (1.0 - margin) * c * stack.norms + (1.0 - slack) * total
     lower = np.log(floor, out=np.full_like(floor, -np.inf), where=floor > 0)
     lower += s
-    return lower, s + np.log(total + lin + quad), margin
+    return lower, margin
 
 
 def _scores(y, stack, idx, delta):
@@ -487,35 +467,30 @@ def _joined(scores):
     return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
 
-def _step(y, eig, spec, stack, delta, psi, score=None):
+def _step(y, eig, spec, stack, delta, score=None):
     """One greedy step: (0-based pick, its score, indices scored, margin, Y_k, _eigh(Y_k),
     _spectrum of Y_k at delta).
 
     eig = _eigh(y) and spec = _spectrum(eig[0], delta) feed _bounds.
 
-    The member with the least upper bound, first, is scored alone, before the others,
+    The member with the least lower bound, first, is scored alone, before the others,
     on every step: from the eigh of its candidate y + X_first, one fresh row. Every
-    other member is skipped when its lower bound exceeds
-    tight = min(cap, s_first) + TIE_TOL + margin, where cap is the least upper bound
-    plus the margin and s_first is first's exact score. A skipped member's score is at
-    least its lower bound less the margin, so it exceeds min(cap, s_first) + TIE_TOL,
-    which is at least the minimum score plus TIE_TOL: it is neither the minimum nor
-    tied with it. The rest, when there are any, are scored as one batch by score(idx):
-    by default _scores, which forms their dense rows block by block and scores them by
-    a batched eigvalsh; run passes _gram_scores instead, read off the same eig, while
+    other member is skipped when its lower bound exceeds s_first + TIE_TOL + margin,
+    where s_first is first's exact score. A skipped member's score is at least its
+    lower bound less the margin, so it exceeds s_first + TIE_TOL, which is at least the
+    minimum score plus TIE_TOL: it is neither the minimum nor tied with it. The rest,
+    when there are any, are scored as one batch by score(idx): by default _scores,
+    which forms their dense rows block by block and scores them by a batched eigvalsh;
+    run passes _gram_scores instead, read off the same eig, while
     p + r <= GRAM_SHARE * d. Gram scores differ from dense ones by rounding only, far
-    below the margin, and the skip and both checks below use them as they are. Each
+    below the margin, and the skip and the check below use them as they are. Each
     row's score does not depend on which rows share the batch, so the pick equals that
     of scoring every member with first at its eigh score, which differs from first's
     eigvalsh score by rounding only: the pick could differ from eigvalsh scoring of
-    every member only where two scores lie TIE_TOL apart to within that rounding. The
-    scored members lie among those whose lower bound is at most cap + TIE_TOL + margin,
-    as first does when its bounds hold.
+    every member only where two scores lie TIE_TOL apart to within that rounding.
 
-    Two checks run on every exact score, first's included: the smallest must not exceed
-    cap, which is what makes the skip sound, and none may fall below its member's lower
-    bound by more than the margin. When first is scored alone they are two scalar
-    comparisons.
+    No exact score, first's included, may fall below its member's lower bound by more
+    than the margin; when first is scored alone that is one scalar comparison.
 
     Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once, by
     _spectrum: log Phi_delta(Y_k) is that spectrum's log_phi. first's candidate is Y_k
@@ -524,39 +499,29 @@ def _step(y, eig, spec, stack, delta, psi, score=None):
     returned margin of log Phi_delta(Y_k). run carries Y_k, its eigh and its spectrum
     into the next step, whose bounds read them while delta holds.
     """
-    lower, upper, margin = _bounds(eig, spec, stack, delta, psi)
-    first = int(upper.argmin())
-    cap = float(upper[first]) + margin
-    if not math.isfinite(cap):
-        raise NonFinite(f"candidate upper bound is {cap!r}")
-    near = np.count_nonzero(lower <= cap + TIE_TOL + margin)
-    if not near:
-        raise PruningCertificateFailed(f"every lower bound exceeds the smallest upper bound {cap!r}")
+    lower, margin = _bounds(eig, spec, stack, delta)
+    first = int(lower.argmin())
     scored = np.array([first])
     y_k = stack.row(first) + y
     eig_k = _eigh(y_k)
     spec_k = _spectrum(eig_k[0], delta)
     least = spec_k.log_phi
+    if not math.isfinite(least):
+        raise NonFinite(f"candidate score is {least!r}")
     scores = np.array([least])
     j = worst = at = 0   # with first alone: the pick, the worst excess and first's place
-    if near > 1:   # a lone member near the cap is first, or a check below fails on first
-        rest = lower <= min(cap, least) + TIE_TOL + margin   # tight <= near's bound: rest lies in near
-        rest[first] = False
-        if rest.any():
-            # merged in ascending index order, so _pick below is _pick over all
-            # members with the skipped ones at +inf
-            rest = np.flatnonzero(rest)
-            rest_scores = _scores(y, stack, rest, delta) if score is None else score(rest)
-            at = int(np.searchsorted(rest, first))
-            scored = np.insert(rest, at, first)
-            scores = np.insert(rest_scores, at, scores[0])
-            j = _pick(scores)
-            least = float(scores.min())
-            worst = int(np.argmax(lower[scored] - scores))
-    if least > cap:
-        raise PruningCertificateFailed(
-            f"smallest exact score {least!r} exceeds the smallest upper bound {cap!r}"
-        )
+    rest = lower <= least + TIE_TOL + margin
+    rest[first] = False
+    if rest.any():
+        # merged in ascending index order, so _pick below is _pick over all
+        # members with the skipped ones at +inf
+        rest = np.flatnonzero(rest)
+        rest_scores = _scores(y, stack, rest, delta) if score is None else score(rest)
+        at = int(np.searchsorted(rest, first))
+        scored = np.insert(rest, at, first)
+        scores = np.insert(rest_scores, at, least)
+        j = _pick(scores)
+        worst = int(np.argmax(lower[scored] - scores))
     if lower[scored[worst]] - scores[worst] > margin:
         raise PruningCertificateFailed(
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
@@ -572,17 +537,15 @@ def _step(y, eig, spec, stack, delta, psi, score=None):
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
     """Greedy choice: 1-based index minimizing log Phi_delta(Y + X_i), and its value.
 
-    Y is a symmetric fam.d x fam.d matrix. fam must have ||X_i|| <= fam.m1,
-    and delta * fam.m1 may not exceed 700. Ties (within 1e-12 in log scale)
-    resolve to the smallest index. The value is read off the eigh of Y + X_i
-    for the chosen i (see _step).
+    Y is a symmetric fam.d x fam.d matrix. fam must have ||X_i|| <= fam.m1.
+    Ties (within 1e-12 in log scale) resolve to the smallest index. The value is
+    read off the eigh of Y + X_i for the chosen i (see _step).
     """
     _check_delta(delta)
     y = _square_symmetric(y, "Y", fam.d)
     stack = _stack(fam.xs, fam.m1, fam.m1)
-    p = psi_value(fam.m1, delta)
     eig = _eigh(y)
-    best, *_, spec = _step(y, eig, _spectrum(eig[0], delta), stack, delta, _psi_weights(p, p))
+    best, *_, spec = _step(y, eig, _spectrum(eig[0], delta), stack, delta)
     return best + 1, spec.log_phi
 
 
@@ -601,9 +564,10 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     delta holds, else one more exponential at the new delta. delta_k, the bound
     and the regime come from schedule.steps, once per run. On the steps whose
     batch is scored from the Gram (see _gram_scores), trace.gram_steps counts
-    them, first is still scored from its candidate's eigh, and a winner from the
-    batch must have its Gram score match the score read off the eigh of Y_k
-    within the step's margin, else PruningCertificateFailed.
+    them, first (the member with the least lower bound) is still scored from its
+    candidate's eigh, and a winner from the batch must have its Gram score match
+    the score read off the eigh of Y_k within the step's margin, else
+    PruningCertificateFailed.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
@@ -647,15 +611,13 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             delta = step_delta
             spec = _spectrum(eig[0], delta)
             psi_hi = psi_value(stack.m_hi, delta)
-            psi = _psi_weights(psi_hi, psi_value(stack.m_lo, delta))
         prev_log_phi = spec.log_phi
         score = None
         # p + r <= GRAM_SHARE * d with p = r * distinct, which never falls: once off, off for good
         if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
             score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
                                       k=k, delta=delta)
-        best, best_score, scored, margin, y, eig, spec = _step(y, eig, spec, stack, delta, psi,
-                                                               score)
+        best, best_score, scored, margin, y, eig, spec = _step(y, eig, spec, stack, delta, score)
         log_phi = spec.log_phi
         if score is not None:
             gram_steps += 1

@@ -148,6 +148,16 @@ def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
          "run --mode all-steps takes --k-max, not --n"),
         (["baseline", missing, "--k-max", "5", "--seed", "0", "--trials", "0"],
          "baseline needs --trials >= 1"),
+        # values are checked there too, with the library's messages
+        (["run", missing, "--mode", "all-steps", "--k-max", "0"],
+         "k_max must be a positive integer, got 0"),
+        (["run", missing, "--mode", "fixed-n", "--n", "0"],
+         "fixed_n must be a positive integer, got 0"),
+        (["baseline", missing, "--k-max", "0", "--seed", "0"],
+         "k_max must be a positive integer, got 0"),
+        (["baseline", missing, "--k-max", "5", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["baseline", missing, "--k-max", "5", "--seed", "-1", "--trials", "3"],
+         "seed must be nonnegative, got -1"),
     ]:
         assert cli.main([*args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: DomainError: {line}"]
