@@ -8,6 +8,7 @@ violates a proved bound, which indicates a bug rather than bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -91,15 +92,20 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+@contextlib.contextmanager
+def _csv_out(path, header):
+    """A CSV writer on path ("-": stdout) with header written before any row is computed,
+    so an unwritable path fails at once and a failed run leaves a header-only file."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
 
 
-def _summary(line: str, owned: bool) -> None:
+def _summary(line: str, path) -> None:
     """The closing "ok ..." line: on stdout, or on stderr when stdout carries the CSV."""
-    print(line, file=sys.stdout if owned else sys.stderr)
+    print(line, file=sys.stderr if path == "-" else sys.stdout)
 
 
 def _require(cond: bool, detail: str) -> None:
@@ -148,23 +154,16 @@ def _cmd_run(args) -> int:
     inst = load_instance(args.file)
     schedule = Schedule(inst.norm_bound, inst.d, fixed_n=args.n)
 
-    # opened before the run, so that an unwritable path fails before any step is taken
-    fh, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(RUN_HEADER)
+    with _csv_out(args.out, RUN_HEADER) as writer:
         trace = run(inst, schedule, k_max=args.k_max)
         for r in trace.records:
             writer.writerow(
                 (r.k, _fmt(r.delta), _fmt(r.error), _fmt(r.bound), r.regime,
                  _fmt(r.log_potential), _fmt(r.error / r.bound))
             )
-    finally:
-        if owned:
-            fh.close()
     last = trace.records[-1]
     _summary(f"ok steps={last.k} final_error={_fmt(last.error)} final_bound={_fmt(last.bound)}",
-             owned)
+             args.out)
     return 0
 
 
@@ -173,22 +172,16 @@ def _cmd_baseline(args) -> int:
     _check_counts(k_max=args.k_max)
     _seed_sequence(args.seed)   # the seed check of sample_run and child_seed
     inst = load_instance(args.file)
-    fh, owned = _open_out(args.out)
     final = 0.0
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(BASELINE_HEADER)
+    with _csv_out(args.out, BASELINE_HEADER) as writer:
         for trial in range(args.trials):
             seed = args.seed if args.trials == 1 else baseline_mod.child_seed(args.seed, trial)
             trace = baseline_mod.sample_run(inst, args.k_max, seed)
             for k, err in enumerate(trace.errors, start=1):
                 writer.writerow((trial, seed, k, _fmt(err)))
             final += trace.errors[-1]
-    finally:
-        if owned:
-            fh.close()
     _summary(f"ok trials={args.trials} k_max={args.k_max} "
-             f"mean_final_error={_fmt(final / args.trials)}", owned)
+             f"mean_final_error={_fmt(final / args.trials)}", args.out)
     return 0
 
 

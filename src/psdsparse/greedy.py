@@ -20,12 +20,14 @@ if any, are scored as a batch: from their dense rows, formed block by block,
 with a batched eigvalsh per block, or from their Grams (below). Every step
 checks that no exact score falls below its member's lower bound.
 
-Each step decomposes Y_k = Y + X_pick once, by eigh. When first wins, that is
-the eigh that scored it; otherwise the winner's row is gathered again and
-decomposed. Its eigenvalues are exponentiated once per delta (see _spectrum):
-at delta_k, which gives log Phi_delta_k(Y_k) and the step's error, and the next
-step's bounds read that eigh and, while delta holds, those exponentials; where
-delta changes, run exponentiates them once more, for the next step's bounds and
+Each step decomposes Y_k = Y + X_pick once, by eigh (see _candidate). When
+first wins, that is the eigh that scored it; otherwise the winner's row is
+gathered again and decomposed, and its batch score must agree with the score
+read off that eigh within the step's margin. Its eigenvalues are
+exponentiated once per delta (see _spectrum): at delta_k, which gives
+log Phi_delta_k(Y_k) and the step's error, and the next step's bounds read
+that eigh and, while delta holds, those exponentials; where delta changes,
+run exponentiates them once more, for the next step's bounds and
 prev_log_potential alike. So log-sum-exp over a d x d spectrum runs only for
 members scored in a batch. The picks are those of scoring every member by
 eigvalsh: first's eigh score differs from its eigvalsh score by rounding only,
@@ -48,13 +50,12 @@ p = r times the number of distinct picks, so it is W W^T with W read off the
 top p eigenpairs of the eigh of Y that the bounds take anyway, and
 eig(Y + X_i) is eig([W | V_i]^T [W | V_i]) - k plus -k with multiplicity
 d - p - r. It is used while p + r <= GRAM_SHARE * d, and as distinct picks
-never fall, once off it stays off. The skip and the lower-bound check run on
-those scores unchanged. A winner from the batch gives Y_k from its dense row,
-as on every step, so Y keeps the bits of dense scoring and the records come
-from the eigh of Y_k; its Gram score must agree with that eigh's score within
-the step's margin. Gram and dense scores differ by rounding only, so the picks
-could differ from dense scoring's only where two scores lie TIE_TOL apart to
-within that rounding; over the acceptance sweep they never do.
+never fall, once off it stays off. The skip, the lower-bound check and the
+winner's check run on those scores unchanged. A winner from the batch gives Y_k
+from its dense row, as on every step, so Y keeps the bits of dense scoring and
+the records come from the eigh of Y_k. Gram and dense scores differ by rounding
+only, so the picks could differ from dense scoring's only where two scores lie
+TIE_TOL apart to within that rounding; over the acceptance sweep they never do.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .errors import (
     PruningCertificateFailed,
 )
 from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _check_counts,
-                       _fits_one_block, _is_int, _minus_identity, _products, _row_parts, center)
+                       _fits_one_block, _is_int, _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, logsumexp, psi_value
 from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
 
@@ -99,12 +100,6 @@ def _check_family_constants(norm_bound: float, d: int) -> float:
         raise DomainError(f"need M >= 1, an integer d >= 1 and a finite M*ln(2d), "
                           f"got M={norm_bound!r}, d={d!r}")
     return ml
-
-
-def _check_k(k) -> None:
-    """_check_counts(k=k), with a plain int k >= 1 passed without the kwargs loop."""
-    if type(k) is not int or k < 1:
-        _check_counts(k=k)
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ class Schedule:
         return int(math.floor(self.norm_bound * self.log_2d)) + 1
 
     def delta(self, k: int) -> float:
-        _check_k(k)
+        _check_counts(k=k)
         return self._delta(k)
 
     def bound(self, k: int) -> float:
@@ -146,20 +141,20 @@ class Schedule:
         schedule: L/(k*delta) + M*delta, the potential-argument bound that
         holds for every prefix and collapses to the closed form at k = N.
         """
-        _check_k(k)
+        _check_counts(k=k)
         return self._bound(k, self._delta(k))
 
     def regime(self, k: int) -> str:
-        _check_k(k)
-        return REGIME_COARSE if k <= self.norm_bound * self.log_2d else REGIME_FINE
+        _check_counts(k=k)
+        return self._regime(k)
 
     def steps(self, k_max: int) -> list[tuple[float, float, str]]:
         """(delta(k), bound(k), regime(k)) for k = 1..k_max, with delta_k worked out once."""
-        _check_k(k_max)
+        _check_counts(k_max=k_max)
         steps = []
         for k in range(1, k_max + 1):
             delta = self._delta(k)
-            steps.append((delta, self._bound(k, delta), self.regime(k)))
+            steps.append((delta, self._bound(k, delta), self._regime(k)))
         return steps
 
     def _delta(self, k: int) -> float:
@@ -175,10 +170,13 @@ class Schedule:
             return _all_steps_bound(k, self.norm_bound * self.log_2d)
         return self.log_2d / (k * delta) + self.norm_bound * delta
 
+    def _regime(self, k: int) -> str:
+        return REGIME_COARSE if k <= self.norm_bound * self.log_2d else REGIME_FINE
+
 
 def bound_all_steps(k: int, norm_bound: float, d: int) -> float:
     """Prefix-error bound of the decaying schedule: 2ML/k up to k = ML, then 3*sqrt(ML/k)."""
-    _check_k(k)
+    _check_counts(k=k)
     return _all_steps_bound(k, _check_family_constants(norm_bound, d))
 
 
@@ -317,7 +315,7 @@ def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
         return np.add.reduce((w @ z).reshape(m, r), axis=1) - np.add.reduce(w)
 
     def row(i):
-        return _minus_identity(_products(v[i:i + 1]))[0]
+        return next(_centered_rows(inst, (i,)))[1][0]
 
     return _Stack(terms, functools.partial(_centered_rows, inst), row, norms, m_hi, m_lo)
 
@@ -354,7 +352,7 @@ def _gram_scores(eig, p, factors, vtv, idx, k, delta):
         z = delta * (_eigvalsh(g) - k)
         flat = np.full((n, 1), -delta * k)
         scores.append(logsumexp(np.concatenate((z, flat, -z, -flat), axis=1), weights))
-    return _joined(scores)
+    return np.concatenate(scores)
 
 
 def _curvature(mu, delta, s, m_lo, m_hi) -> float:
@@ -365,14 +363,6 @@ def _curvature(mu, delta, s, m_lo, m_hi) -> float:
     """
     x = min(max(0.0, float(mu[0]) - m_lo), float(mu[-1]) + m_hi)
     return 0.5 * delta * delta * (math.exp(delta * x - s) + math.exp(-delta * x - s))
-
-
-@functools.lru_cache(maxsize=1)
-def _signs(delta: float) -> np.ndarray:
-    """The column (delta, -delta), built once per delta; read-only, as calls share it."""
-    signs = np.array(((delta,), (-delta,)))
-    signs.setflags(write=False)
-    return signs
 
 
 class _Spectrum(NamedTuple):
@@ -395,7 +385,7 @@ def _spectrum(mu, delta) -> _Spectrum:
     """_Spectrum of the ascending eigenvalues mu at delta."""
     norm = max(float(mu[-1]), -float(mu[0]))
     s = delta * norm
-    e = np.exp(_signs(delta) * mu - s)
+    e = np.exp(np.multiply.outer((delta, -delta), mu) - s)
     total = float(e.sum())
     return _Spectrum(norm, s, e, total, float(np.log(total) + s))
 
@@ -459,17 +449,18 @@ def _scores(y, stack, idx, delta):
     for _, rows in stack.rows(idx):
         scores.append(_candidate_scores(y, rows, delta))
         del rows   # freed before the next block is formed
-    return _joined(scores)
+    return np.concatenate(scores)
 
 
-def _joined(scores):
-    """Per-block scores joined into one array."""
-    return scores[0] if len(scores) == 1 else np.concatenate(scores)
+def _candidate(y, stack, i, delta):
+    """Y_k = y + X_i, its _eigh and its _spectrum at delta."""
+    y_k = stack.row(i) + y   # exactly symmetric, as Instance makes every X_i
+    eig_k = _eigh(y_k)
+    return y_k, eig_k, _spectrum(eig_k[0], delta)
 
 
 def _step(y, eig, spec, stack, delta, score=None):
-    """One greedy step: (0-based pick, its score, indices scored, margin, Y_k, _eigh(Y_k),
-    _spectrum of Y_k at delta).
+    """One greedy step: (0-based pick, indices scored, Y_k, _eigh(Y_k), _spectrum of Y_k at delta).
 
     eig = _eigh(y) and spec = _spectrum(eig[0], delta) feed _bounds.
 
@@ -493,18 +484,17 @@ def _step(y, eig, spec, stack, delta, score=None):
     than the margin; when first is scored alone that is one scalar comparison.
 
     Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once, by
-    _spectrum: log Phi_delta(Y_k) is that spectrum's log_phi. first's candidate is Y_k
+    _candidate: log Phi_delta(Y_k) is that spectrum's log_phi. first's candidate is Y_k
     if first wins, and its score is that log_phi; otherwise the winner's row is gathered
-    once more and decomposed, and run holds a Gram score of the winner to within the
-    returned margin of log Phi_delta(Y_k). run carries Y_k, its eigh and its spectrum
-    into the next step, whose bounds read them while delta holds.
+    once more and decomposed the same way, and its batch score, dense or Gram, must lie
+    within the margin of that log_phi, else PruningCertificateFailed. run carries Y_k,
+    its eigh and its spectrum into the next step, whose bounds read them while delta
+    holds.
     """
     lower, margin = _bounds(eig, spec, stack, delta)
     first = int(lower.argmin())
     scored = np.array([first])
-    y_k = stack.row(first) + y
-    eig_k = _eigh(y_k)
-    spec_k = _spectrum(eig_k[0], delta)
+    y_k, eig_k, spec_k = _candidate(y, stack, first, delta)
     least = spec_k.log_phi
     if not math.isfinite(least):
         raise NonFinite(f"candidate score is {least!r}")
@@ -527,11 +517,15 @@ def _step(y, eig, spec, stack, delta, score=None):
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
         )
+    pick = int(scored[j])
     if j != at:
-        y_k = stack.row(int(scored[j])) + y   # exactly symmetric, as Instance makes every X_i
-        eig_k = _eigh(y_k)
-        spec_k = _spectrum(eig_k[0], delta)
-    return int(scored[j]), float(scores[j]), scored, margin, y_k, eig_k, spec_k
+        y_k, eig_k, spec_k = _candidate(y, stack, pick, delta)
+        if not abs(spec_k.log_phi - scores[j]) <= margin:
+            raise PruningCertificateFailed(
+                f"member {pick + 1}: batch score {float(scores[j])!r} and candidate score "
+                f"{spec_k.log_phi!r} differ by more than the margin {margin!r}"
+            )
+    return pick, scored, y_k, eig_k, spec_k
 
 
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
@@ -562,12 +556,10 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     bounds and Gram read the eigh as their eigh of Y. The next step's bounds and
     its prev_log_potential share one spectrum of Y_{k-1}: the last step's while
     delta holds, else one more exponential at the new delta. delta_k, the bound
-    and the regime come from schedule.steps, once per run. On the steps whose
-    batch is scored from the Gram (see _gram_scores), trace.gram_steps counts
-    them, first (the member with the least lower bound) is still scored from its
-    candidate's eigh, and a winner from the batch must have its Gram score match
-    the score read off the eigh of Y_k within the step's margin, else
-    PruningCertificateFailed.
+    and the regime come from schedule.steps, once per run. trace.gram_steps counts
+    the steps whose batch is scored from the Gram (see _gram_scores). A
+    PruningCertificateFailed or NonFinite from a step is raised again with the
+    step's k in front of its message.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
@@ -617,18 +609,15 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
         if factors is not None and r * (distinct + 1) <= GRAM_SHARE * d:
             score = functools.partial(_gram_scores, eig, r * distinct, factors, vtv,
                                       k=k, delta=delta)
-        best, best_score, scored, margin, y, eig, spec = _step(y, eig, spec, stack, delta, score)
+        try:
+            best, scored, y, eig, spec = _step(y, eig, spec, stack, delta, score)
+        except (PruningCertificateFailed, NonFinite) as exc:
+            raise type(exc)(f"step {k}: {exc}") from exc
+        gram_steps += score is not None
         log_phi = spec.log_phi
-        if score is not None:
-            gram_steps += 1
-            if not abs(log_phi - best_score) <= margin:
-                raise PruningCertificateFailed(
-                    f"step {k}: member {best + 1}: Gram score {best_score!r} and dense score "
-                    f"{log_phi!r} differ by more than the margin {margin!r}"
-                )
 
         step_cap = m_bound * psi_hi + prev_log_phi
-        if log_phi > step_cap + STEP_TOL:
+        if not log_phi <= step_cap + STEP_TOL:
             raise PotentialGrowthViolation(
                 k, f"log-potential {log_phi!r} exceeds one-step cap {step_cap!r}"
             )
@@ -638,7 +627,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
             distinct += 1
         counts[best] += 1
         error = abs(spec.norm) / k   # ||Y_k|| / k
-        if error > cap * (1.0 + BOUND_RTOL):
+        if not error <= cap * (1.0 + BOUND_RTOL):
             raise BoundViolation(k, f"prefix error {error!r} exceeds bound {cap!r}")
         records.append(
             StepRecord(

@@ -151,23 +151,25 @@ def _check_psd(eigs: np.ndarray) -> float:
 def _check_mean(mean: np.ndarray, total: float, norm_bound: float) -> None:
     """Isotropy, M >= 1 and the mean-zero certificate, from mean = sum_i w_i A_i (symmetric)."""
     eye = np.eye(len(mean))
-    residual = float(np.max(np.abs(_eigvalsh(mean - eye))))
-    if residual > ISOTROPY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that overflowed fails isotropy
+        residual = float(np.max(np.abs(_eigvalsh(mean - eye))))
+    if not residual <= ISOTROPY_TOL:
         raise NotIsotropic(residual)
     if norm_bound < 1.0 - NORM_FLOOR_TOL:
         # impossible once isotropy holds; a failure here means corrupted data
         raise InstanceError(f"norm bound {norm_bound!r} below 1")
     # sum_i w_i X_i = mean - (sum_i w_i) Id
     mean_norm = float(np.max(np.abs(_eigvalsh(mean - total * eye))))
-    if mean_norm > CENTER_MEAN_TOL:
+    if not mean_norm <= CENTER_MEAN_TOL:
         raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
 
 
 def _check_centered(worst: float, squares: np.ndarray, norm_bound: float) -> None:
     """The norm and square-bound certificates: max_i ||X_i|| = worst, sum_i w_i X_i^2 = squares."""
-    if worst > norm_bound + CENTER_NORM_TOL:
+    if not worst <= norm_bound + CENTER_NORM_TOL:
         raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
-    if not loewner_leq(squares, norm_bound * np.eye(len(squares)), CENTER_SQUARE_TOL):
+    if not (np.all(np.isfinite(squares))   # squares that overflowed fail the bound
+            and loewner_leq(squares, norm_bound * np.eye(len(squares)), CENTER_SQUARE_TOL)):
         raise CenteringCertificateFailed("square-bound")
 
 
@@ -182,13 +184,15 @@ def _certify_dense(weights: np.ndarray, mats: np.ndarray) -> float:
     total = _check_simplex(weights)
     eigs = _eigvalsh(mats)  # (m, d), each row nondecreasing
     norm_bound = _check_psd(eigs)
-    _check_mean(_symmetrize(np.einsum("i,ijk->jk", weights, mats)), total, norm_bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a certificate below
+        mean = _symmetrize(np.einsum("i,ijk->jk", weights, mats))
+        xs = mats - np.eye(mats.shape[1])
+        squares = _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs))
+    _check_mean(mean, total, norm_bound)
     # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
     # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
     # at d = M = 64, three orders below CENTER_NORM_TOL.
-    worst = float(np.max(np.abs(eigs - 1.0)))
-    xs = mats - np.eye(mats.shape[1])
-    _check_centered(worst, _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs)), norm_bound)
+    _check_centered(float(np.max(np.abs(eigs - 1.0))), squares, norm_bound)
     return norm_bound
 
 
@@ -213,13 +217,14 @@ def _certify_factors(weights: np.ndarray, factors: np.ndarray) -> float:
     norm_bound = _check_psd(eigs)
     scaled = factors * np.sqrt(weights)[:, np.newaxis, np.newaxis]
     w = scaled.transpose(1, 0, 2).reshape(d, m * r)
-    mean = _symmetrize(w @ w.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a certificate below
+        mean = _symmetrize(w @ w.T)
+        wg = (scaled @ gram).transpose(1, 0, 2).reshape(d, m * r)
+        squares = _symmetrize(wg @ w.T) - 2.0 * mean + total * np.eye(d)
     _check_mean(mean, total, norm_bound)
     worst = float(np.max(np.abs(eigs - 1.0)))
     if r < d:
         worst = max(worst, 1.0)
-    wg = (scaled @ gram).transpose(1, 0, 2).reshape(d, m * r)
-    squares = _symmetrize(wg @ w.T) - 2.0 * mean + total * np.eye(d)
     _check_centered(worst, squares, norm_bound)
     return norm_bound
 
@@ -348,10 +353,13 @@ def validate(raw: dict) -> Instance:
         if not np.all(np.isfinite(a)):
             raise NonFinite(f"item {i}: matrix entries contain NaN or Inf")
         if kind == "A":
-            asym = float(np.max(np.abs(a - a.T)))
-            if asym > ASYMMETRY_TOL:
-                raise NotSymmetric(i, asym)
-            a = _symmetrize(a)
+            with np.errstate(over="ignore"):   # an overflow is reported below
+                asym = float(np.max(np.abs(a - a.T)))
+                if asym > ASYMMETRY_TOL:
+                    raise NotSymmetric(i, asym)
+                a = _symmetrize(a)
+            if not np.all(np.isfinite(a)):
+                raise NonFinite(f"item {i}: matrix entries overflow when symmetrized")
         if members is None:
             members = np.empty((len(items), *a.shape))
         members[i] = a
@@ -547,8 +555,6 @@ def gen_graph_edges(edge_list) -> Instance:
         if w <= 0 or not np.isfinite(w):
             raise DomainError(f"edge ({u}, {v}) has non-positive weight {w!r}")
     n = int(max(max(u, v) for u, v, _ in edges)) + 1
-    if n < 2:
-        raise DomainError("graph must have at least 2 vertices")
     if n > len(edges) + 1:  # checked before the n x n Laplacian is allocated
         raise Disconnected(f"{n} vertices need at least {n - 1} edges, got {len(edges)}")
 

@@ -33,19 +33,24 @@ def _square_symmetric(a, label: str, d: int | None = None) -> np.ndarray:
     """A fresh symmetrized float64 copy of a, which must be a finite, symmetric d x d matrix.
 
     Checks in order: a is 2-D, square and nonempty, and d x d when d is given
-    (else DimensionMismatch); its entries are finite (else NonFinite); and
-    max |a - a^T| <= ASYMMETRY_TOL (else NotSymmetric). label names a in the errors.
+    (else DimensionMismatch); its entries, and so its symmetrized copy, are finite,
+    as a + a^T may overflow (else NonFinite); and max |a - a^T| <= ASYMMETRY_TOL
+    (else NotSymmetric). label names a in the errors.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or d not in (None, a.shape[0]):
         want = "a nonempty square matrix" if d is None else f"{d}x{d}"
         raise DimensionMismatch(f"need {want}, {label} is {'x'.join(map(str, a.shape)) or 'a scalar'}")
-    if not np.all(np.isfinite(a)):
-        raise NonFinite(f"{label} entries contain NaN or Inf")
-    asymmetry = float(np.max(np.abs(a - a.T)))
+    with np.errstate(over="ignore", invalid="ignore"):   # NaN, Inf and overflow are reported below
+        s = _symmetrize(a)
+        asymmetry = float(np.max(np.abs(a - a.T)))
+    # a NaN or Inf entry of a leaves one in s
+    if not np.all(np.isfinite(s)):
+        what = "overflows when symmetrized" if np.all(np.isfinite(a)) else "entries contain NaN or Inf"
+        raise NonFinite(f"{label} {what}")
     if asymmetry > ASYMMETRY_TOL:
         raise NotSymmetric(label, asymmetry)
-    return _symmetrize(a)
+    return s
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -76,10 +81,10 @@ def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = _eigh(a)
     recon = (vecs * vals) @ vecs.T
     fro = np.linalg.norm(a)
-    if np.linalg.norm(recon - a) > RECONSTRUCTION_RTOL * (1.0 + fro):
+    if not np.linalg.norm(recon - a) <= RECONSTRUCTION_RTOL * (1.0 + fro):
         raise NoConvergence("spectral reconstruction certificate failed")
     d = a.shape[0]
-    if np.linalg.norm(vecs.T @ vecs - np.eye(d)) > ORTHOGONALITY_TOL * d:
+    if not np.linalg.norm(vecs.T @ vecs - np.eye(d)) <= ORTHOGONALITY_TOL * d:
         raise NoConvergence("eigenvector orthogonality certificate failed")
     vals.setflags(write=False)
     vecs.setflags(write=False)

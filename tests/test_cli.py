@@ -204,14 +204,14 @@ def test_dash_out_writes_only_csv_to_stdout(tmp_path, capsys, args, summary):
 
 
 def test_run_maps_bound_violation_to_exit_2(tmp_path, capsys, monkeypatch):
+    # run's own certificate fires: every prefix error exceeds a bound of 0
+    monkeypatch.setattr(greedy.Schedule, "_bound", lambda self, k, delta: 0.0)
     path = _write_canonical(tmp_path)
-
-    def boom(*args, **kwargs):
-        raise ps.BoundViolation(3, "synthetic violation")
-
-    monkeypatch.setattr(cli, "run", boom)
-    assert cli.main(["run", str(path), "--mode", "all-steps", "--out", "-"]) == 2
-    assert "BoundViolation" in capsys.readouterr().err
+    out = tmp_path / "trace.csv"
+    assert cli.main(["run", str(path), "--mode", "all-steps", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BoundViolation: step 1: prefix error"), lines
+    assert _read_csv(out) == [list(cli.RUN_HEADER)]   # the header the run opened with
 
 
 def test_generate_bases_round_trip(tmp_path, capsys):
@@ -253,17 +253,17 @@ def _one_error_line(args, prefix, **run_kwargs):
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
-def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, capsys, monkeypatch):
-    exact = greedy._gram_scores
+def _batch_winner_far_from_its_eigh_raises_one_error_line(tmp_path, capsys, monkeypatch, scorer,
+                                                          inst):
+    exact = getattr(greedy, scorer)
 
     def shifted(*args, **kwargs):
         return exact(*args, **kwargs) - 1e-6
 
-    # at Y = 0 every member ties, so a member scored from the Gram wins step 1 by the shift
-    monkeypatch.setattr(greedy, "_gram_scores", shifted)
-    inst = ps.gen_bases(8, 2, 0)
+    # at Y = 0 every member ties, so a member scored in the batch wins step 1 by the shift
+    monkeypatch.setattr(greedy, scorer, shifted)
     with pytest.raises(ps.PruningCertificateFailed,
-                       match=r"step 1: member 2: Gram score .* and dense score .* differ"):
+                       match=r"step 1: member 2: batch score .* and candidate score .* differ"):
         ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=4)
     path = tmp_path / "b8.json"
     ps.save_instance(inst, path)
@@ -271,8 +271,27 @@ def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, cap
     assert cli.main(args) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("error: PruningCertificateFailed: step 1: member 2: "), lines
-    assert "Gram score" in lines[0]
+    assert lines[0].startswith("error: PruningCertificateFailed: step 1: member 2: batch score "), lines
+
+
+def test_gram_score_far_from_the_dense_score_raises_one_error_line(tmp_path, capsys, monkeypatch):
+    _batch_winner_far_from_its_eigh_raises_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          "_gram_scores", ps.gen_bases(8, 2, 0))
+
+
+def test_dense_batch_score_far_from_the_eigh_score_raises_one_error_line(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the same family held as dense "A" matrices, whose batch is scored from its rows
+    inst = ps.gen_bases(8, 2, 0)
+    _batch_winner_far_from_its_eigh_raises_one_error_line(
+        tmp_path, capsys, monkeypatch, "_scores", ps.Instance(inst.weights, dense_mats(inst)))
+
+
+def test_validate_overflow_on_symmetrizing_prints_one_error_line(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"d": 1, "items": [{"lambda": 1.0, "A": [[1.7e308]]}]}))
+    _one_error_line(["validate", str(path)],
+                    "error: NonFinite: item 0: matrix entries overflow when symmetrized")
 
 
 def test_generate_graph_overflow_prints_one_error_line(tmp_path):
@@ -407,6 +426,10 @@ def test_verify_suite_reports(capsys):
     out = capsys.readouterr().out
     assert out.startswith("psi: pass")
     assert "worst_slack=" in out
+    assert cli.main(["verify", "--suite", "all", "--trials", "3", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(ps.SUITES)
+    assert all(": pass trials=3 " in line for line in lines), lines
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

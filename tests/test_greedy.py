@@ -281,9 +281,8 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
 
     The member with the least lower bound, first, is always scored, and every member
     scored has a lower bound within TIE_TOL plus the margin of first's eigh score.
-    The pick's score is its eigvalsh score, or the eigh score of its candidate when it
-    is first; Y_k = Y + X_pick is returned with its eigh, and the returned
-    log Phi_delta(Y_k) is read off that eigh.
+    Y_k = Y + X_pick is returned with its eigh, the returned log Phi_delta(Y_k) is read
+    off that eigh, and it lies within the margin of the pick's eigvalsh score.
 
     Checked for the dense stack and, for a factor family, for the factor stack run uses,
     with the spectral bounds X_i <= M and -X_i <= m_lo (1 in run, M in select_next).
@@ -300,7 +299,7 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         lower, margin = greedy._bounds(eig, spec, stack, delta)
         assert np.all(lower - margin <= full)
 
-        best, score, keep, _, y_k, eig_k, spec_k = greedy._step(y, eig, spec, stack, delta)
+        best, keep, y_k, eig_k, spec_k = greedy._step(y, eig, spec, stack, delta)
         log_phi = spec_k.log_phi
         ties = np.flatnonzero(full <= np.min(full) + greedy.TIE_TOL)
         assert set(ties.tolist()) <= set(keep.tolist())
@@ -315,7 +314,7 @@ def _check_pruning_state(inst, y, delta, m_lo=1.0):
         assert y_k.tobytes() == want.tobytes()
         assert eig_k[0].tobytes() == mu.tobytes()
         assert log_phi == log_potential_from_eigenvalues(mu, delta)
-        assert score == (log_phi if best == first else full[best])
+        assert abs(log_phi - full[best]) <= margin
 
 
 @given(
@@ -527,6 +526,23 @@ def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_low
         ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
 
 
+@pytest.mark.parametrize("psi", [-1.0, math.nan])
+def test_potential_growth_violation_raises(monkeypatch, canonical, psi):
+    # a one-step cap below log Phi(Y_0), or a NaN one, must fail the step
+    monkeypatch.setattr(greedy, "psi_value", lambda *args: psi)
+    with pytest.raises(ps.PotentialGrowthViolation, match="^step 1: log-potential") as info:
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+    assert info.value.k == 1
+
+
+@pytest.mark.parametrize("bound", [0.0, math.nan])
+def test_bound_violation_raises(monkeypatch, canonical, bound):
+    monkeypatch.setattr(greedy.Schedule, "_bound", lambda self, k, delta: bound)
+    with pytest.raises(ps.BoundViolation, match="^step 1: prefix error") as info:
+        ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+    assert type(info.value) is ps.BoundViolation and info.value.k == 1
+
+
 def test_survivors_include_ties_within_tie_tol(monkeypatch):
     # member 1 scores 4.6e-13 above member 2, so _pick over all members takes it;
     # its lower bound lies above member 2's score plus the margin but within TIE_TOL
@@ -541,10 +557,10 @@ def test_survivors_include_ties_within_tie_tol(monkeypatch):
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
     eig = greedy._eigh(y)
-    best, score, keep, *_ = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0)
+    best, keep, *_, spec_k = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0)
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
-    assert score == scores[0]
+    assert spec_k.log_phi == scores[0]
 
 
 def test_ties_with_the_least_lower_bound_member_are_scored(monkeypatch):
@@ -564,10 +580,10 @@ def test_ties_with_the_least_lower_bound_member_are_scored(monkeypatch):
     monkeypatch.setattr(greedy, "_bounds", lambda *args: (lower, margin))
     stack = greedy._stack(xs, 1.0, 1.0)
     eig = greedy._eigh(y)
-    best, score, keep, *_ = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0)
+    best, keep, *_, spec_k = greedy._step(y, eig, greedy._spectrum(eig[0], 1.0), stack, 1.0)
     assert keep.tolist() == [0, 1]
     assert best == greedy._pick(scores) == 0
-    assert score == scores[0]
+    assert spec_k.log_phi == scores[0]
 
 
 @pytest.mark.parametrize("step", [5.0, 27.0])

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,10 @@ def test_validate_rejects_malformed_payloads():
         ps.validate({"d": 2, "items": []})
     with pytest.raises(ps.FormatError):
         ps.validate({"d": 2, "items": [{"lambda": 1.0}]})
+    with pytest.raises(ps.FormatError, match="item 0 must carry 'lambda'"):
+        ps.validate({"d": 1, "items": [{"A": [[1.0]]}]})
+    with pytest.raises(ps.FormatError, match="item 0: 'lambda' does not fit a float"):
+        ps.validate({"d": 1, "items": [{"lambda": 10**400, "A": [[1.0]]}]})
     with pytest.raises(ps.DimensionMismatch):
         ps.validate({"d": 0, "items": [{"lambda": 1.0, "A": [[1.0]]}]})
     raw = canonical_raw()
@@ -113,6 +118,9 @@ def test_validate_rejects_nonfinite_entries():
     raw["items"][0]["A"] = [[math.inf, 0.0], [0.0, 0.0]]
     with pytest.raises(ps.NonFinite):
         ps.validate(raw)
+    # finite, but A + A^T is not: NonFinite, with no numpy warning first (warnings are errors)
+    with pytest.raises(ps.NonFinite, match="item 0: matrix entries overflow when symmetrized"):
+        ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.7e308]]}]})
 
 
 def test_validate_asymmetry_tolerance_boundary():
@@ -196,6 +204,28 @@ def test_certify_rejects_one_ulp_of_asymmetry():
 def test_instance_rejects_wrong_array_ranks(weights, mats):
     with pytest.raises(ps.FormatError, match=r"need shapes \(m,\) and \(m, d, d\)"):
         ps.Instance(weights, mats)
+
+
+@pytest.mark.parametrize(
+    "weights, mats, error",
+    [
+        (np.ones(1), np.zeros((1, 2, 3)), ps.DimensionMismatch),
+        (np.array([np.nan]), np.ones((1, 1, 1)), ps.NonFinite),
+        (np.ones(1), np.full((1, 1, 1), np.nan), ps.NonFinite),
+        # finite entries whose mean overflows: a NaN residual fails isotropy, without a warning
+        (np.ones(1), np.array([[[1.7e308, 0.0], [0.0, 0.0]]]), ps.NotIsotropic),
+        # isotropic, but w_1 X_1^2 overflows: the square bound fails, not loewner_leq's input check
+        (np.array([1e-300, 1.0]), np.array([np.diag([1e300, 0.0]), np.diag([0.0, 1.0])]),
+         ps.CenteringCertificateFailed),
+    ],
+    ids=["non-square", "nan-weight", "nan-entry", "mean-overflow", "square-overflow"],
+)
+def test_dense_certificates_reject_a_bad_family(weights, mats, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            ps.Instance(weights, mats)
+    assert type(info.value) is error
 
 
 def test_instance_rejects_2d_weights_for_factors_with_the_factor_shape():
@@ -669,6 +699,9 @@ def test_gen_graph_edges_rejects_bad_graphs():
         ps.gen_graph_edges([(-1, 1, 1.0)])
     with pytest.raises(ps.FormatError):
         ps.gen_graph_edges([])
+    # enough edges for 5 vertices, but in two components
+    with pytest.raises(ps.Disconnected, match="Laplacian rank below 4"):
+        ps.gen_graph_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (0, 1, 1.0)])
 
 
 def test_gen_graph_edges_rejects_too_few_edges_before_allocating():
@@ -753,6 +786,8 @@ def test_extra_edges_are_drawn_without_the_quadratic_pair_list():
 def test_random_connected_edges_rejects_bad_counts():
     with pytest.raises(ps.DomainError):
         ps.random_connected_edges(1, 0, seed=0)
+    with pytest.raises(ps.DomainError, match="at least 2 vertices"):
+        ps.random_connected_edges(1, 1, seed=0)
     with pytest.raises(ps.DomainError):
         ps.random_connected_edges(5, 3, seed=0)  # below spanning tree
     with pytest.raises(ps.DomainError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
+from psdsparse import symmat
 from psdsparse.symmat import _symmetrize
 
 from conftest import rng_for
@@ -42,6 +43,11 @@ def test_matrix_entries_check_their_input(name):
         y[0, 0] = bad
         with pytest.raises(ps.NonFinite):
             call(y)
+    # finite, but a + a^T overflows: NonFinite, with no numpy warning first (warnings are errors)
+    y = _Y.copy()
+    y[0, 0] = 1.7e308
+    with pytest.raises(ps.NonFinite, match="overflows when symmetrized"):
+        call(y)
     y = _Y.copy()
     y[0, 1] += 1e-6
     with pytest.raises(ps.NotSymmetric, match="tolerance 1e-09"):
@@ -51,6 +57,13 @@ def test_matrix_entries_check_their_input(name):
     y[0, 1] += 1e-12
     np.testing.assert_equal(call(y), call(_symmetrize(y)))
     assert not np.array_equal(y, y.T)   # the input itself is left as it was
+
+
+def test_eigh_certificates_reject_nan(monkeypatch):
+    # NaN compares false to every limit, so each certificate is written to fail on it
+    monkeypatch.setattr(symmat, "_eigh", lambda a: (np.full(2, np.nan), np.full((2, 2), np.nan)))
+    with pytest.raises(ps.NoConvergence, match="reconstruction"):
+        ps.eigh(np.eye(2))
 
 
 def test_eigh_identity():
@@ -161,6 +174,13 @@ def test_sym_apply_scalar_and_array_functions_fail_alike(f):
     s = np.diag([1.0, -1.0] if f is not math.exp else [1000.0, 0.0])
     with pytest.raises(ps.NonFinite):
         ps.sym_apply(s, f)
+
+
+def test_sym_apply_falls_back_per_eigenvalue_on_a_wrong_shape():
+    # on the whole spectrum this f returns one number, not one per eigenvalue
+    s = [[2.0, 0.5], [0.5, 1.0]]
+    np.testing.assert_allclose(ps.sym_apply(s, lambda x: np.sum(np.exp(x))),
+                               ps.sym_apply(s, np.exp), rtol=1e-15)
 
 
 def test_sym_apply_scalar_function_matches_array_function():
