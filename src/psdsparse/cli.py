@@ -222,12 +222,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BoundViolation as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except PsdSparseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BoundViolation) else 1
     except OSError as exc:
         print(f"error: IO: {exc}", file=sys.stderr)
         return 1

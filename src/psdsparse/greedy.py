@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,14 +148,17 @@ class Schedule:
         _check_counts(k=k)
         return self._regime(k)
 
-    def steps(self, k_max: int) -> list[tuple[float, float, str]]:
-        """(delta(k), bound(k), regime(k)) for k = 1..k_max, with delta_k worked out once."""
+    def steps(self, k_max: int) -> Iterator[tuple[float, float, str]]:
+        """(delta(k), bound(k), regime(k)) for k = 1..k_max, each worked out as the loop reaches k.
+
+        k_max is checked at the call; nothing is computed ahead of the loop.
+        """
         _check_counts(k_max=k_max)
-        steps = []
-        for k in range(1, k_max + 1):
-            delta = self._delta(k)
-            steps.append((delta, self._bound(k, delta), self._regime(k)))
-        return steps
+        return map(self._step, range(1, k_max + 1))
+
+    def _step(self, k: int) -> tuple[float, float, str]:
+        delta = self._delta(k)
+        return delta, self._bound(k, delta), self._regime(k)
 
     def _delta(self, k: int) -> float:
         m, l = self.norm_bound, self.log_2d
@@ -556,14 +559,14 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     bounds and Gram read the eigh as their eigh of Y. The next step's bounds and
     its prev_log_potential share one spectrum of Y_{k-1}: the last step's while
     delta holds, else one more exponential at the new delta. delta_k, the bound
-    and the regime come from schedule.steps, once per run. trace.gram_steps counts
-    the steps whose batch is scored from the Gram (see _gram_scores). A
-    PruningCertificateFailed or NonFinite from a step is raised again with the
-    step's k in front of its message.
+    and the regime come from schedule.steps, as the loop reaches each step.
+    trace.gram_steps counts the steps whose batch is scored from the Gram (see
+    _gram_scores). A PruningCertificateFailed or NonFinite from a step is raised
+    again with the step's k in front of its message.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
-    _check_counts(k_max=k_max)
+    steps = schedule.steps(k_max)
     if schedule.fixed_n not in (None, k_max):
         raise DomainError(
             f"constant schedule is tuned to N={schedule.fixed_n}, cannot run k_max={k_max}"
@@ -597,7 +600,7 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     indices: list[int] = []
     records: list[StepRecord] = []
 
-    for k, (step_delta, cap, regime) in enumerate(schedule.steps(k_max), start=1):
+    for k, (step_delta, cap, regime) in enumerate(steps, start=1):
         if step_delta != delta:
             # else the last step's spectrum of Y_{k-1} is at this delta already
             delta = step_delta

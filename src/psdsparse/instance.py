@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -97,13 +98,11 @@ class Instance:
             raise FormatError("pass mats or factors, not both")
         else:
             members = factors = np.asarray(factors, dtype=np.float64)
-            if factors.ndim != 3:
-                raise FormatError(f"need factors of shape (m, d, r), got {factors.shape}")
-            if factors.shape[2] < 1:
-                raise DimensionMismatch(f"factors need rank r >= 1, got shape {factors.shape}")
         noun, last = ("matrices", "d") if factors is None else ("factors", "r")
         if weights.ndim != 1 or members.ndim != 3:
             raise FormatError(f"need shapes (m,) and (m, d, {last}), got {weights.shape}, {members.shape}")
+        if factors is not None and factors.shape[2] < 1:
+            raise DimensionMismatch(f"factors need rank r >= 1, got shape {factors.shape}")
         m = weights.shape[0]
         if members.shape[0] != m:
             raise FormatError(f"got {m} weights and {members.shape[0]} {noun}")
@@ -186,8 +185,9 @@ def _certify_dense(weights: np.ndarray, mats: np.ndarray) -> float:
     norm_bound = _check_psd(eigs)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a certificate below
         mean = _symmetrize(np.einsum("i,ijk->jk", weights, mats))
-        xs = mats - np.eye(mats.shape[1])
-        squares = _symmetrize(np.einsum("i,ijk->jk", weights, xs @ xs))
+        # sqrt(w_i) X_i, squared: w_i X_i^2 <= M Id, so no valid family overflows here
+        xs = (mats - np.eye(mats.shape[1])) * np.sqrt(weights)[:, np.newaxis, np.newaxis]
+        squares = _symmetrize(np.sum(xs @ xs, axis=0))
     _check_mean(mean, total, norm_bound)
     # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
     # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
@@ -282,10 +282,12 @@ def _is_int(value) -> bool:
 
 
 def _check_counts(**counts) -> None:
-    """Raise DomainError unless every value is an integer (see _is_int) >= 1."""
+    """Raise DomainError unless every value is an integer (see _is_int) >= 1 that a float holds."""
     for name, value in counts.items():
         if not (_is_int(value) and value >= 1):
             raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        if value > sys.float_info.max:
+            raise DomainError(f"{name} exceeds the largest float, {sys.float_info.max!r}")
 
 
 def _json_number(value, what: str) -> float:
@@ -419,8 +421,6 @@ def _fits_one_block(inst: Instance) -> bool:
 def _row_parts(idx: np.ndarray, d: int) -> list[np.ndarray]:
     """Consecutive parts of idx, each of at most _CHUNK_ENTRIES // d^2 indices (at least one)."""
     step = max(1, _CHUNK_ENTRIES // (d * d))
-    if len(idx) <= step:
-        return [idx]
     return [idx[start:start + step] for start in range(0, len(idx), step)]
 
 
@@ -499,7 +499,10 @@ def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
     _check_counts(d=d, n_bases=n_bases)
     rng = _rng(seed)
     m = n_bases * d
-    factors = np.empty((m, d, 1))
+    try:
+        factors = np.empty((m, d, 1))
+    except ValueError as exc:  # past numpy's size limit; a MemoryError is reported as it is
+        raise DomainError(f"d={d} and n_bases={n_bases} are too large: {exc}") from exc
     for b in range(n_bases):
         factors[b * d:(b + 1) * d, :, 0] = math.sqrt(d) * _haar_orthogonal(rng, d).T
     weights = np.full(m, 1.0 / m)
@@ -521,7 +524,10 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
         raise DomainError(f"cond_cap must be >= 1, got {cond_cap!r}")
     for attempt in range(MAX_TRANSFORM_RETRIES):
         rng = _rng(seed, attempt)
-        gs = rng.standard_normal((m, d, rank))
+        try:
+            gs = rng.standard_normal((m, d, rank))
+        except ValueError as exc:  # past numpy's size limit; a MemoryError is reported as it is
+            raise DomainError(f"d={d}, m={m} and rank={rank} are too large: {exc}") from exc
         flat = gs.transpose(1, 0, 2).reshape(d, m * rank)  # [G_1 ... G_m], so S = flat flat^T / m
         s = _symmetrize(flat @ flat.T / m)
         vals, vecs = _eigh(s)
@@ -542,7 +548,13 @@ def gen_graph_edges(edge_list) -> Instance:
     a rank-one matrix of norm exactly n-1, stored as its factor, weighted by
     its leverage score over n-1. The construction is deterministic.
     """
-    edges = [(u, v, float(w)) for u, v, w in edge_list]
+    edges = []
+    for edge in edge_list:
+        try:
+            u, v, w = edge
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"edge {edge!r} must be a triple (u, v, w)") from exc
+        edges.append((u, v, _json_number(w, f"edge ({u!r}, {v!r}): weight")))
     if not edges:
         raise FormatError("edge list is empty")
     for u, v, w in edges:

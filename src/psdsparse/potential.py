@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, Overflow
+from .errors import DimensionMismatch, DomainError, Overflow
 from .symmat import _eigvalsh, _square_symmetric
 
 # Below this value of u = delta*m1 the closed form cancels catastrophically;
@@ -77,6 +77,8 @@ def log_potential_from_eigenvalues(eigenvalues: np.ndarray, delta: float) -> np.
     """
     _check_delta(delta)
     z = delta * np.asarray(eigenvalues, dtype=np.float64)
+    if z.ndim == 0 or z.shape[-1] == 0:
+        raise DimensionMismatch(f"need a spectrum of shape (..., d) with d >= 1, got shape {z.shape}")
     return logsumexp(np.concatenate([z, -z], axis=-1))
 
 

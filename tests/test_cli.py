@@ -158,6 +158,11 @@ def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
         (["baseline", missing, "--k-max", "5", "--seed", "-1"], "seed must be nonnegative, got -1"),
         (["baseline", missing, "--k-max", "5", "--seed", "-1", "--trials", "3"],
          "seed must be nonnegative, got -1"),
+        # a count past the largest float: one line before the load, not a traceback after it
+        (["run", missing, "--mode", "fixed-n", "--n", "1" + "0" * 400],
+         "fixed_n exceeds the largest float, 1.7976931348623157e+308"),
+        (["baseline", missing, "--k-max", "1" + "0" * 400, "--seed", "0"],
+         "k_max exceeds the largest float, 1.7976931348623157e+308"),
     ]:
         assert cli.main([*args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: DomainError: {line}"]
@@ -351,14 +356,20 @@ def test_baseline_huge_k_max_prints_one_error_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["--kind", "bases", "--d", "100000"],
-     ["--kind", "random-psd", "--d", "3", "--m", "100000000", "--rank", "1000"]],
-    ids=["bases", "random-psd"],
+    "args, prefix",
+    [(["--kind", "bases", "--d", "100000"], "error: MemoryError: Unable to allocate"),
+     (["--kind", "random-psd", "--d", "3", "--m", "100000000", "--rank", "1000"],
+      "error: MemoryError: Unable to allocate"),
+     # past numpy's size limit, which it reports as a ValueError
+     (["--kind", "bases", "--d", "1" + "0" * 20],
+      "error: DomainError: d=100000000000000000000 and n_bases=1 are too large: "),
+     (["--kind", "random-psd", "--d", "3", "--m", "1" + "0" * 20],
+      "error: DomainError: d=3, m=100000000000000000000 and rank=3 are too large: ")],
+    ids=["bases", "random-psd", "bases-past-size-limit", "random-psd-past-size-limit"],
 )
-def test_generate_too_large_to_allocate_prints_one_error_line(tmp_path, args):
-    _one_error_line(["generate", *args, "--out", str(tmp_path / "x.json")],
-                    "error: MemoryError: Unable to allocate", preexec_fn=_cap_address_space)
+def test_generate_too_large_to_allocate_prints_one_error_line(tmp_path, args, prefix):
+    _one_error_line(["generate", *args, "--out", str(tmp_path / "x.json")], prefix,
+                    preexec_fn=_cap_address_space)
     assert not (tmp_path / "x.json").exists()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,29 @@ def test_schedule_rejects_bad_arguments():
         ps.Schedule(2.0, 2, fixed_n=0)
     with pytest.raises(ps.DomainError):
         ps.Schedule(2.0, 2).delta(0)
+
+
+def test_schedule_steps_are_worked_out_as_the_run_reaches_them():
+    # nothing is built ahead of the first step: a list of 10^5 steps took 12 MB
+    sched = ps.Schedule(2.0, 2)
+    tracemalloc.start()
+    try:
+        first = next(sched.steps(10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert first == (sched.delta(1), sched.bound(1), sched.regime(1))
+
+
+def test_counts_beyond_the_float_range_raise():
+    big = 10**400
+    with pytest.raises(ps.DomainError, match="^k exceeds the largest float"):
+        instance._check_counts(k=big)
+    for call in (lambda: ps.Schedule(2.0, 2).delta(big), lambda: ps.Schedule(2.0, 2, fixed_n=big),
+                 lambda: ps.bound_all_steps(big, 2.0, 2), lambda: ps.bound_fixed_n(big, 2.0, 2)):
+        with pytest.raises(ps.DomainError, match="exceeds the largest float"):
+            call()
 
 
 def test_fixed_schedule_bound_matches_closed_form_at_n():

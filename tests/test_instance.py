@@ -206,6 +206,10 @@ def test_instance_rejects_wrong_array_ranks(weights, mats):
         ps.Instance(weights, mats)
 
 
+# the factor copy of the family [1e-300, 1.0], [diag(1e300, 0), diag(0, 1)] below
+_TINY_WEIGHT_V = np.array([[[1e150], [0.0]], [[0.0], [1.0]]])
+
+
 @pytest.mark.parametrize(
     "weights, mats, error",
     [
@@ -214,15 +218,18 @@ def test_instance_rejects_wrong_array_ranks(weights, mats):
         (np.ones(1), np.full((1, 1, 1), np.nan), ps.NonFinite),
         # finite entries whose mean overflows: a NaN residual fails isotropy, without a warning
         (np.ones(1), np.array([[[1.7e308, 0.0], [0.0, 0.0]]]), ps.NotIsotropic),
-        # isotropic, but w_1 X_1^2 overflows: the square bound fails, not loewner_leq's input check
-        (np.array([1e-300, 1.0]), np.array([np.diag([1e300, 0.0]), np.diag([0.0, 1.0])]),
-         ps.CenteringCertificateFailed),
+        # valid, with a tiny weight on a huge member: X_1^2 overflows, sqrt(w_1) X_1 squared does not
+        (np.array([1e-300, 1.0]), np.array([np.diag([1e300, 0.0]), np.diag([0.0, 1.0])]), None),
     ],
     ids=["non-square", "nan-weight", "nan-entry", "mean-overflow", "square-overflow"],
 )
 def test_dense_certificates_reject_a_bad_family(weights, mats, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if error is None:   # the family is valid: it passes, with its factor copy's M
+            factor_copy = ps.Instance(weights, factors=_TINY_WEIGHT_V)
+            assert ps.Instance(weights, mats).norm_bound == factor_copy.norm_bound
+            return
         with pytest.raises(error) as info:
             ps.Instance(weights, mats)
     assert type(info.value) is error
@@ -699,6 +706,12 @@ def test_gen_graph_edges_rejects_bad_graphs():
         ps.gen_graph_edges([(-1, 1, 1.0)])
     with pytest.raises(ps.FormatError):
         ps.gen_graph_edges([])
+    # a malformed edge or weight is a FormatError that names the edge, not a bare Python error
+    with pytest.raises(ps.FormatError, match=r"^edge \(0, 1\) must be a triple \(u, v, w\)$"):
+        ps.gen_graph_edges([(0, 1)])
+    for w in ("x", None, True):
+        with pytest.raises(ps.FormatError, match=rf"^edge \(0, 1\): weight must be a number, got {w!r}$"):
+            ps.gen_graph_edges([(0, 1, w)])
     # enough edges for 5 vertices, but in two components
     with pytest.raises(ps.Disconnected, match="Laplacian rank below 4"):
         ps.gen_graph_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (3, 4, 1.0), (0, 1, 1.0)])

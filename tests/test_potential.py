@@ -111,6 +111,12 @@ def test_log_potential_rejects_a_non_finite_delta(delta):
         ps.log_potential_from_eigenvalues(np.zeros(2), delta)
 
 
+@pytest.mark.parametrize("eigenvalues", [3.0, [], np.zeros((2, 0))], ids=["no-axis", "empty", "empty-rows"])
+def test_log_potential_rejects_a_spectrum_without_eigenvalues(eigenvalues):
+    with pytest.raises(ps.DimensionMismatch, match=r"need a spectrum of shape \(\.\.\., d\) with d >= 1"):
+        ps.log_potential_from_eigenvalues(eigenvalues, 1.0)
+
+
 def test_log_potential_negation_symmetry():
     rng = rng_for(2)
     for _ in range(20):
