@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -277,7 +278,7 @@ class _Stack(NamedTuple):
     terms: Callable
     rows: Callable
     row: Callable
-    norms: np.ndarray     # ||X_i||_F^2 = tr X_i^2
+    norms: np.ndarray     # ||X_i||_F^2 = tr X_i^2, or 0 where that overflows (see _bounds)
     m_hi: float
     m_lo: float
 
@@ -293,7 +294,9 @@ def _stack(xs, m_hi, m_lo) -> _Stack:
     def rows(idx):
         return ((part, xs[part]) for part in _row_parts(idx, d))
 
-    norms = np.trace(xs @ xs, axis1=1, axis2=2)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is set to 0 below
+        norms = np.trace(xs @ xs, axis1=1, axis2=2)
+    norms[~np.isfinite(norms)] = 0.0   # drops the curvature term (see _bounds)
     return _Stack(terms, rows, xs.__getitem__, norms, m_hi, m_lo)
 
 
@@ -309,7 +312,9 @@ def _factor_stack(inst: Instance, vtv, m_hi, m_lo) -> _Stack:
     v = inst.factors
     m, d, r = v.shape
     cols = v.transpose(1, 0, 2).reshape(d, m * r)   # columns [V_1 ... V_m]
-    norms = np.sum(vtv * vtv, axis=(1, 2)) - 2.0 * np.trace(vtv, axis1=1, axis2=2) + d
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is set to 0 below
+        norms = np.sum(vtv * vtv, axis=(1, 2)) - 2.0 * np.trace(vtv, axis1=1, axis2=2) + d
+    norms[~np.isfinite(norms)] = 0.0   # drops the curvature term (see _bounds)
 
     def terms(q, w):
         z = q.T @ cols
@@ -419,7 +424,10 @@ def _bounds(eig, spec, stack, delta):
     exponents are at most 0. Each term of the log's argument may carry a relative
     rounding error of up to the margin, so the argument is lowered by that much
     first. Where the lowered argument is not positive, as it can be when the
-    step is large, the member has no lower bound: it is -inf.
+    step is large, the member has no lower bound: it is -inf. Where ||X_i||_F^2
+    is too large for a float, the stack holds 0 for it, which drops the term:
+    c ||X_i||_F^2 >= 0, so the bound stays valid, where inf would overstate the
+    finite term and c = 0 (an underflow) times inf would be NaN.
 
     The margin, PRUNE_RTOL * (1 + |log Phi(y)|), covers rounding. It also covers
     what validation leaves open in run's constants m_hi = M and m_lo = 1.
@@ -484,7 +492,8 @@ def _step(y, eig, spec, stack, delta, score=None):
     every member only where two scores lie TIE_TOL apart to within that rounding.
 
     No exact score, first's included, may fall below its member's lower bound by more
-    than the margin; when first is scored alone that is one scalar comparison.
+    than the margin; when first is scored alone that is one scalar comparison. A NaN
+    lower bound fails that check: argmin takes the first NaN as first.
 
     Y_k = y + X_pick is decomposed once, and its eigenvalues are exponentiated once, by
     _candidate: log Phi_delta(Y_k) is that spectrum's log_phi. first's candidate is Y_k
@@ -495,7 +504,7 @@ def _step(y, eig, spec, stack, delta, score=None):
     holds.
     """
     lower, margin = _bounds(eig, spec, stack, delta)
-    first = int(lower.argmin())
+    first = int(lower.argmin())   # the first NaN, if any: it fails the check below
     scored = np.array([first])
     y_k, eig_k, spec_k = _candidate(y, stack, first, delta)
     least = spec_k.log_phi
@@ -515,7 +524,7 @@ def _step(y, eig, spec, stack, delta, score=None):
         scores = np.insert(rest_scores, at, least)
         j = _pick(scores)
         worst = int(np.argmax(lower[scored] - scores))
-    if lower[scored[worst]] - scores[worst] > margin:
+    if not lower[scored[worst]] - scores[worst] <= margin:
         raise PruningCertificateFailed(
             f"member {int(scored[worst]) + 1}: lower bound {float(lower[scored[worst]])!r} "
             f"exceeds its exact score {float(scores[worst])!r}"
@@ -562,11 +571,14 @@ def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyT
     and the regime come from schedule.steps, as the loop reaches each step.
     trace.gram_steps counts the steps whose batch is scored from the Gram (see
     _gram_scores). A PruningCertificateFailed or NonFinite from a step is raised
-    again with the step's k in front of its message.
+    again with the step's k in front of its message. A k_max, given or default,
+    above sys.maxsize, more picks than a trace can hold, is a DomainError.
     """
     if k_max is None:
         k_max = schedule.fixed_n or default_k_max(schedule.norm_bound, schedule.dim)
     steps = schedule.steps(k_max)
+    if k_max > sys.maxsize:
+        raise DomainError(f"k_max={k_max} exceeds {sys.maxsize}, the most picks a trace can hold")
     if schedule.fixed_n not in (None, k_max):
         raise DomainError(
             f"constant schedule is tuned to N={schedule.fixed_n}, cannot run k_max={k_max}"

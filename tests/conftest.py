@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
+from psdsparse import symmat
 from psdsparse.symmat import _symmetrize
 
 # the alternating d=2 instance used as a golden reference throughout
@@ -44,3 +45,15 @@ def dense_mats(inst: ps.Instance) -> np.ndarray:
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """_eigvalsh splits every batch of two or more matrices, into up to three parts,
+    on a pool of this test's own, however many CPUs the machine has."""
+    monkeypatch.setattr(symmat, "PART_WORK", 1)
+    monkeypatch.setattr(symmat, "_cores", lambda: 3)
+    monkeypatch.setattr(symmat, "_pool", None)
+    yield
+    if symmat._pool is not None:
+        symmat._pool.shutdown()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,20 @@ def test_errors_match_the_symmetrized_formula_bit_for_bit(make, monkeypatch):
     monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 64 * inst.d * inst.d)  # several chunks
     trace = ps.sample_run(inst, 300, seed=4)
     assert trace.errors.tobytes() == _errors_with_symmetrized_blocks(inst, 300, 4).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, k_max", [(lambda: ps.gen_bases(8, 2, 1), 300), (lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547)],
+    ids=["bases", "psd16"],
+)
+def test_split_blocks_sample_the_same_bits(make, k_max, split, monkeypatch):
+    inst = make()
+    parts = ps.sample_run(inst, k_max, seed=4)
+    assert symmat._pool is not None   # the blocks were split
+    monkeypatch.setattr(symmat, "PART_WORK", math.inf)
+    whole = ps.sample_run(inst, k_max, seed=4)
+    assert parts.indices == whole.indices
+    assert parts.errors.tobytes() == whole.errors.tobytes()
 
 
 @pytest.mark.parametrize("k_max", [2**63, 2**64])

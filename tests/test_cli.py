@@ -169,6 +169,16 @@ def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_run_refuses_a_default_k_max_that_cannot_finish(tmp_path, capsys):
+    # a tiny weight on a huge member: M = 1e300, so the default k_max is about 5.5e300 steps
+    path = tmp_path / "tw.json"
+    path.write_text(json.dumps({"d": 2, "items": [{"lambda": 1e-300, "A": [[1e300, 0], [0, 0]]},
+                                                  {"lambda": 1, "A": [[0, 0], [0, 1]]}]}))
+    assert cli.main(["run", str(path), "--mode", "all-steps", "--out", str(tmp_path / "tw.csv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: DomainError: k_max="), lines
+
+
 def test_run_opens_its_output_before_running(tmp_path, capsys, monkeypatch):
     # an unwritable --out fails before any step is taken, not after the whole run
     def refuse(*args, **kwargs):

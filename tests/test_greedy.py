@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
-from psdsparse import greedy, instance
+from psdsparse import greedy, instance, symmat
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
@@ -535,8 +537,10 @@ def test_looser_lower_bounds_keep_picks_and_records(monkeypatch, make, fixed_n, 
         # lower bound and is scored first; member 2's bound, member 1's own, lies below
         # member 1's score, so member 2 is scored in the batch, and its score is below it
         (lambda lower: lower[::-1].copy(), "member 2: lower bound"),
+        # a NaN bound is scored, not skipped, and fails the check
+        (lambda lower: np.full_like(lower, np.nan), "member 1: lower bound nan"),
     ],
-    ids=["above-scores", "batch-member"],
+    ids=["above-scores", "batch-member", "nan"],
 )
 def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_lower, message):
     exact = greedy._bounds
@@ -548,6 +552,43 @@ def test_failed_lower_bound_certificate_raises(monkeypatch, canonical, raise_low
     monkeypatch.setattr(greedy, "_bounds", too_high)
     with pytest.raises(ps.PruningCertificateFailed, match=message):
         ps.run(canonical, ps.Schedule(2.0, 2), k_max=4)
+
+
+# a valid family: the tiny weight keeps w_1 A_1 at diag(1, 0), but ||X_1||_F^2 overflows
+_TINY_WEIGHT_RAW = {"d": 2, "items": [{"lambda": 1e-300, "A": [[1e300, 0], [0, 0]]},
+                                      {"lambda": 1, "A": [[0, 0], [0, 1]]}]}
+
+
+def test_an_overflowing_member_norm_leaves_a_valid_bound():
+    # delta = 1/M = 1e-300, so the curvature floor c underflows to 0; 0 * inf must not
+    # turn member 1's lower bound into NaN, nor raise a numpy warning
+    inst = ps.validate(_TINY_WEIGHT_RAW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = ps.run(inst, ps.Schedule(inst.norm_bound, 2), k_max=5)
+    assert trace.indices == (2, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("fixed_n, k_max", [(None, None), (None, sys.maxsize + 1), (sys.maxsize + 1, None)],
+                         ids=["default", "given", "fixed-n"])
+def test_a_k_max_past_the_largest_trace_is_refused_before_the_first_step(monkeypatch, fixed_n, k_max):
+    # the default k_max here is about 5.5e300 steps, which no run can finish
+    monkeypatch.setattr(greedy, "_step", None)   # a step would raise TypeError
+    inst = ps.validate(_TINY_WEIGHT_RAW)
+    with pytest.raises(ps.DomainError, match=f"exceeds {sys.maxsize}, the most picks a trace can hold"):
+        ps.run(inst, ps.Schedule(inst.norm_bound, 2, fixed_n=fixed_n), k_max=k_max)
+
+
+def test_split_batches_keep_picks_and_records(split, monkeypatch):
+    inst = ps.gen_bases(8, 2, 1)
+    dense = ps.Instance(inst.weights, dense_mats(inst))
+    sched = ps.Schedule(dense.norm_bound, 8)
+    parts = ps.run(dense, sched, k_max=64)
+    assert max(r.evaluated for r in parts.records) >= 3   # some step scored a batch of two or more
+    monkeypatch.setattr(symmat, "PART_WORK", math.inf)
+    whole = ps.run(dense, sched, k_max=64)
+    assert parts.indices == whole.indices and parts.records == whole.records
+    assert parts.running_sum.tobytes() == whole.running_sum.tobytes()
 
 
 @pytest.mark.parametrize("psi", [-1.0, math.nan])

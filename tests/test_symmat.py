@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +208,92 @@ def _bounded_sym(rng, d, cap):
     s = _symmetrize(rng.standard_normal((d, d)))
     top = np.max(np.abs(np.linalg.eigvalsh(s)))
     return s * (rng.uniform(0.1, cap) / top) if top > 0 else s
+
+
+# --- batched eigvalsh split across threads ------------------------------------------
+
+
+def _batch(n, d=5):
+    g = rng_for(n).standard_normal((n, d, d))
+    return g + g.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_split_eigvalsh_has_the_bits_of_one_call(n, split, monkeypatch):
+    a = _batch(n)
+    parts = symmat._eigvalsh(a)
+    assert symmat._pool is not None   # the batch was split
+    monkeypatch.setattr(symmat, "PART_WORK", math.inf)
+    assert parts.tobytes() == symmat._eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(symmat, "PART_WORK", 1)
+    monkeypatch.setattr(symmat, "_cores", lambda: 1)
+    monkeypatch.setattr(symmat, "_pool", None)
+    threads = threading.active_count()
+    a = _batch(17)
+    assert symmat._eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    assert symmat._pool is None and threading.active_count() == threads
+
+
+def test_only_large_batches_are_split(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symmat, "_cores", lambda: 2)
+    monkeypatch.setattr(symmat, "_split_eigvalsh", lambda a: calls.append(a.shape))
+    symmat._eigvalsh(np.zeros((2 * symmat.PART_WORK // 8**3, 8, 8)))
+    for small in (np.zeros((2 * symmat.PART_WORK // 8**3 - 1, 8, 8)), np.zeros((64, 64))):
+        symmat._eigvalsh(small)
+    assert calls == [(2 * symmat.PART_WORK // 8**3, 8, 8)]
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_lapack_failure_in_any_part_is_no_convergence(where, split, monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def fails_in_one_thread(a):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_in_one_thread)
+    with pytest.raises(ps.NoConvergence, match="did not converge"):
+        symmat._eigvalsh(_batch(17))
+
+
+def _python(code, **kwargs):
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, **kwargs)
+
+
+def test_loading_and_verifying_start_no_thread(tmp_path):
+    # every batch they decompose is below the split's size: no thread, no concurrent.futures
+    ps.save_instance(ps.gen_bases(64, 4, 0), tmp_path / "bases64.json")
+    out = _python("import sys, threading, psdsparse as ps; ps.load_instance('bases64.json'); "
+                  "ps.run_all(2, 0); print(threading.active_count(), 'concurrent.futures' in sys.modules)",
+                  cwd=tmp_path, check=True)
+    assert out.stdout.split() == ["1", "False"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_on_a_pool_of_its_own():
+    # the parent's pool threads do not exist in the child; a call there on the parent's
+    # pool would wait for them forever, so the child dies by its alarm and exits nonzero
+    code = """
+import os, signal, sys
+import numpy as np
+from psdsparse import symmat
+symmat.PART_WORK = 1
+symmat._cores = lambda: 2
+a = np.stack([np.eye(3) * j for j in range(8)])
+symmat._eigvalsh(a)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if symmat._eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes() else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
