@@ -8,11 +8,13 @@ that are already checked. Matrix-function results are explicitly
 re-symmetrized to stop drift in iterated updates.
 
 _eigvalsh, which every module's batched spectra go through, splits an
-(n, d, d) batch with work n * d^3 >= 2 * PART_WORK into contiguous parts,
-at most one per CPU (os.sched_getaffinity, else os.cpu_count, counted once),
-and decomposes them at once on a thread pool made at the first such call.
-Every row keeps the bits of a single call. Smaller batches, 2-D input and a
-single CPU take the plain call, with no thread.
+(n, d, d) batch with d <= SPLIT_MAX_D = 64 and work n * d^3 >= 2 * PART_WORK
+into contiguous parts, at most one per CPU (os.sched_getaffinity, else
+os.cpu_count, counted once), and decomposes them at once on a thread pool made
+at the first such call. Every row keeps the bits of a single call. Wider
+batches, where OpenBLAS already runs each decomposition on every CPU (from
+d = 65 on the build measured below), smaller batches, 2-D input and a single
+CPU take the plain call, with no thread.
 """
 
 from __future__ import annotations
@@ -33,11 +35,20 @@ LOEWNER_TOL = 1e-10
 # The least work n * d^3 that each part of a split batched eigvalsh carries (see
 # _split_eigvalsh); a batch splits once it holds two such parts. numpy's gufunc
 # releases the GIL only for calls over more than 500 rows * d, which parts this
-# large clear at every d <= 64. Serial -> split wall time per call, median of 48,
-# 2-CPU x86 VM, OpenBLAS 0.3.31: d = 64, n = 16 (two parts of 2^21) 2.79 -> 1.75 ms,
-# but n = 14 (7-row parts, which keep the GIL) 2.42 -> 2.70 ms; d = 48, n = 24
-# 2.64 -> 1.63 ms, but n = 20 2.09 -> 2.54 ms; d = 16, n = 256 3.06 -> 2.07 ms.
+# large clear at every d <= SPLIT_MAX_D. Serial -> split wall time per call,
+# median of 48, 2-CPU x86 VM, OpenBLAS 0.3.31: d = 64, n = 16 (two parts of 2^21)
+# 2.79 -> 1.75 ms, but n = 14 (7-row parts, which keep the GIL) 2.42 -> 2.70 ms;
+# d = 48, n = 24 2.64 -> 1.63 ms, but n = 20 2.09 -> 2.54 ms; d = 16, n = 256
+# 3.06 -> 2.07 ms.
 PART_WORK = 1 << 21
+# The widest matrices a batch may have and still be split. Up to d = 64 LAPACK runs
+# each decomposition on one thread, and the split puts the others to work; from
+# d = 65 OpenBLAS runs each one on every CPU, and two at once only compete.
+# Medians of 40 calls on blocks of 2^18 entries, 2-CPU x86 VM, OpenBLAS 0.3.31:
+# serial CPU/wall time 1.02 at d = 64 but 2.03-2.05 at d = 65 to 72; split/serial
+# wall time 0.59 at d = 64 (10.3 -> 6.1 ms), but 1.03 at d = 65, 1.02 at d = 68
+# and 1.03 at d = 72, 96, 128 and 199.
+SPLIT_MAX_D = 64
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -74,12 +85,14 @@ def _square_symmetric(a, label: str, d: int | None = None) -> np.ndarray:
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues (nondecreasing) of symmetric float64 matrices; batch-aware.
 
-    An (n, d, d) batch with at least two parts' work, n * d^3 >= 2 * PART_WORK,
-    is split across the CPUs when there are two or more (see _split_eigvalsh).
-    The bits are the same either way.
+    An (n, d, d) batch of matrices no wider than SPLIT_MAX_D, where LAPACK runs
+    each decomposition on one thread, and with at least two parts' work,
+    n * d^3 >= 2 * PART_WORK, is split across the CPUs when there are two or
+    more (see _split_eigvalsh). The bits are the same either way.
     """
     try:
-        if a.ndim == 3 and len(a) * a.shape[2] ** 3 >= 2 * PART_WORK and _cores() > 1:
+        if (a.ndim == 3 and a.shape[2] <= SPLIT_MAX_D and len(a) * a.shape[2] ** 3 >= 2 * PART_WORK
+                and _cores() > 1):
             return _split_eigvalsh(a)
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -102,9 +115,9 @@ def _split_eigvalsh(a: np.ndarray) -> np.ndarray:
     PART_WORK allow. The gufunc decomposes each matrix alone, so every row has
     the bits the whole batch would give it. The calling thread takes the first
     part and the pool's threads the rest; every part is waited for, and a
-    LinAlgError in any part is raised here. Where LAPACK's BLAS already runs one
-    decomposition on several threads (OpenBLAS does from d of about 96), the
-    split gains nothing: 0-4% slower at d = 96-199 on 2 CPUs.
+    LinAlgError in any part is raised here. _eigvalsh calls it only for
+    d <= SPLIT_MAX_D: from d = 65 OpenBLAS runs each decomposition on every
+    CPU, and there the split read 1-3% slower on 2 CPUs.
     """
     n = len(a)
     parts = min(_cores(), n, n * a.shape[2] ** 3 // PART_WORK)
@@ -161,7 +174,9 @@ def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu is nondecreasing and column j of Q pairs with mu[j]; both are
     read-only. With S the input they satisfy
     ||Q diag(mu) Q^T - S||_F <= 1e-10 * (1 + ||S||_F) and
-    ||Q^T Q - Id||_F <= 1e-10 * d. Deterministic for identical input bits.
+    ||Q^T Q - Id||_F <= 1e-10 * d. Deterministic for identical input bits under
+    a fixed BLAS build and thread count: from d = 65 OpenBLAS decomposes one
+    matrix on several threads, and the last bits can move with their number.
     """
     a = _square_symmetric(s, "S")
     vals, vecs = _eigh(a)

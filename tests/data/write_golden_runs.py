@@ -1,0 +1,18 @@
+"""Write golden_runs.json, next to this script, from the runs of test_golden_runs.py.
+
+Run from the repository root, at a commit whose picks the file should pin:
+
+    PYTHONPATH=src python tests/data/write_golden_runs.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from test_golden_runs import GOLDEN, summaries  # noqa: E402
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(summaries(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

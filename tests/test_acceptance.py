@@ -1,8 +1,8 @@
 """Acceptance suite: the guarantees the package exists to certify.
 
-Each test prints one pass/fail line. The sweep fixtures below pin the 50
-instances (12 basis-union, 20 random-PSD, 18 graph) reused by several
-criteria.
+Each test prints one pass/fail line. The sweep fixture below runs conftest's
+50 instances (12 basis-union, 20 random-PSD, 18 graph), which several
+criteria reuse.
 """
 
 import math
@@ -14,51 +14,22 @@ import psdsparse as ps
 from psdsparse import instance
 from psdsparse.cli import _fmt
 
-from conftest import canonical_raw, dense_mats
+from conftest import canonical_raw, dense_mats, sweep_instances, sweep_k_max
 
 BOUND_RTOL = 1e-9
-
-_PSD_PARAMS = [
-    (2, 6, 1), (2, 8, 2), (3, 9, 1), (3, 12, 3), (4, 8, 2), (4, 16, 4),
-    (5, 15, 2), (6, 12, 3), (6, 24, 2), (8, 16, 4), (8, 32, 2), (8, 24, 8),
-    (10, 30, 2), (10, 20, 5), (12, 24, 6), (12, 48, 2), (14, 28, 7),
-    (16, 32, 8), (16, 64, 4), (16, 48, 16),
-]
-_GRAPH_PARAMS = [
-    (3, 3), (4, 5), (5, 6), (6, 8), (7, 9), (8, 12), (9, 12), (10, 15),
-    (11, 16), (12, 18), (13, 20), (14, 22), (15, 24), (16, 28), (17, 32),
-    (5, 10), (9, 20), (13, 30),
-]
-
-
-def _sweep_instances():
-    instances = []
-    for i, (d, nb) in enumerate((d, nb) for d in (2, 4, 8, 16) for nb in (1, 2, 4)):
-        instances.append((f"bases-d{d}-b{nb}", ps.gen_bases(d, nb, 400 + i)))
-    for j, (d, m, rank) in enumerate(_PSD_PARAMS):
-        instances.append((f"psd-d{d}-m{m}-r{rank}", ps.gen_random_psd(d, m, rank, 1e4, 500 + j)))
-    for j, (n, ne) in enumerate(_GRAPH_PARAMS):
-        edges = ps.random_connected_edges(n, ne, 600 + j)
-        instances.append((f"graph-n{n}-e{ne}", ps.gen_graph_edges(edges)))
-    assert len(instances) == 50
-    return instances
-
-
-def _sweep_k_max(inst):
-    return max(4 * math.ceil(inst.norm_bound * math.log(2 * inst.d)), 256)
 
 
 def _all_steps_traces(instances):
     traces = {}
     for label, inst in instances:
         sched = ps.Schedule(inst.norm_bound, inst.d)
-        traces[label] = ps.run(inst, sched, k_max=_sweep_k_max(inst))
+        traces[label] = ps.run(inst, sched, k_max=sweep_k_max(inst))
     return traces
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    instances = _sweep_instances()
+    instances = sweep_instances()
     return instances, _all_steps_traces(instances)
 
 
@@ -72,7 +43,7 @@ def test_criterion_1_prefix_bounds_across_sweep(sweep):
     worst = 0.0
     for label, inst in instances:
         trace = traces[label]
-        assert len(trace.records) == _sweep_k_max(inst)
+        assert len(trace.records) == sweep_k_max(inst)
         for rec in trace.records:
             worst = max(worst, rec.error / rec.bound)
     _report(1, f"50-instance decaying-schedule sweep, worst error/bound {worst:.4f}",
@@ -192,7 +163,7 @@ def test_criterion_8_coarse_regime_large_norm_no_overflow():
 
 def test_factor_certificates_match_dense_ones_across_sweep():
     # the same members given densely: both certify, with the same M
-    instances = _sweep_instances()
+    instances = sweep_instances()
     worst = 0.0
     for label, inst in instances:
         assert inst.factors is not None, label

@@ -218,9 +218,10 @@ def _batch(n, d=5):
     return g + g.swapaxes(1, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 17])
-def test_split_eigvalsh_has_the_bits_of_one_call(n, split, monkeypatch):
-    a = _batch(n)
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 5), (17, 5), (5, 100), (3, 128)],
+                         ids=["2", "3", "17", "5-d100", "3-d128"])
+def test_split_eigvalsh_has_the_bits_of_one_call(n, d, split, monkeypatch):
+    a = _batch(n, d)
     parts = symmat._eigvalsh(a)
     assert symmat._pool is not None   # the batch was split
     monkeypatch.setattr(symmat, "PART_WORK", math.inf)
@@ -241,10 +242,13 @@ def test_only_large_batches_are_split(monkeypatch):
     calls = []
     monkeypatch.setattr(symmat, "_cores", lambda: 2)
     monkeypatch.setattr(symmat, "_split_eigvalsh", lambda a: calls.append(a.shape))
-    symmat._eigvalsh(np.zeros((2 * symmat.PART_WORK // 8**3, 8, 8)))
-    for small in (np.zeros((2 * symmat.PART_WORK // 8**3 - 1, 8, 8)), np.zeros((64, 64))):
-        symmat._eigvalsh(small)
-    assert calls == [(2 * symmat.PART_WORK // 8**3, 8, 8)]
+    small = 2 * symmat.PART_WORK // 8**3
+    # as many matrices of SPLIT_MAX_D or of one more, with two parts' work either way:
+    # from SPLIT_MAX_D + 1 LAPACK decomposes each matrix on every CPU itself
+    d, n = symmat.SPLIT_MAX_D, -(-2 * symmat.PART_WORK // symmat.SPLIT_MAX_D**3)
+    for shape in [(small, 8, 8), (small - 1, 8, 8), (64, 64), (n, d, d), (n, d + 1, d + 1)]:
+        symmat._eigvalsh(np.zeros(shape))
+    assert calls == [(small, 8, 8), (n, d, d)]
 
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
@@ -275,6 +279,19 @@ def test_loading_and_verifying_start_no_thread(tmp_path):
                   "ps.run_all(2, 0); print(threading.active_count(), 'concurrent.futures' in sys.modules)",
                   cwd=tmp_path, check=True)
     assert out.stdout.split() == ["1", "False"]
+
+
+def test_wide_batches_start_no_thread():
+    # validating a dense family of 24 members at d = 72 decomposes a (24, 72, 72) batch,
+    # two parts' work of matrices wider than SPLIT_MAX_D; neither it nor greedy's is split
+    out = _python("import sys, threading, psdsparse as ps; "
+                  "i = ps.gen_random_psd(72, 24, 3, 1e4, 0); a = i.factors @ i.factors.swapaxes(1, 2); "
+                  "d = ps.validate({'d': 72, 'items': [{'lambda': float(w), 'A': ((x + x.T) / 2).tolist()} "
+                  "for w, x in zip(i.weights, a)]}); "
+                  "t = ps.run(d, ps.Schedule(d.norm_bound, 72), k_max=3); "
+                  "print(len(t.indices), threading.active_count(), 'concurrent.futures' in sys.modules)",
+                  check=True)
+    assert out.stdout.split() == ["3", "1", "False"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
