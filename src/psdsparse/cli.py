@@ -168,8 +168,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    _require(args.trials >= 1, "baseline needs --trials >= 1")
-    _check_counts(k_max=args.k_max)
+    _check_counts(k_max=args.k_max, trials=args.trials)
     _seed_sequence(args.seed)   # the seed check of sample_run and child_seed
     inst = load_instance(args.file)
     final = 0.0

@@ -79,9 +79,12 @@ class NotIsotropic(InstanceError):
     """The weighted sum of the family deviates from the identity."""
 
     def __init__(self, residual):
+        from .instance import ISOTROPY_TOL  # instance imports this module
+
         self.residual = residual
         super().__init__(
-            f"weighted sum deviates from identity (operator-norm residual {residual:.3e}, tolerance 1e-08)"
+            f"weighted sum deviates from identity (operator-norm residual {residual:.3e}, "
+            f"tolerance {ISOTROPY_TOL:g})"
         )
 
 

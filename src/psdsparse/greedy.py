@@ -295,7 +295,7 @@ def _stack(xs, m_hi, m_lo) -> _Stack:
         return ((part, xs[part]) for part in _row_parts(idx, d))
 
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is set to 0 below
-        norms = np.trace(xs @ xs, axis1=1, axis2=2)
+        norms = np.einsum("ij,ij->i", flat, flat)   # ||X_i||_F^2 = tr X_i^2, X_i symmetric
     norms[~np.isfinite(norms)] = 0.0   # drops the curvature term (see _bounds)
     return _Stack(terms, rows, xs.__getitem__, norms, m_hi, m_lo)
 

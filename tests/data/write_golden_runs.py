@@ -1,4 +1,5 @@
-"""Write golden_runs.json, next to this script, from the runs of test_golden_runs.py.
+"""Write golden_runs.json, next to this script: conftest.py's pinned runs, summarized
+as test_golden_runs.py summarizes them.
 
 Run from the repository root, at a commit whose picks the file should pin:
 

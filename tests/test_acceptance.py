@@ -1,20 +1,20 @@
 """Acceptance suite: the guarantees the package exists to certify.
 
-Each test prints one pass/fail line. The sweep fixture below runs conftest's
-50 instances (12 basis-union, 20 random-PSD, 18 graph), which several
-criteria reuse.
+Each test prints one pass/fail line. Several criteria read the sweep, conftest's
+50 instances (12 basis-union, 20 random-PSD, 18 graph), through conftest's
+pinned_trace, which runs each of its runs once per test session.
 """
 
 import math
 
 import numpy as np
-import pytest
 
 import psdsparse as ps
 from psdsparse import instance
 from psdsparse.cli import _fmt
 
-from conftest import canonical_raw, dense_mats, sweep_instances, sweep_k_max
+from conftest import (canonical_raw, dense_mats, pinned_trace, sweep_fixed_ns, sweep_instances,
+                      sweep_k_max)
 
 BOUND_RTOL = 1e-9
 
@@ -27,10 +27,9 @@ def _all_steps_traces(instances):
     return traces
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    instances = sweep_instances()
-    return instances, _all_steps_traces(instances)
+def _decaying(label):
+    """The sweep's decaying-schedule trace of label, as pinned."""
+    return pinned_trace(f"{label} decaying")
 
 
 def _report(num, text, ok):
@@ -38,11 +37,10 @@ def _report(num, text, ok):
     assert ok, f"criterion {num} failed: {text}"
 
 
-def test_criterion_1_prefix_bounds_across_sweep(sweep):
-    instances, traces = sweep
+def test_criterion_1_prefix_bounds_across_sweep():
     worst = 0.0
-    for label, inst in instances:
-        trace = traces[label]
+    for label, inst in sweep_instances():
+        trace = _decaying(label)
         assert len(trace.records) == sweep_k_max(inst)
         for rec in trace.records:
             worst = max(worst, rec.error / rec.bound)
@@ -50,13 +48,11 @@ def test_criterion_1_prefix_bounds_across_sweep(sweep):
             worst <= 1.0 + BOUND_RTOL)
 
 
-def test_criterion_2_fixed_n_bounds(sweep):
-    instances, _ = sweep
+def test_criterion_2_fixed_n_bounds():
     worst = 0.0
-    for label, inst in instances:
-        ml = inst.norm_bound * math.log(2 * inst.d)
-        for n in sorted({1, math.ceil(ml), 4 * math.ceil(ml)}):
-            trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=n))
+    for label, inst in sweep_instances():
+        for n in sweep_fixed_ns(inst):
+            trace = pinned_trace(f"{label} N={n}")
             cap = ps.bound_fixed_n(n, inst.norm_bound, inst.d)
             worst = max(worst, trace.records[-1].error / cap)
     _report(2, f"fixed-N final errors within closed-form bound, worst ratio {worst:.4f}",
@@ -84,14 +80,13 @@ def test_criterion_4_inequality_suites_at_scale():
     _report(4, f"7 falsification suites x1000 trials, worst slacks: {summary}", ok)
 
 
-def test_criterion_5_per_step_growth_and_tail_cap(sweep):
-    instances, traces = sweep
+def test_criterion_5_per_step_growth_and_tail_cap():
     violations = 0
     tail_ok = True
-    for label, inst in instances:
+    for label, inst in sweep_instances():
         sched = ps.Schedule(inst.norm_bound, inst.d)
         l = sched.log_2d
-        for rec in traces[label].records:
+        for rec in _decaying(label).records:
             cap = sched.norm_bound * ps.psi_value(sched.norm_bound, rec.delta)
             if rec.log_potential > rec.prev_log_potential + cap + 1e-9:
                 violations += 1
@@ -122,10 +117,11 @@ def _csv_rows(trace):
     return rows
 
 
-def test_criterion_7_chunk_cap_invariance(sweep, monkeypatch):
+def test_criterion_7_chunk_cap_invariance(monkeypatch):
     # every block of dense rows one row long, and every factor family read
-    # through its factors, against the default cap
-    instances, whole = sweep
+    # through its factors, against the default cap, whose traces are taken first
+    instances = sweep_instances()
+    whole = {label: _decaying(label) for label, _ in instances}
     monkeypatch.setattr(instance, "_CHUNK_ENTRIES", 1)
     by_row = _all_steps_traces(instances)
     same = True

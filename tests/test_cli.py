@@ -147,7 +147,7 @@ def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
         (["run", missing, "--mode", "all-steps", "--n", "4"],
          "run --mode all-steps takes --k-max, not --n"),
         (["baseline", missing, "--k-max", "5", "--seed", "0", "--trials", "0"],
-         "baseline needs --trials >= 1"),
+         "trials must be a positive integer, got 0"),
         # values are checked there too, with the library's messages
         (["run", missing, "--mode", "all-steps", "--k-max", "0"],
          "k_max must be a positive integer, got 0"),
@@ -163,6 +163,8 @@ def test_run_flag_conflicts(tmp_path, capsys, monkeypatch):
          "fixed_n exceeds the largest float, 1.7976931348623157e+308"),
         (["baseline", missing, "--k-max", "1" + "0" * 400, "--seed", "0"],
          "k_max exceeds the largest float, 1.7976931348623157e+308"),
+        (["baseline", missing, "--k-max", "4", "--seed", "0", "--trials", "1" + "0" * 400],
+         "trials exceeds the largest float, 1.7976931348623157e+308"),
     ]:
         assert cli.main([*args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: DomainError: {line}"]

@@ -17,7 +17,7 @@ from psdsparse import greedy, instance, symmat
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
-from conftest import canonical_raw, dense_mats, raw_payload, rng_for
+from conftest import canonical_raw, dense_mats, pinned_runs, pinned_trace, raw_payload, rng_for
 
 
 # --- schedules --------------------------------------------------------------------
@@ -281,6 +281,21 @@ def test_selection_beats_weighted_average(canonical):
 
 # --- candidate pruning ------------------------------------------------------------
 
+def _exact_run(source, fixed_n, k_max):
+    """(instance, schedule, trace) of exact greedy at fixed_n and k_max on source.
+
+    source is a family maker, run here, or the name of the conftest pinned run with
+    that schedule and k_max, whose shared trace is returned.
+    """
+    if isinstance(source, str):
+        inst, sched, pinned_k_max = pinned_runs()[source]
+        assert (sched.fixed_n, pinned_k_max) == (fixed_n, k_max), source
+        return inst, sched, pinned_trace(source)
+    inst = source()
+    sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n)
+    return inst, sched, ps.run(inst, sched, k_max=k_max)
+
+
 # d=1, M=50: the coarse-regime instance of acceptance criterion 8
 _COARSE_RAW = {
     "d": 1,
@@ -432,10 +447,9 @@ def test_curvature_floor_is_the_minimum_of_cosh(make, share):
 # 0.114, 0.028, 0.057 and 0.070 when an earlier rule pruned against the least upper bound
 # of a Golden-Thompson estimate alone
 @pytest.mark.parametrize(
-    "make, fixed_n, k_max, share",
+    "source, fixed_n, k_max, share",
     [
-        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)),
-                     None, 300, 0.07, id="graph-n31-e120-decaying"),
+        pytest.param("graph-n31-e120 k=300", None, 300, 0.07, id="graph-n31-e120-decaying"),
         pytest.param(lambda: ps.gen_random_psd(16, 200, 1, 1e6, 0), None, 300, 0.02,
                      id="psd-m200-decaying"),
         pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 200, 200, 0.045,
@@ -444,9 +458,8 @@ def test_curvature_floor_is_the_minimum_of_cosh(make, share):
                      200, 200, 0.055, id="graph-n13-e30-fixed"),
     ],
 )
-def test_cap_is_tightened_by_the_first_exact_score(make, fixed_n, k_max, share):
-    inst = make()
-    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+def test_cap_is_tightened_by_the_first_exact_score(source, fixed_n, k_max, share):
+    inst, _, trace = _exact_run(source, fixed_n, k_max)
     assert np.mean([r.evaluated for r in trace.records]) <= share * inst.m
 
 
@@ -498,21 +511,19 @@ def _record_fields(trace):
 
 
 @pytest.mark.parametrize(
-    "make, fixed_n, k_max",
+    "source, fixed_n, k_max",
     [
         pytest.param(lambda: ps.validate(canonical_raw()), None, 64, id="canonical"),
         pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 200, 200, id="psd-d16"),
         pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), None,
                      120, id="graph-n31-e120"),
-        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, id="bases-d64-b4"),
+        pytest.param("bases64-0 k=48", None, 48, id="bases-d64-b4"),
     ],
 )
-def test_looser_lower_bounds_keep_picks_and_records(monkeypatch, make, fixed_n, k_max):
+def test_looser_lower_bounds_keep_picks_and_records(monkeypatch, source, fixed_n, k_max):
     # the skip needs only valid lower bounds and first's exact score: bounds 1 lower are
     # still valid, so the run is the same bit for bit and scores no fewer members
-    inst = make()
-    sched = ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n)
-    want = ps.run(inst, sched, k_max=k_max)
+    inst, sched, want = _exact_run(source, fixed_n, k_max)
     exact = greedy._bounds
 
     def looser(*args):
@@ -684,23 +695,6 @@ def test_select_next_takes_a_step_beyond_exp_overflow(step):
         assert value == pytest.approx(full[idx - 1], rel=1e-14)
 
 
-# 12 instances of the acceptance sweep, with its generator arguments
-_REFERENCE_FAMILIES = {
-    "bases-d2-b1": lambda: ps.gen_bases(2, 1, 400),
-    "bases-d4-b2": lambda: ps.gen_bases(4, 2, 404),
-    "bases-d8-b4": lambda: ps.gen_bases(8, 4, 408),
-    "bases-d16-b2": lambda: ps.gen_bases(16, 2, 410),
-    "psd-d2-m8-r2": lambda: ps.gen_random_psd(2, 8, 2, 1e4, 501),
-    "psd-d4-m16-r4": lambda: ps.gen_random_psd(4, 16, 4, 1e4, 505),
-    "psd-d10-m30-r2": lambda: ps.gen_random_psd(10, 30, 2, 1e4, 512),
-    "psd-d16-m48-r16": lambda: ps.gen_random_psd(16, 48, 16, 1e4, 519),
-    "graph-n3-e3": lambda: ps.gen_graph_edges(ps.random_connected_edges(3, 3, 600)),
-    "graph-n8-e12": lambda: ps.gen_graph_edges(ps.random_connected_edges(8, 12, 605)),
-    "graph-n14-e22": lambda: ps.gen_graph_edges(ps.random_connected_edges(14, 22, 611)),
-    "graph-n13-e30": lambda: ps.gen_graph_edges(ps.random_connected_edges(13, 30, 617)),
-}
-
-
 def _full_run(inst, sched, k_max):
     """Exact greedy without pruning: every member scored by eigvalsh at every step.
 
@@ -723,15 +717,20 @@ def _full_run(inst, sched, k_max):
     return tuple(indices), prev, current
 
 
-@pytest.mark.parametrize("label", sorted(_REFERENCE_FAMILIES))
+# 12 instances of the acceptance sweep, decaying and at fixed N = ceil(ML)
+@pytest.mark.parametrize("label", [
+    "bases-d16-b2", "bases-d2-b1", "bases-d4-b2", "bases-d8-b4", "graph-n13-e30", "graph-n14-e22",
+    "graph-n3-e3", "graph-n8-e12", "psd-d10-m30-r2", "psd-d16-m48-r16", "psd-d2-m8-r2",
+    "psd-d4-m16-r4",
+])
 def test_run_matches_exact_greedy_bit_for_bit(label):
-    inst = _REFERENCE_FAMILIES[label]()
+    inst = pinned_runs()[f"{label} decaying"][0]
     ml = math.ceil(inst.norm_bound * math.log(2 * inst.d))
-    for sched, k_max in (
-        (ps.Schedule(inst.norm_bound, inst.d), max(4 * ml, 256)),
-        (ps.Schedule(inst.norm_bound, inst.d, fixed_n=ml), ml),
+    for name, sched, k_max in (
+        (f"{label} decaying", ps.Schedule(inst.norm_bound, inst.d), max(4 * ml, 256)),
+        (f"{label} N={ml}", ps.Schedule(inst.norm_bound, inst.d, fixed_n=ml), ml),
     ):
-        trace = ps.run(inst, sched, k_max=k_max)
+        trace = pinned_trace(name)
         indices, prev, current = _full_run(inst, sched, k_max)
         assert trace.indices == indices
         assert [r.prev_log_potential for r in trace.records] == prev
@@ -753,19 +752,15 @@ def _repeat_family():
 # that cap (factor operands), each scored from the Gram for its first gram_steps steps,
 # whose picks hold gram_distinct distinct members
 @pytest.mark.parametrize(
-    "make, k_max, gram_steps, gram_distinct",
+    "source, k_max, gram_steps, gram_distinct",
     [
-        pytest.param(lambda: ps.gen_bases(64, 4, 0), 128, 48, 48,
-                     id="bases-d64-b4-factor-operands"),
-        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), 300, 22,
-                     22, id="graph-n31-e120-dense-operands"),
+        pytest.param("bases64-0 k=128", 128, 48, 48, id="bases-d64-b4-factor-operands"),
+        pytest.param("graph-n31-e120 k=300", 300, 22, 22, id="graph-n31-e120-dense-operands"),
         pytest.param(_repeat_family, 64, 11, 6, id="repeat-d8-dense-operands"),
     ],
 )
-def test_run_matches_exact_greedy_across_the_gram_switch(make, k_max, gram_steps, gram_distinct):
-    inst = make()
-    sched = ps.Schedule(inst.norm_bound, inst.d)
-    trace = ps.run(inst, sched, k_max=k_max)
+def test_run_matches_exact_greedy_across_the_gram_switch(source, k_max, gram_steps, gram_distinct):
+    inst, sched, trace = _exact_run(source, None, k_max)
     assert 0 < trace.gram_steps == gram_steps < k_max
     assert len(set(trace.indices[:gram_steps])) == gram_distinct
     indices, prev, current = _full_run(inst, sched, k_max)
@@ -984,19 +979,18 @@ _REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "bench" / "refere
 
 
 @pytest.mark.parametrize(
-    "workload, make, fixed_n, k_max, gram_steps",
+    "workload, source, fixed_n, k_max, gram_steps",
     [
-        ("fixedn-psd16", lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0),
-         ps.required_n(0.35, 10.0, 16), None, 3),
-        ("decay-bases64", lambda: ps.gen_bases(64, 4, 0), None, 48, 48),
+        ("fixedn-psd16", "psd16 N=2547", ps.required_n(0.35, 10.0, 16), None, 3),
+        ("decay-bases64", "bases64-0 k=48", None, 48, 48),
     ],
+    ids=["fixedn-psd16", "decay-bases64"],
 )
-def test_run_keeps_the_benchmark_reference_picks(workload, make, fixed_n, k_max, gram_steps):
+def test_run_keeps_the_benchmark_reference_picks(workload, source, fixed_n, k_max, gram_steps):
     # the picks and final error bench/run.py checks for seed 0, from its reference file
     ref = _REFERENCE["full"][workload]
     assert _REFERENCE["seed"] == 0
-    inst = make()
-    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+    _, _, trace = _exact_run(source, fixed_n, k_max)
     digest = hashlib.sha256(",".join(str(i) for i in trace.indices).encode()).hexdigest()
     assert digest == ref["indices_sha256"]
     assert trace.gram_steps == gram_steps
@@ -1058,22 +1052,20 @@ def test_gram_scores_clip_a_top_eigenvalue_that_rounds_below_zero():
 
 
 @pytest.mark.parametrize(
-    "make, fixed_n, k_max, gram_steps",
+    "source, fixed_n, k_max, gram_steps",
     [
-        pytest.param(lambda: ps.gen_bases(64, 4, 0), None, 48, 48, id="bases-d64-b4"),
-        pytest.param(lambda: ps.gen_random_psd(16, 32, 4, 1e6, 0), 2547, 2547, 3, id="psd-d16"),
-        pytest.param(lambda: ps.gen_graph_edges(ps.random_connected_edges(31, 120, 0)), None,
-                     300, 22, id="graph-n31-e120"),
+        pytest.param("bases64-0 k=48", None, 48, 48, id="bases-d64-b4"),
+        pytest.param("psd16 N=2547", 2547, None, 3, id="psd-d16"),
+        pytest.param("graph-n31-e120 k=300", None, 300, 22, id="graph-n31-e120"),
         pytest.param(lambda: ps.Instance(np.full(16, 1 / 16), dense_mats(ps.gen_bases(8, 2, 0))),
                      None, 64, 0, id="dense-bases-d8-b2"),
     ],
 )
-def test_gram_steps_counts_the_leading_gram_steps(make, fixed_n, k_max, gram_steps):
+def test_gram_steps_counts_the_leading_gram_steps(source, fixed_n, k_max, gram_steps):
     # at GRAM_SHARE = 0.75: the first 48 picks of bases-d64 are distinct members (p = 47
     # at step 48), psd-d16 (r = 4) can add two more members to the first, and a dense
     # "A" family has no factors
-    inst = make()
-    trace = ps.run(inst, ps.Schedule(inst.norm_bound, inst.d, fixed_n=fixed_n), k_max=k_max)
+    _, _, trace = _exact_run(source, fixed_n, k_max)
     assert trace.gram_steps == gram_steps
 
 

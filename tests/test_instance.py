@@ -485,6 +485,9 @@ def test_each_factor_contract_check_runs(monkeypatch, name, value, error):
     with pytest.raises(error) as info:
         ps.validate(_factored_raw())
     assert type(info.value) is error
+    if error is ps.NotIsotropic:
+        # the message gives the tolerance in force
+        assert str(info.value).endswith(", tolerance -1)")
 
 
 @pytest.mark.parametrize(
