@@ -15,7 +15,7 @@ from .errors import DomainError
 from .instance import Instance, _centered_rows, _check_counts, _rng, _seed_sequence
 from .instance import center  # noqa: F401 -- a module attribute that bench/run.py traces
 from .instance import _CHUNK_ENTRIES  # noqa: F401 -- the block cap, which bench/run.py reports
-from .symmat import _eigvalsh
+from .symmat import _eigvalsh, _one_blas_thread
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,6 +25,7 @@ class BaselineTrace:
     errors: np.ndarray                  # errors[k-1] = ||Y_k|| / k
 
 
+@_one_blas_thread()
 def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     """Sample k_max indices i.i.d. from the weights; record every prefix error.
 
@@ -46,9 +47,12 @@ def sample_run(inst: Instance, k_max: int, seed: int) -> BaselineTrace:
     start = 0
     for _, block in _centered_rows(inst, draws):
         # Y_k = Y_{k-1} + X_{i_k} in order, so the bits do not depend on the block size;
-        # exactly symmetric: every X_i is, and sums keep it
+        # exactly symmetric: every X_i is, and sums keep it. Summed row by row in place,
+        # in np.cumsum's order and so with its bits: 0.16 against cumsum's 1.43 ms per
+        # (64, 64, 64) block, 0.86 against 1.42 ms per (1024, 16, 16) block
         block[0] += y
-        np.cumsum(block, axis=0, out=block)  # in place: one block-sized array per block
+        for j in range(1, len(block)):
+            block[j] += block[j - 1]
         eigs = _eigvalsh(block)
         stop = start + len(block)
         errors[start:stop] = np.max(np.abs(eigs), axis=-1) / np.arange(start + 1, stop + 1)

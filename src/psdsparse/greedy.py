@@ -79,7 +79,7 @@ from .errors import (
 from .instance import (NORM_FLOOR_TOL, CenteredFamily, Instance, _centered_rows, _check_counts,
                        _fits_one_block, _is_int, _row_parts, center)
 from .potential import _check_delta, log_potential_from_eigenvalues, logsumexp, psi_value
-from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
+from .symmat import _eigh, _eigvalsh, _one_blas_thread, _square_symmetric, _symmetrize
 
 TIE_TOL = 1e-12
 PRUNE_RTOL = 1e-9   # rounding margin on the candidate bounds, relative to 1 + |log Phi(Y)|
@@ -540,6 +540,7 @@ def _step(y, eig, spec, stack, delta, score=None):
     return pick, scored, y_k, eig_k, spec_k
 
 
+@_one_blas_thread()
 def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, float]:
     """Greedy choice: 1-based index minimizing log Phi_delta(Y + X_i), and its value.
 
@@ -555,6 +556,7 @@ def select_next(y: np.ndarray, delta: float, fam: CenteredFamily) -> tuple[int, 
     return best + 1, spec.log_phi
 
 
+@_one_blas_thread()
 def run(inst: Instance, schedule: Schedule, k_max: int | None = None) -> GreedyTrace:
     """Execute the greedy selection for k_max steps with live guarantee checks.
 

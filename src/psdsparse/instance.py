@@ -45,7 +45,7 @@ from .errors import (
     NotSymmetric,
     WeightsNotSimplex,
 )
-from .symmat import ASYMMETRY_TOL, _eigh, _eigvalsh, _symmetrize, loewner_leq
+from .symmat import ASYMMETRY_TOL, _eigh, _eigvalsh, _one_blas_thread, _symmetrize, loewner_leq
 
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -89,6 +89,7 @@ class Instance:
     m: int = field(init=False)
     norm_bound: float = field(init=False)
 
+    @_one_blas_thread()
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
         mats, factors = self.mats, self.factors
@@ -489,6 +490,7 @@ def _haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * signs
 
 
+@_one_blas_thread()
 def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
     """Union of random orthonormal bases, each vector u giving A = d * u u^T.
 
@@ -509,6 +511,7 @@ def gen_bases(d: int, n_bases: int, seed: int) -> Instance:
     return Instance(weights, factors=factors)
 
 
+@_one_blas_thread()
 def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Instance:
     """Random Gram matrices pushed to isotropic position.
 
@@ -541,6 +544,7 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
     )
 
 
+@_one_blas_thread()
 def gen_graph_edges(edge_list) -> Instance:
     """Isotropic decomposition from a connected weighted graph via leverage scores.
 

@@ -7,14 +7,25 @@ fresh symmetrized copy. Helpers named with a leading underscore take arrays
 that are already checked. Matrix-function results are explicitly
 re-symmetrized to stop drift in iterated updates.
 
+_one_blas_thread holds OpenBLAS to one thread while any psdsparse call that
+does the package's heavy work runs: certifying an Instance, the generators,
+run, select_next, sample_run and run_suite. It finds OpenBLAS's thread count
+through ctypes, in a library that /proc/self/maps lists, sets 1 on the first
+entry and restores the saved count on the last exit. Every OpenBLAS call there
+then runs on the thread that makes it alone, so the bits do not depend on
+OpenBLAS's thread count, and no OpenBLAS worker is left spinning on a CPU when
+the call returns.
+
 _eigvalsh, which every module's batched spectra go through, splits an
-(n, d, d) batch with d <= SPLIT_MAX_D = 64 and work n * d^3 >= 2 * PART_WORK
-into contiguous parts, at most one per CPU (os.sched_getaffinity, else
-os.cpu_count, counted once), and decomposes them at once on a thread pool made
-at the first such call. Every row keeps the bits of a single call. Wider
-batches, where OpenBLAS already runs each decomposition on every CPU (from
-d = 65 on the build measured below), smaller batches, 2-D input and a single
-CPU take the plain call, with no thread.
+(n, d, d) batch into contiguous parts of work n * d^3 >= PART_WORK, each large
+enough for numpy to release the GIL and at most one per CPU
+(os.sched_getaffinity, else os.cpu_count, counted once). It decomposes them at
+once on a thread pool made at the first such call, and every row keeps the bits
+of a single call. Under the hold it splits at every d. Outside it, or where no
+OpenBLAS control was found (MKL, Accelerate, no /proc), it splits only batches
+with d <= SPLIT_MAX_D = 64, as from d = 65 OpenBLAS runs each decomposition on
+every CPU itself. Smaller batches, 2-D input and a single CPU take the plain
+call, with no thread.
 """
 
 from __future__ import annotations
@@ -33,21 +44,30 @@ RECONSTRUCTION_RTOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 LOEWNER_TOL = 1e-10
 # The least work n * d^3 that each part of a split batched eigvalsh carries (see
-# _split_eigvalsh); a batch splits once it holds two such parts. numpy's gufunc
-# releases the GIL only for calls over more than 500 rows * d, which parts this
-# large clear at every d <= SPLIT_MAX_D. Serial -> split wall time per call,
-# median of 48, 2-CPU x86 VM, OpenBLAS 0.3.31: d = 64, n = 16 (two parts of 2^21)
-# 2.79 -> 1.75 ms, but n = 14 (7-row parts, which keep the GIL) 2.42 -> 2.70 ms;
-# d = 48, n = 24 2.64 -> 1.63 ms, but n = 20 2.09 -> 2.54 ms; d = 16, n = 256
-# 3.06 -> 2.07 ms.
+# _split_eigvalsh); a batch splits once it holds two such parts, each of them also
+# over GIL_FREE_SIZE. Serial -> split wall time per call, median of 48, 2-CPU x86
+# VM, OpenBLAS 0.3.31: d = 64, n = 16 (two parts of 2^21) 2.79 -> 1.75 ms, but
+# n = 14 (7-row parts, which keep the GIL) 2.42 -> 2.70 ms; d = 48, n = 24
+# 2.64 -> 1.63 ms, but n = 20 2.09 -> 2.54 ms; d = 16, n = 256 3.06 -> 2.07 ms.
 PART_WORK = 1 << 21
-# The widest matrices a batch may have and still be split. Up to d = 64 LAPACK runs
-# each decomposition on one thread, and the split puts the others to work; from
-# d = 65 OpenBLAS runs each one on every CPU, and two at once only compete.
-# Medians of 40 calls on blocks of 2^18 entries, 2-CPU x86 VM, OpenBLAS 0.3.31:
-# serial CPU/wall time 1.02 at d = 64 but 2.03-2.05 at d = 65 to 72; split/serial
-# wall time 0.59 at d = 64 (10.3 -> 6.1 ms), but 1.03 at d = 65, 1.02 at d = 68
-# and 1.03 at d = 72, 96, 128 and 199.
+# numpy's gufunc releases the GIL only for calls over more than this many rows * d,
+# so each part must be larger. Parts of PART_WORK are at every d <= SPLIT_MAX_D;
+# beyond it, under _one_blas_thread's hold, a part of a few rows is not. Split/serial
+# wall time of two parts there, medians of 40, one thread each: d = 100, 5 and
+# 6 rows a part, 1.39 and 0.61; d = 125 and 126, 4 rows, 1.06 and 0.55; d = 250
+# and 251, 2 rows, 1.07 and 0.57.
+GIL_FREE_SIZE = 500
+# The widest matrices a batch may have and still be split outside _one_blas_thread's
+# hold, or where it found no control. Up to d = 64 LAPACK runs each decomposition on
+# one thread, and the split puts the others to work; from d = 65 OpenBLAS runs each
+# one on every CPU, and two at once only compete. Medians of 40 calls on blocks of
+# 2^18 entries, 2-CPU x86 VM, OpenBLAS 0.3.31: serial CPU/wall time 1.02 at d = 64
+# but 2.03-2.05 at d = 65 to 72; split/serial wall time 0.59 at d = 64
+# (10.3 -> 6.1 ms), but 1.03 at d = 65, 1.02 at d = 68 and 1.03 at d = 72, 96, 128
+# and 199. Under the hold every decomposition runs on one thread, the split pays at
+# every d, and SPLIT_MAX_D does not apply: split/serial wall time there, medians of
+# 30 at d = 72, 96, 128 and 199 (n = 24, 12, 8 and 6), read 0.58-0.79 in one set and
+# 0.55-0.61 in another.
 SPLIT_MAX_D = 64
 
 
@@ -85,18 +105,23 @@ def _square_symmetric(a, label: str, d: int | None = None) -> np.ndarray:
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues (nondecreasing) of symmetric float64 matrices; batch-aware.
 
-    An (n, d, d) batch of matrices no wider than SPLIT_MAX_D, where LAPACK runs
-    each decomposition on one thread, and with at least two parts' work,
-    n * d^3 >= 2 * PART_WORK, is split across the CPUs when there are two or
-    more (see _split_eigvalsh). The bits are the same either way.
+    An (n, d, d) batch that _parts cuts into two or more is split across the
+    CPUs (see _split_eigvalsh): at every d under _one_blas_thread's hold, else
+    only when d <= SPLIT_MAX_D, where LAPACK runs each decomposition on one
+    thread. The bits are the same either way.
     """
     try:
-        if (a.ndim == 3 and a.shape[2] <= SPLIT_MAX_D and len(a) * a.shape[2] ** 3 >= 2 * PART_WORK
-                and _cores() > 1):
+        if a.ndim == 3 and (_held or a.shape[2] <= SPLIT_MAX_D) and _parts(*a.shape[:2]) > 1:
             return _split_eigvalsh(a)
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
+
+
+def _parts(n: int, d: int) -> int:
+    """How many parts n matrices of d x d make: at most one per CPU, each with work
+    n * d^3 of at least PART_WORK and more than GIL_FREE_SIZE rows * d."""
+    return min(_cores(), n // (GIL_FREE_SIZE // d + 1), n * d ** 3 // PART_WORK)
 
 
 @functools.cache
@@ -111,16 +136,17 @@ def _cores() -> int:
 def _split_eigvalsh(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh of an (n, d, d) batch, in contiguous parts at once.
 
-    There are as many parts as the CPUs, the matrices and the work in parts of
-    PART_WORK allow. The gufunc decomposes each matrix alone, so every row has
-    the bits the whole batch would give it. The calling thread takes the first
-    part and the pool's threads the rest; every part is waited for, and a
-    LinAlgError in any part is raised here. _eigvalsh calls it only for
-    d <= SPLIT_MAX_D: from d = 65 OpenBLAS runs each decomposition on every
-    CPU, and there the split read 1-3% slower on 2 CPUs.
+    There are as many parts as _parts allows. The gufunc decomposes each matrix
+    alone, so every row has the bits the whole batch would give it. The calling
+    thread takes the first part and the pool's threads the rest; every part is
+    waited for, and a LinAlgError in any part is raised here. Outside
+    _one_blas_thread's hold _eigvalsh calls it only for d <= SPLIT_MAX_D: from
+    d = 65 OpenBLAS runs each decomposition on every CPU, and there the split
+    read 1-3% slower on 2 CPUs. Under the hold each part runs on one thread, its
+    own.
     """
     n = len(a)
-    parts = min(_cores(), n, n * a.shape[2] ** 3 // PART_WORK)
+    parts = _parts(n, a.shape[2])
     cuts = [n * j // parts for j in range(parts + 1)]
     out = np.empty(a.shape[:2])
 
@@ -156,8 +182,85 @@ def _forget_pool() -> None:
 
 _pool = None
 _pool_lock = threading.Lock()
+
+
+@functools.cache
+def _blas_control():
+    """(get, set) of OpenBLAS's thread count, found once through ctypes, or None.
+
+    Looks in every OpenBLAS library that /proc/self/maps lists for numpy's
+    bundled build's symbols first, then for those of other 64-bit-integer and
+    32-bit-integer builds. None where there is no /proc or no such library or
+    symbol, as with MKL or Accelerate.
+    """
+    try:
+        import ctypes
+
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except (ImportError, OSError):
+        return None
+    libs = []
+    for path in paths:
+        with contextlib.suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        for lib in libs:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the block; a context manager and a decorator.
+
+    The count is process-wide, so the holds of all threads share one: the first
+    entry saves the count and sets 1, and the last exit restores the saved count,
+    also when the block raises. Other threads of the process see one OpenBLAS
+    thread too while any hold is on. Without an OpenBLAS control it does nothing.
+    """
+    global _held, _saved_threads
+    control = _blas_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    with _hold_lock:
+        if not _held:
+            _saved_threads = get()
+            put(1)
+        _held += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            if _held:   # else a fork has reset the hold under this block (see _forget_hold)
+                _held -= 1
+                if not _held:
+                    put(_saved_threads)
+
+
+def _forget_hold() -> None:
+    """Reset the hold in a forked child: the threads that held it do not exist there,
+    so the child gets the saved count back at once and starts with no hold."""
+    global _held, _hold_lock
+    if _held:
+        _held = 0
+        _blas_control()[1](_saved_threads)
+    _hold_lock = threading.Lock()
+
+
+_held = 0               # holds entered and not yet left, across all threads
+_saved_threads = None   # the count before the first of them
+_hold_lock = threading.Lock()
 if hasattr(os, "register_at_fork"):   # not on Windows, which does not fork
     os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_hold)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +278,10 @@ def eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     read-only. With S the input they satisfy
     ||Q diag(mu) Q^T - S||_F <= 1e-10 * (1 + ||S||_F) and
     ||Q^T Q - Id||_F <= 1e-10 * d. Deterministic for identical input bits under
-    a fixed BLAS build and thread count: from d = 65 OpenBLAS decomposes one
-    matrix on several threads, and the last bits can move with their number.
+    a fixed BLAS build and, called directly, a fixed OpenBLAS thread count: from
+    d = 65 OpenBLAS decomposes one matrix on several threads, and the last bits
+    can move with their number. Inside psdsparse's own calls, which hold
+    OpenBLAS to one thread (see _one_blas_thread), the count does not matter.
     """
     a = _square_symmetric(s, "S")
     vals, vecs = _eigh(a)

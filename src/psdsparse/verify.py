@@ -18,7 +18,7 @@ from .errors import DomainError
 from .instance import CenteredFamily, _check_counts, _rng, center, gen_random_psd
 from .potential import (_check_delta, log_potential_from_eigenvalues, logsumexp, psi_value,
                         scalar_exp_bound_gap)
-from .symmat import _eigh, _eigvalsh, _square_symmetric, _symmetrize
+from .symmat import _eigh, _eigvalsh, _one_blas_thread, _square_symmetric, _symmetrize
 from .symmat import sym_apply  # noqa: F401 -- a module attribute that bench/run.py traces
 
 
@@ -269,6 +269,7 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
+@_one_blas_thread()
 def run_suite(suite: str, trials: int, seed: int) -> CheckReport:
     """Run one named suite for the given number of random trials."""
     if suite not in _SUITES:

@@ -138,6 +138,7 @@ def split(monkeypatch):
     """_eigvalsh splits every batch of two or more matrices, of any width, into up to
     three parts, on a pool of this test's own, however many CPUs the machine has."""
     monkeypatch.setattr(symmat, "PART_WORK", 1)
+    monkeypatch.setattr(symmat, "GIL_FREE_SIZE", 0)
     monkeypatch.setattr(symmat, "SPLIT_MAX_D", math.inf)
     monkeypatch.setattr(symmat, "_cores", lambda: 3)
     monkeypatch.setattr(symmat, "_pool", None)

@@ -7,8 +7,6 @@ pinned_trace, which runs each of its runs once per test session.
 
 import math
 
-import numpy as np
-
 import psdsparse as ps
 from psdsparse import instance
 from psdsparse.cli import _fmt

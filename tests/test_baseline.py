@@ -6,8 +6,6 @@ import pytest
 import psdsparse as ps
 from psdsparse import baseline, instance, symmat
 
-from conftest import canonical_raw
-
 
 def test_single_member_trace_is_flat():
     inst = ps.validate({"d": 1, "items": [{"lambda": 1.0, "A": [[1.0]]}]})

@@ -1,13 +1,11 @@
 import csv
 import json
-import math
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import psdsparse as ps

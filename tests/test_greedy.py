@@ -17,7 +17,7 @@ from psdsparse import greedy, instance, symmat
 from psdsparse.greedy import REGIME_COARSE, REGIME_FINE
 from psdsparse.potential import log_potential_from_eigenvalues
 
-from conftest import canonical_raw, dense_mats, pinned_runs, pinned_trace, raw_payload, rng_for
+from conftest import canonical_raw, dense_mats, pinned_runs, pinned_trace, rng_for
 
 
 # --- schedules --------------------------------------------------------------------

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
-from psdsparse import symmat
+from psdsparse import baseline, instance, symmat, verify
 from psdsparse.symmat import _symmetrize
 
-from conftest import rng_for
+from conftest import dense_mats, rng_for
 
 
 _FAM = ps.center(ps.gen_bases(2, 1, 0))   # d = 2
@@ -251,6 +251,16 @@ def test_only_large_batches_are_split(monkeypatch):
     assert calls == [(small, 8, 8), (n, d, d)]
 
 
+def test_every_part_is_large_enough_to_release_the_gil(monkeypatch):
+    # numpy's gufunc keeps the GIL for calls of at most GIL_FREE_SIZE rows * d, and the
+    # parts of such a call would only take turns; PART_WORK's parts clear it up to d = 64
+    monkeypatch.setattr(symmat, "_cores", lambda: 2)
+    for n, d in [(10, 100), (12, 100), (8, 125), (8, 126), (4, 250), (4, 251)]:
+        assert symmat._parts(n, d) == 1 + (n // 2 * d > symmat.GIL_FREE_SIZE), (n, d)
+    for d in range(1, symmat.SPLIT_MAX_D + 1):
+        assert symmat._parts(-(-2 * symmat.PART_WORK // d**3), d) == 2, d
+
+
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_a_lapack_failure_in_any_part_is_no_convergence(where, split, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
@@ -265,9 +275,9 @@ def test_a_lapack_failure_in_any_part_is_no_convergence(where, split, monkeypatc
         symmat._eigvalsh(_batch(17))
 
 
-def _python(code, **kwargs):
+def _python(code, env=(), **kwargs):
     src = str(Path(ps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **dict(env))
     return subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, **kwargs)
 
@@ -283,8 +293,10 @@ def test_loading_and_verifying_start_no_thread(tmp_path):
 
 def test_wide_batches_start_no_thread():
     # validating a dense family of 24 members at d = 72 decomposes a (24, 72, 72) batch,
-    # two parts' work of matrices wider than SPLIT_MAX_D; neither it nor greedy's is split
-    out = _python("import sys, threading, psdsparse as ps; "
+    # two parts' work of matrices wider than SPLIT_MAX_D; with no OpenBLAS control found,
+    # neither it nor greedy's is split, on any number of CPUs
+    out = _python("import sys, threading, psdsparse as ps; from psdsparse import symmat; "
+                  "symmat._blas_control = lambda: None; symmat._cores = lambda: 2; "
                   "i = ps.gen_random_psd(72, 24, 3, 1e4, 0); a = i.factors @ i.factors.swapaxes(1, 2); "
                   "d = ps.validate({'d': 72, 'items': [{'lambda': float(w), 'A': ((x + x.T) / 2).tolist()} "
                   "for w, x in zip(i.weights, a)]}); "
@@ -303,6 +315,7 @@ import os, signal, sys
 import numpy as np
 from psdsparse import symmat
 symmat.PART_WORK = 1
+symmat.GIL_FREE_SIZE = 0
 symmat._cores = lambda: 2
 a = np.stack([np.eye(3) * j for j in range(8)])
 symmat._eigvalsh(a)
@@ -314,3 +327,200 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
     out = _python(code)
     assert out.returncode == 0, out.stderr
+
+
+# --- OpenBLAS held to one thread ------------------------------------------------------
+
+needs_control = pytest.mark.skipif(symmat._blas_control() is None, reason="no OpenBLAS thread control found")
+_BASES8 = ps.gen_bases(8, 2, 1)
+
+
+def _blas_threads() -> int:
+    return symmat._blas_control()[0]()
+
+
+def _counting(reads, fn):
+    """fn, which first appends OpenBLAS's thread count to reads."""
+    def call(*args):
+        reads.append(_blas_threads())
+        return fn(*args)
+    return call
+
+
+@pytest.fixture(params=[None, 3], ids=["default", "from-3"])
+def start(request):
+    """OpenBLAS's thread count as the test starts: its default, or 3; restored after the test."""
+    get, put = symmat._blas_control()
+    saved = get()
+    if request.param is not None:
+        put(request.param)
+    yield get()
+    put(saved)
+
+
+@needs_control
+def test_a_held_call_runs_on_one_blas_thread_and_restores_the_count(start, monkeypatch):
+    reads = []
+    monkeypatch.setattr(baseline, "_eigvalsh", _counting(reads, baseline._eigvalsh))
+    ps.sample_run(_BASES8, 8, 0)
+    assert reads == [1] and _blas_threads() == start
+
+
+@needs_control
+def test_a_raise_inside_a_held_call_restores_the_count(start, monkeypatch):
+    def fails(a):
+        raise ps.NoConvergence("Eigenvalues did not converge")
+
+    monkeypatch.setattr(baseline, "_eigvalsh", fails)
+    with pytest.raises(ps.NoConvergence):
+        ps.sample_run(_BASES8, 8, 0)
+    assert _blas_threads() == start
+
+
+@needs_control
+def test_nested_holds_restore_the_count_at_the_last_exit(start, monkeypatch):
+    # run_suite holds, and so do gen_random_psd and the Instance it certifies inside it
+    # on trial 0; leaving the inner holds, before center, leaves the count at 1
+    reads = []
+    monkeypatch.setattr(instance, "_certify_factors", _counting(reads, instance._certify_factors))
+    monkeypatch.setattr(verify, "center", _counting(reads, verify.center))
+    assert ps.run_suite("one-step", 2, 0).passed
+    assert reads == [1, 1] and _blas_threads() == start
+
+
+@needs_control
+def test_holds_in_two_threads_restore_the_count_when_both_leave(start):
+    inside, first_left, reads = threading.Barrier(2, timeout=60), threading.Event(), []
+
+    def first():
+        with symmat._one_blas_thread():
+            inside.wait()
+        first_left.set()
+
+    def second():
+        with symmat._one_blas_thread():
+            inside.wait()
+            first_left.wait(60)
+            reads.append(_blas_threads())
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert reads == [1] and _blas_threads() == start
+
+
+@needs_control
+def test_many_threads_entering_and_leaving_holds_restore_the_count(start):
+    # more threads than CPUs, switching often: a lost update to the hold's count would
+    # leave OpenBLAS at 1 or restore it while another thread still holds
+    reads = []
+
+    def work():
+        for _ in range(200):
+            with symmat._one_blas_thread():
+                with symmat._one_blas_thread():
+                    reads.append(_blas_threads())
+                reads.append(_blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reads == [1] * 3200 and symmat._held == 0 and _blas_threads() == start
+
+
+@needs_control
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("count", [None, 3], ids=["default", "from-3"])
+def test_a_child_forked_under_a_hold_gets_the_count_back(count):
+    # another thread holds while the process forks; that thread does not exist in the
+    # child, so the child must get the saved count back and hold and restore on its own
+    code = f"""
+import os, signal, sys, threading
+import psdsparse as ps
+from psdsparse import symmat
+get, put = symmat._blas_control()
+if {count!r} is not None:
+    put({count!r})
+start = get()
+held, release = threading.Event(), threading.Event()
+
+def holder():
+    with symmat._one_blas_thread():
+        held.set()
+        release.wait()
+
+t = threading.Thread(target=holder)
+t.start()
+held.wait()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    before = get()
+    with symmat._one_blas_thread():
+        inside = get()
+    ps.sample_run(ps.gen_bases(8, 2, 1), 8, 0)
+    os._exit(0 if (before, inside, get()) == (start, 1, start) else 1)
+release.set()
+t.join()
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) or 2 * (get() != start))
+"""
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+
+
+@needs_control
+def test_the_hold_lifts_the_width_limit(monkeypatch):
+    # the (24, 72, 72) batch of test_wide_batches_start_no_thread splits when certified,
+    # under the hold, while the same batch outside it takes one call
+    monkeypatch.setattr(symmat, "_cores", lambda: 2)
+    monkeypatch.setattr(symmat, "_pool", None)
+    shapes = []
+    split = symmat._split_eigvalsh
+    monkeypatch.setattr(symmat, "_split_eigvalsh", lambda a: shapes.append(a.shape) or split(a))
+    i = ps.gen_random_psd(72, 24, 3, 1e4, 0)
+    mats = dense_mats(i)
+    try:
+        ps.Instance(i.weights, mats)
+        assert shapes == [(24, 72, 72)]
+        symmat._eigvalsh(mats)
+        assert shapes == [(24, 72, 72)]
+    finally:
+        if symmat._pool is not None:
+            symmat._pool.shutdown()
+
+
+@needs_control
+def test_no_blas_thread_spins_after_a_run():
+    # greedy's factor products would wake OpenBLAS's workers, which then spin on the
+    # other CPUs for a while after run returns; under the hold no worker is woken
+    out = _python("import time, psdsparse as ps; i = ps.gen_bases(64, 4, 31); "
+                  "ps.run(i, ps.Schedule(i.norm_bound, 64), k_max=48); "
+                  "t = time.process_time(); time.sleep(0.05); print(time.process_time() - t)", check=True)
+    assert float(out.stdout) < 0.010
+
+
+@needs_control
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at d = 100 OpenBLAS would decompose one matrix on every thread it has, and the
+    # records' last bits would move with their number
+    ps.save_instance(ps.gen_random_psd(100, 12, 100, 1e8, 0), tmp_path / "psd100.json")
+    code = ("import hashlib, numpy as np, psdsparse as ps; i = ps.load_instance('psd100.json'); "
+            "t = ps.run(i, ps.Schedule(i.norm_bound, i.d), k_max=20); b = ps.sample_run(i, 64, 0); "
+            "r = np.array([[x.delta, x.prev_log_potential, x.log_potential, x.error, x.bound] "
+            "for x in t.records]); "
+            "print(*(hashlib.sha256(a.tobytes()).hexdigest()[:12] for a in (r, t.running_sum, b.errors)), "
+            "t.indices, b.indices)")
+    outs = [_python(code, env={"OPENBLAS_NUM_THREADS": n}, cwd=tmp_path, check=True).stdout
+            for n in ("1", "2")]
+    assert outs[0] == outs[1]
