@@ -263,12 +263,13 @@ class CenteredFamily:
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """The seed sequence of (seed, *key); a value that is not an integer >= 0 is a DomainError."""
-    values = (seed, *key)
-    if not all(map(_is_int, values)):
-        raise DomainError(f"seed must be an integer, got {', '.join(map(repr, values))}")
-    if min(values) < 0:
-        raise DomainError(f"seed must be nonnegative, got {', '.join(map(str, values))}")
+    """The seed sequence of (seed, *key); the first value that is not an integer >= 0 is a
+    DomainError that names that value alone."""
+    for value in (seed, *key):
+        if not _is_int(value):
+            raise DomainError(f"seed must be an integer, got {value!r}")
+        if value < 0:
+            raise DomainError(f"seed must be nonnegative, got {value}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
 
 

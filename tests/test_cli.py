@@ -266,6 +266,7 @@ def _one_error_line(args, prefix, **run_kwargs):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    return lines[0]
 
 
 def _batch_winner_far_from_its_eigh_raises_one_error_line(tmp_path, capsys, monkeypatch, scorer,
@@ -335,22 +336,29 @@ def test_generate_graph_rejects_a_bad_edge_file(tmp_path, line, prefix):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, line",
     [
-        ["generate", "--kind", "bases", "--d", "2", "--seed", "-1", "--out", "{tmp}/x.json"],
-        ["generate", "--kind", "random-psd", "--d", "2", "--m", "4", "--cond-cap", "nan",
-         "--out", "{tmp}/x.json"],
-        ["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--out", "{tmp}/b.csv"],
-        ["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--trials", "2",
-         "--out", "{tmp}/b.csv"],
-        ["verify", "--suite", "psi", "--seed", "-1"],
+        (["generate", "--kind", "bases", "--d", "2", "--seed", "-1", "--out", "{tmp}/x.json"],
+         "seed must be nonnegative, got -1"),
+        (["generate", "--kind", "random-psd", "--d", "2", "--m", "4", "--seed", "-1",
+          "--out", "{tmp}/x.json"], "seed must be nonnegative, got -1"),
+        (["generate", "--kind", "random-psd", "--d", "2", "--m", "4", "--cond-cap", "nan",
+          "--out", "{tmp}/x.json"], "cond_cap must be >= 1, got nan"),
+        (["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--out", "{tmp}/b.csv"],
+         "seed must be nonnegative, got -1"),
+        (["baseline", "{inst}", "--k-max", "5", "--seed", "-1", "--trials", "2",
+          "--out", "{tmp}/b.csv"], "seed must be nonnegative, got -1"),
+        (["verify", "--suite", "psi", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["verify", "--suite", "all", "--seed", "-1"], "seed must be nonnegative, got -1"),
     ],
-    ids=["generate", "cond-cap-nan", "baseline", "baseline-trials", "verify"],
+    ids=["generate", "generate-random-psd", "cond-cap-nan", "baseline", "baseline-trials", "verify",
+         "verify-all"],
 )
-def test_bad_seeds_and_caps_print_one_error_line(tmp_path, args):
+def test_bad_seeds_and_caps_print_one_error_line(tmp_path, args, line):
+    # the line names the bad value alone, not the keys derived from it
     inst = _write_canonical(tmp_path)
     args = [a.format(tmp=tmp_path, inst=inst) for a in args]
-    _one_error_line(args, "error: DomainError:")
+    assert _one_error_line(args, "error: DomainError:") == f"error: DomainError: {line}"
 
 
 def _cap_address_space():

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,35 @@ from psdsparse import verify
 from psdsparse.symmat import _symmetrize
 
 from conftest import rng_for
+
+SLACKS = Path(__file__).parent / "data" / "verify_slacks.json"
+PINNED_SEEDS, PINNED_TRIALS = (0, 1, 2), 200
+PINNED_RUN_ALL = (1000, 20260814)   # trials, seed
+
+
+def trial_slacks(suite: str, seed: int) -> np.ndarray:
+    """The slacks of a suite's first PINNED_TRIALS trials, in trial order, in run_suite's blocks."""
+    return np.concatenate([
+        verify._block_slacks(suite, seed, range(start, min(start + verify.BLOCK, PINNED_TRIALS)))
+        for start in range(0, PINNED_TRIALS, verify.BLOCK)
+    ])
+
+
+def pinned_slacks() -> dict:
+    """The sha256 of every suite's per-trial slacks, as float64 bytes, at each pinned seed, and
+    the reports of run_all at PINNED_RUN_ALL."""
+    return {
+        "slack_sha256": {
+            suite: [hashlib.sha256(trial_slacks(suite, seed).astype(np.float64).tobytes()).hexdigest()
+                    for seed in PINNED_SEEDS]
+            for suite in ps.SUITES
+        },
+        "run_all": [dataclasses.asdict(rep) for rep in ps.run_all(*PINNED_RUN_ALL)],
+    }
+
+
+def test_every_slack_keeps_its_pinned_bits():
+    assert pinned_slacks() == json.loads(SLACKS.read_text())
 
 
 def test_one_step_canonical_oracle(canonical):
@@ -167,6 +200,43 @@ def test_run_suite_reproducible():
     assert a.trials == 25
 
 
+@pytest.mark.parametrize("slacks", [
+    [0.5, 0.2, 0.2, 0.7, 0.2, -1.0, 3.0, -1.0],
+    [1.0, 2.0, 3.0, math.nan, 0.5, -4.0, math.nan, -9.0],
+    [math.nan, -1.0, math.nan],
+    [-1.0, 5.0, 6.0, math.nan],
+    [2.0] * 7,
+    [3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0],
+    [-math.inf, 0.0, 0.0, -math.inf],
+    [0.25],
+], ids=["ties", "nan-then-less", "nan-first", "nan-last", "all-equal", "falling", "inf", "one"])
+def test_blocks_fold_into_the_report_that_merge_gives(monkeypatch, slacks):
+    # blocks of 3: ties and NaNs fall within blocks and across them
+    monkeypatch.setattr(verify, "BLOCK", 3)
+    tolerance = verify._SUITES["lower"][-1]
+    monkeypatch.setitem(verify._SUITES, "lower", (lambda rng, t: slacks[t], None, tolerance))
+    got = ps.run_suite("lower", len(slacks), 4)
+    assert repr(got) == repr(ps.CheckReport.merge("lower", slacks, 4))   # repr: NaN equals NaN
+
+
+def test_a_check_gives_its_input_the_slack_it_gets_in_a_block(canonical):
+    # a block batches its inputs of one size together, the check's input last here
+    rng = rng_for(31)
+    fams = [ps.center(ps.gen_bases(2, 1, s)) for s in range(3)]
+    fams += [ps.random_centered_family(rng) for _ in range(3)] + [ps.center(canonical)]
+    ys = [_symmetrize(rng.standard_normal((f.d, f.d))) for f in fams]
+    deltas = [0.1 * j + 0.05 for j in range(len(fams))]
+    vs = [_symmetrize(rng.standard_normal(y.shape)) for y in ys]
+    y, v, fam, delta = ys[-1], vs[-1], fams[-1], deltas[-1]
+    assert ps.check_one_step(fam, y, delta).worst_slack == verify._one_step_slacks(fams, ys, deltas)[-1]
+    assert ps.check_mgf(fam, delta).worst_slack == verify._mgf_slacks(fams, deltas)[-1]
+    assert ps.check_golden_thompson(y, v).worst_slack == verify._gt_slacks(ys, vs)[-1]
+    etas = [0.5 * x for x in deltas]
+    assert ps.check_interpolation(y, etas[-1], delta).worst_slack == verify._interp_slacks(
+        ys, etas, deltas)[-1]
+    assert ps.check_lower_bound(y, delta).worst_slack == verify._lower_slacks(ys, deltas)[-1]
+
+
 def test_run_suite_validation():
     with pytest.raises(ps.DomainError):
         ps.run_suite("nope", 10, 0)
@@ -241,8 +311,14 @@ def _nan_on_call(fn, n):
 
 
 def test_a_nan_in_the_mgf_reduction_fails_the_suite(monkeypatch, canonical):
-    # the second sign's top eigenvalue is NaN; min(finite, nan) would drop it
-    monkeypatch.setattr(verify, "_eigvalsh", _nan_on_call(verify._eigvalsh, 1))
+    # the minus sign's top eigenvalue is NaN; min(finite, nan) would drop it
+    exact = verify._eigvalsh
+
+    def nan_minus_row(a):
+        eigs = exact(a)
+        eigs[1] = math.nan   # the batched call's rows: the input's sums at +delta, -delta
+        return eigs
+    monkeypatch.setattr(verify, "_eigvalsh", nan_minus_row)
     rep = ps.check_mgf(ps.center(canonical), 0.5)
     assert math.isnan(rep.worst_slack) and not rep.passed
 
