@@ -45,7 +45,7 @@ from .errors import (
     NotSymmetric,
     WeightsNotSimplex,
 )
-from .symmat import ASYMMETRY_TOL, _eigh, _eigvalsh, _one_blas_thread, _symmetrize, loewner_leq
+from .symmat import ASYMMETRY_TOL, _eigh, _eigvalsh, _one_blas_thread, _symmetrize
 
 WEIGHT_SUM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -76,7 +76,9 @@ class Instance:
     M = max_i ||A_i|| at least 1. It also certifies the centered family
     X_i = A_i - Id that center() returns: the weighted mean of the X_i
     vanishes, each ||X_i|| <= M, and sum_i w_i X_i^2 <= M * Id. d, m and M
-    are derived, never passed.
+    are derived, never passed. A factor family is certified as a block of one
+    by _certify_factor_block, which the verify suites run on a block of
+    families at once.
 
     weights is copied; a float64 mats or factors is kept without a copy. All
     three arrays are made read-only; factors is None for a dense family.
@@ -130,10 +132,10 @@ class Instance:
 
 def _check_simplex(weights: np.ndarray) -> float:
     """The weights' sum; raises unless they are nonnegative and sum to 1."""
-    if np.any(weights < 0):
+    if (weights < 0).any():
         i = int(np.argmin(weights))
         raise WeightsNotSimplex(f"weight {i} is negative ({weights[i]:.3e})")
-    total = float(np.sum(weights))
+    total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightsNotSimplex(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL:g}")
     return total
@@ -141,36 +143,76 @@ def _check_simplex(weights: np.ndarray) -> float:
 
 def _check_psd(eigs: np.ndarray) -> float:
     """M = max_i ||A_i|| from each member's nondecreasing eigenvalues; raises NotPSD."""
-    norms = np.max(np.abs(eigs), axis=1)
-    for i in range(len(eigs)):
-        if eigs[i, 0] < -PSD_TOL * (1.0 + norms[i]):
-            raise NotPSD(i, float(eigs[i, 0]))
-    return float(np.max(norms))
+    norms = np.abs(eigs).max(axis=1)
+    negative = eigs[:, 0] < -PSD_TOL * (1.0 + norms)
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise NotPSD(i, float(eigs[i, 0]))
+    return float(norms.max())
 
 
-def _check_mean(mean: np.ndarray, total: float, norm_bound: float) -> None:
-    """Isotropy, M >= 1 and the mean-zero certificate, from mean = sum_i w_i A_i (symmetric)."""
-    eye = np.eye(len(mean))
-    with np.errstate(over="ignore", invalid="ignore"):  # a mean that overflowed fails isotropy
-        residual = float(np.max(np.abs(_eigvalsh(mean - eye))))
-    if not residual <= ISOTROPY_TOL:
-        raise NotIsotropic(residual)
-    if norm_bound < 1.0 - NORM_FLOOR_TOL:
-        # impossible once isotropy holds; a failure here means corrupted data
-        raise InstanceError(f"norm bound {norm_bound!r} below 1")
-    # sum_i w_i X_i = mean - (sum_i w_i) Id
-    mean_norm = float(np.max(np.abs(_eigvalsh(mean - total * eye))))
-    if not mean_norm <= CENTER_MEAN_TOL:
-        raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
+def _by_size(sizes) -> list[list[int]]:
+    """The positions of the equal entries of sizes, one list per distinct size."""
+    groups = {}
+    for i, d in enumerate(sizes):
+        groups.setdefault(d, []).append(i)
+    return list(groups.values())
 
 
-def _check_centered(worst: float, squares: np.ndarray, norm_bound: float) -> None:
-    """The norm and square-bound certificates: max_i ||X_i|| = worst, sum_i w_i X_i^2 = squares."""
-    if not worst <= norm_bound + CENTER_NORM_TOL:
-        raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
-    if not (np.all(np.isfinite(squares))   # squares that overflowed fail the bound
-            and loewner_leq(squares, norm_bound * np.eye(len(squares)), CENTER_SQUARE_TOL)):
-        raise CenteringCertificateFailed("square-bound")
+def _eigvalsh_each(stacks) -> list[np.ndarray]:
+    """_eigvalsh of each (k, n, n) array of stacks; those of one n go through one call.
+
+    LAPACK decomposes each matrix alone, so every row has the bits of a call on its
+    own stack.
+    """
+    out = [None] * len(stacks)
+    for idx in _by_size([s.shape[-1] for s in stacks]):
+        eigs = _eigvalsh(np.concatenate([stacks[i] for i in idx]))
+        for i, part in zip(idx, np.split(eigs, np.cumsum([len(stacks[i]) for i in idx])[:-1])):
+            out[i] = part
+    return out
+
+
+def _check_centering(means, totals, norm_bounds, worsts, squares) -> None:
+    """Isotropy, M >= 1 and the centering certificates of a block of families.
+
+    Family j has mean = sum_i w_i A_i (symmetric), total = sum_i w_i, its M,
+    worst = max_i ||X_i|| and squares = sum_i w_i X_i^2. Its checks run in that
+    order, family after family. They need the spectra of mean - Id,
+    mean - total Id and M Id - squares, and those of all the families of one d
+    come from one _eigvalsh call.
+    """
+    norms = np.empty((len(means), 3))   # max |eig| of each of the three matrices
+    lowest = np.empty(len(means))       # the least eigenvalue of M Id - squares
+    finite = np.empty(len(means), dtype=bool)
+    for idx in _by_size([len(mean) for mean in means]):
+        mean, square = np.stack([means[j] for j in idx]), np.stack([squares[j] for j in idx])
+        total = np.array([totals[j] for j in idx])[:, np.newaxis, np.newaxis]
+        bound = np.array([norm_bounds[j] for j in idx])[:, np.newaxis, np.newaxis]
+        eye = np.eye(mean.shape[1])
+        finite[idx] = ok = np.isfinite(square).all(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow fails a certificate below
+            # sum_i w_i X_i = mean - (sum_i w_i) Id; squares that overflowed fail the
+            # bound, and zeros stand in for them
+            gap = np.where(ok[:, np.newaxis, np.newaxis], bound * eye - square, 0.0)
+            eigs = _eigvalsh(np.concatenate([mean - eye, mean - total * eye, gap]))
+        eigs = eigs.reshape(3, len(idx), -1)
+        norms[idx] = np.abs(eigs).max(axis=2).T
+        lowest[idx] = eigs[2, :, 0]
+    for (residual, mean_norm, gap_norm), low, ok, norm_bound, worst in zip(
+            norms.tolist(), lowest.tolist(), finite.tolist(), norm_bounds, worsts):
+        if not residual <= ISOTROPY_TOL:
+            raise NotIsotropic(residual)
+        if norm_bound < 1.0 - NORM_FLOOR_TOL:
+            # impossible once isotropy holds; a failure here means corrupted data
+            raise InstanceError(f"norm bound {norm_bound!r} below 1")
+        if not mean_norm <= CENTER_MEAN_TOL:
+            raise CenteringCertificateFailed("mean-zero", f"(norm {mean_norm:.3e})")
+        if not worst <= norm_bound + CENTER_NORM_TOL:
+            raise CenteringCertificateFailed("norm", f"(max {worst!r} > M={norm_bound!r})")
+        # squares <= M Id in the Loewner order: loewner_leq(squares, M Id, CENTER_SQUARE_TOL)
+        if not (ok and low >= -CENTER_SQUARE_TOL * (1.0 + gap_norm)):
+            raise CenteringCertificateFailed("square-bound")
 
 
 def _certify_dense(weights: np.ndarray, mats: np.ndarray) -> float:
@@ -189,45 +231,66 @@ def _certify_dense(weights: np.ndarray, mats: np.ndarray) -> float:
         # sqrt(w_i) X_i, squared: w_i X_i^2 <= M Id, so no valid family overflows here
         xs = (mats - np.eye(mats.shape[1])) * np.sqrt(weights)[:, np.newaxis, np.newaxis]
         squares = _symmetrize(np.sum(xs @ xs, axis=0))
-    _check_mean(mean, total, norm_bound)
     # eig(X_i) = eig(A_i) - 1 exactly in real arithmetic. Computed, the two
     # spectra differ by LAPACK's backward error, O(d * eps * M): about 1e-12
     # at d = M = 64, three orders below CENTER_NORM_TOL.
-    _check_centered(float(np.max(np.abs(eigs - 1.0))), squares, norm_bound)
+    _check_centering([mean], [total], [norm_bound], [float(np.max(np.abs(eigs - 1.0)))], [squares])
     return norm_bound
 
 
 def _certify_factors(weights: np.ndarray, factors: np.ndarray) -> float:
     """The same certificates from the factors, holding nothing of size m * d^2; returns M.
 
+    A block of one of _certify_factor_block, which gives the formulas.
+    """
+    return _certify_factor_block([weights], [factors])[0]
+
+
+def _factor_moments(weights: np.ndarray, factors: np.ndarray, gram: np.ndarray,
+                    total: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i w_i A_i and sum_i w_i X_i^2 of a factor family, from its Grams G_i = V_i^T V_i."""
+    m, d, r = factors.shape
+    scaled = factors * np.sqrt(weights)[:, np.newaxis, np.newaxis]
+    w = scaled.transpose(1, 0, 2).reshape(d, m * r)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a certificate later
+        mean = _symmetrize(w @ w.T)
+        wg = (scaled @ gram).transpose(1, 0, 2).reshape(d, m * r)
+        squares = _symmetrize(wg @ w.T) - 2.0 * mean + total * np.eye(d)
+    return mean, squares
+
+
+def _certify_factor_block(weights: list, factors: list) -> list[float]:
+    """The contract and the centering certificates of a block of factor families; their M.
+
     With G_i = V_i^T V_i and W the d x (m r) matrix of columns sqrt(w_i) V_i:
     ||A_i|| = lambda_max(G_i), since A_i and G_i share their nonzero spectrum;
     sum_i w_i A_i = W W^T; eig(X_i) is eig(G_i) - 1, plus -1 when r < d; and
     sum_i w_i X_i^2 = sum_i w_i V_i G_i V_i^T - 2 W W^T + (sum_i w_i) Id.
+
+    The checks are _certify_dense's, in its order. The finite, simplex and PSD
+    checks each run on the whole block before the next, and the others family
+    after family (see _check_centering); a block raises the first failure that
+    this order meets. The Grams of one rank go through one _eigvalsh call, and the
+    d x d spectra of one d through one more.
     """
-    m, d, r = factors.shape
     with np.errstate(over="ignore", invalid="ignore"):  # NaN and Inf are reported below
-        gram = factors.swapaxes(1, 2) @ factors
+        grams = [v.swapaxes(1, 2) @ v for v in factors]
         # |(V V^T)_jk| <= tr G, so a finite trace keeps every dense row finite
-        finite = np.all(np.isfinite(gram)) and np.all(np.isfinite(np.trace(gram, axis1=1, axis2=2)))
-    if not finite:
-        raise NonFinite("matrix entries contain NaN or Inf: a factor entry is not finite, "
-                        "or V V^T overflows")
-    total = _check_simplex(weights)
-    eigs = _eigvalsh(gram)  # (m, r), each row nondecreasing
-    norm_bound = _check_psd(eigs)
-    scaled = factors * np.sqrt(weights)[:, np.newaxis, np.newaxis]
-    w = scaled.transpose(1, 0, 2).reshape(d, m * r)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a certificate below
-        mean = _symmetrize(w @ w.T)
-        wg = (scaled @ gram).transpose(1, 0, 2).reshape(d, m * r)
-        squares = _symmetrize(wg @ w.T) - 2.0 * mean + total * np.eye(d)
-    _check_mean(mean, total, norm_bound)
-    worst = float(np.max(np.abs(eigs - 1.0)))
-    if r < d:
-        worst = max(worst, 1.0)
-    _check_centered(worst, squares, norm_bound)
-    return norm_bound
+        for gram in grams:
+            if not (np.isfinite(gram).all() and np.isfinite(gram.trace(axis1=1, axis2=2)).all()):
+                raise NonFinite("matrix entries contain NaN or Inf: a factor entry is not finite, "
+                                "or V V^T overflows")
+    totals = [_check_simplex(w) for w in weights]
+    eigs = _eigvalsh_each(grams)  # (m, r) a family, each row nondecreasing
+    norm_bounds = [_check_psd(e) for e in eigs]
+    moments = [_factor_moments(*args) for args in zip(weights, factors, grams, totals)]
+    worsts = []
+    for v, e in zip(factors, eigs):
+        worst = float(np.abs(e - 1.0).max())
+        worsts.append(max(worst, 1.0) if v.shape[2] < v.shape[1] else worst)
+    _check_centering([mean for mean, _ in moments], totals, norm_bounds, worsts,
+                     [squares for _, squares in moments])
+    return norm_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,20 +325,31 @@ class CenteredFamily:
         return self.xs.shape[0]
 
 
-def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    """The seed sequence of (seed, *key); the first value that is not an integer >= 0 is a
-    DomainError that names that value alone."""
+def _seed_sequence(seed: int, *key: int, spawned: int = 0) -> np.random.SeedSequence:
+    """The seed sequence of (seed, *key), with spawned children already spawned; the first
+    value that is not an integer >= 0 is a DomainError that names that value alone."""
     for value in (seed, *key):
         if not _is_int(value):
             raise DomainError(f"seed must be an integer, got {value!r}")
         if value < 0:
             raise DomainError(f"seed must be nonnegative, got {value}")
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key),
+                                  n_children_spawned=spawned)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic counter-based generator; extra key values derive substreams."""
     return np.random.Generator(np.random.Philox(seed=_seed_sequence(seed, *key)))
+
+
+def _rngs(seed: int, key: tuple, indices: range) -> list[np.random.Generator]:
+    """[_rng(seed, *key, t) for t in indices], a range of step 1, with the same bits.
+
+    The children that (seed, *key)'s sequence spawns are the sequences of
+    (seed, *key, t), and spawning them skips checking and coercing every t.
+    """
+    parent = _seed_sequence(seed, *key, spawned=indices.start)
+    return [np.random.Generator(np.random.Philox(seed=child)) for child in parent.spawn(len(indices))]
 
 
 def _is_int(value) -> bool:
@@ -444,6 +518,14 @@ def _minus_identity(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _centered_factors(factors: np.ndarray) -> np.ndarray:
+    """X_i = sym(V_i V_i^T) - Id for each V_i of factors, as a fresh read-only (m, d, d) array:
+    the bits of center() on a family of those factors."""
+    xs = _minus_identity(_products(factors))
+    xs.setflags(write=False)
+    return xs
+
+
 def _centered_rows(inst: Instance, idx):
     """(part, X_i for i in part) over the parts of idx: fresh writable (len(part), d, d) blocks.
 
@@ -519,29 +601,52 @@ def gen_random_psd(d: int, m: int, rank: int, cond_cap: float, seed: int) -> Ins
     Draws B_i = G_i G_i^T with G_i of shape (d, rank), averages S, and when
     cond(S) <= cond_cap returns A_i = V_i V_i^T with factors
     V_i = S^{-1/2} G_i and equal weights; otherwise redraws with a derived
-    seed, up to 16 attempts.
+    seed, up to 16 attempts. A block of one of _random_psd_factors.
     """
     _check_counts(d=d, m=m, rank=rank)
     if m * rank < d:
         raise DomainError(f"m*rank = {m * rank} < d = {d}: average is singular")
     if not cond_cap >= 1:  # also rejects NaN
         raise DomainError(f"cond_cap must be >= 1, got {cond_cap!r}")
+    factors, = _random_psd_factors([(d, m, rank, cond_cap, seed)])
+    return Instance(np.full(m, 1.0 / m), factors=factors)
+
+
+def _random_psd_factors(specs) -> list[np.ndarray]:
+    """gen_random_psd's factors for each (d, m, rank, cond_cap, seed) of specs, checked.
+
+    Every family draws attempt a from its own stream _rng(seed, a), and an
+    attempt's whitening eigh runs in one _eigh call for all the families of one d
+    that draw it; a family whose average fails its cap draws again on the next
+    attempt. LAPACK decomposes each matrix alone, so every family has the bits it
+    has on its own. Raises IsotropicTransformFailed for the first family left
+    after MAX_TRANSFORM_RETRIES attempts.
+    """
+    factors = [None] * len(specs)
+    pending = list(range(len(specs)))
     for attempt in range(MAX_TRANSFORM_RETRIES):
-        rng = _rng(seed, attempt)
-        try:
-            gs = rng.standard_normal((m, d, rank))
-        except ValueError as exc:  # past numpy's size limit; a MemoryError is reported as it is
-            raise DomainError(f"d={d}, m={m} and rank={rank} are too large: {exc}") from exc
-        flat = gs.transpose(1, 0, 2).reshape(d, m * rank)  # [G_1 ... G_m], so S = flat flat^T / m
-        s = _symmetrize(flat @ flat.T / m)
-        vals, vecs = _eigh(s)
-        if vals[0] <= 0 or vals[-1] / vals[0] > cond_cap:
-            continue
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        weights = np.full(m, 1.0 / m)
-        return Instance(weights, factors=inv_sqrt @ gs)
+        drawn = []   # (family, its G_i, their average S) for each family still pending
+        for i in pending:
+            d, m, rank, _, seed = specs[i]
+            try:
+                gs = _rng(seed, attempt).standard_normal((m, d, rank))
+            except ValueError as exc:  # past numpy's size limit; a MemoryError is reported as it is
+                raise DomainError(f"d={d}, m={m} and rank={rank} are too large: {exc}") from exc
+            flat = gs.transpose(1, 0, 2).reshape(d, m * rank)  # [G_1 ... G_m], so S = flat flat^T / m
+            drawn.append((i, gs, _symmetrize(flat @ flat.T / m)))
+        for idx in _by_size([len(s) for _, _, s in drawn]):
+            vals, vecs = _eigh(np.stack([drawn[j][2] for j in idx]))
+            for j, val, vec in zip(idx, vals, vecs):
+                i, gs, _ = drawn[j]
+                if val[0] <= 0 or val[-1] / val[0] > specs[i][3]:
+                    continue
+                inv_sqrt = (vec / np.sqrt(val)) @ vec.T
+                factors[i] = inv_sqrt @ gs
+        pending = [i for i in pending if factors[i] is None]
+        if not pending:
+            return factors
     raise IsotropicTransformFailed(
-        f"condition cap {cond_cap:g} not met after {MAX_TRANSFORM_RETRIES} attempts"
+        f"condition cap {specs[pending[0]][3]:g} not met after {MAX_TRANSFORM_RETRIES} attempts"
     )
 
 

@@ -96,5 +96,9 @@ def scalar_exp_bound_gap(x: float, delta: float, m1: float) -> float:
     if not -math.inf < x <= m1:
         raise DomainError(f"x must be finite and at most m1 = {m1!r}, got {x!r}")
     _check_delta(delta)
-    p = psi_value(m1, delta)
-    return (1.0 + delta * x + p * x * x) - math.exp(delta * x)
+    return _exp_bound_gap(x, delta, psi_value(m1, delta))
+
+
+def _exp_bound_gap(x: float, delta: float, psi: float) -> float:
+    """scalar_exp_bound_gap(x, delta, m1) for psi = psi_value(m1, delta), unchecked."""
+    return (1.0 + delta * x + psi * x * x) - math.exp(delta * x)

@@ -13,19 +13,28 @@ and their log potentials through one stacked logsumexp. Each matrix is still
 decomposed alone and each row reduced alone, so every slack has the bits it
 would have on its own. The single-input check_* functions call the same
 kernels with a block of one.
+
+A one-step or mgf trial draws its family's numbers only; the block's families
+are then built together, before the kernel runs. The PSD-derived ones are
+whitened and certified by size in batched calls (_random_psd_factors,
+_certify_factor_block), every certificate of Instance included, and the others
+are centered and bounded with one _eigvalsh call per d. random_centered_family,
+gen_random_psd and Instance run the same code on a block of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .instance import CenteredFamily, _check_counts, _rng, center, gen_random_psd
-from .potential import (_check_delta, log_potential_from_eigenvalues, logsumexp, psi_value,
-                        scalar_exp_bound_gap)
+from .instance import (CenteredFamily, _by_size, _centered_factors, _certify_factor_block,
+                       _check_counts, _eigvalsh_each, _random_psd_factors, _rngs)
+from .instance import center, gen_random_psd  # noqa: F401 -- module attributes that bench/run.py traces
+from .potential import _check_delta, _exp_bound_gap, log_potential_from_eigenvalues, logsumexp, psi_value
 from .symmat import _eigh, _eigvalsh, _one_blas_thread, _square_symmetric, _symmetrize
 from .symmat import sym_apply  # noqa: F401 -- a module attribute that bench/run.py traces
 
@@ -64,37 +73,64 @@ def random_symmetric(rng: np.random.Generator, d: int, scale: float = 1.0,
 
 def random_centered_family(rng: np.random.Generator) -> CenteredFamily:
     """1 to 12 random symmetric d x d matrices, d <= 16, weighted mean removed, and their bounds."""
+    return _centered_families([_centered_draw(rng)])[0]
+
+
+def _centered_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """random_centered_family's draws: its weights and its matrices before centering."""
     d = int(rng.integers(1, 17))
     m = int(rng.integers(1, 13))
     w = rng.random(m) + 1e-3
-    w = w / w.sum()
-    xs = random_symmetric(rng, d, 2.0, (m,))
-    xs -= np.einsum("i,ijk->jk", w, xs)
-    sq = _symmetrize(np.einsum("i,ijk->jk", w, xs @ xs))
-    eigs = _eigvalsh(np.concatenate([xs, sq[np.newaxis]]))
-    m1 = max(float(np.max(np.abs(eigs[:m]))), 1e-9)
-    m2 = max(float(np.max(eigs[m])), 0.0)
-    xs.setflags(write=False)
-    return CenteredFamily(weights=w, xs=xs, m1=m1, m2=m2)
+    return w / w.sum(), random_symmetric(rng, d, 2.0, (m,))
 
 
-def _psd_derived_family(rng: np.random.Generator):
+def _centered_families(draws) -> list[CenteredFamily]:
+    """The families of random_centered_family's draws, whose matrices it centers in place.
+
+    Each family's bounds come from the spectra of its members and of
+    sum_i w_i X_i^2; those of the families of one d come from one _eigvalsh call.
+    """
+    stacks = []
+    for w, xs in draws:
+        xs -= np.einsum("i,ijk->jk", w, xs)
+        sq = _symmetrize(np.einsum("i,ijk->jk", w, xs @ xs))
+        stacks.append(np.concatenate([xs, sq[np.newaxis]]))
+    fams = []
+    for (w, xs), eigs in zip(draws, _eigvalsh_each(stacks)):
+        m1 = max(float(np.max(np.abs(eigs[:-1]))), 1e-9)
+        m2 = max(float(np.max(eigs[-1])), 0.0)
+        xs.setflags(write=False)
+        fams.append(CenteredFamily(weights=w, xs=xs, m1=m1, m2=m2))
+    return fams
+
+
+_PSD_COND_CAP = 1e4   # the condition cap of the PSD-derived families' whitening
+
+
+def _psd_draw(rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """A PSD-derived family's draws: gen_random_psd's d, m, rank and seed."""
     d = int(rng.integers(1, 7))
     rank = int(rng.integers(1, d + 1))
     m = int(rng.integers(max(1, -(-d // rank)), 2 * d + 5))
-    inst = gen_random_psd(d, m, rank, cond_cap=1e4, seed=int(rng.integers(0, 2**63)))
-    return center(inst)
+    return d, m, rank, int(rng.integers(0, 2**63))
+
+
+def _psd_derived_families(draws) -> list[CenteredFamily]:
+    """center(gen_random_psd(d, m, rank, _PSD_COND_CAP, seed)) for each draw, with its bits.
+
+    The block's families are whitened and certified together (see _random_psd_factors
+    and _certify_factor_block): every certificate of Instance runs on each of them.
+    """
+    factors = _random_psd_factors([(d, m, rank, _PSD_COND_CAP, seed) for d, m, rank, seed in draws])
+    weights = [np.full(len(v), 1.0 / len(v)) for v in factors]
+    fams = []
+    for w, v, norm_bound in zip(weights, factors, _certify_factor_block(weights, factors)):
+        w.setflags(write=False)
+        fams.append(CenteredFamily(weights=w, xs=_centered_factors(v), m1=norm_bound, m2=norm_bound))
+    return fams
 
 
 # --- slack kernels: a batch of inputs, one list per argument, to their slacks -------
-
-
-def _by_size(sizes) -> list[list[int]]:
-    """The positions of the equal entries of sizes, one list per distinct size."""
-    groups = {}
-    for i, d in enumerate(sizes):
-        groups.setdefault(d, []).append(i)
-    return list(groups.values())
 
 
 def _log_potentials(eigs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -216,27 +252,51 @@ def check_lower_bound(y: np.ndarray, delta: float) -> CheckReport:
 # --- randomized suite drivers ----------------------------------------------------
 
 
-def _family_for_trial(rng: np.random.Generator, trial: int):
+class _FamilyDraw(NamedTuple):
+    """A trial's family, drawn but not built: build makes the families of a block's draws
+    of its kind from their args, together."""
+
+    build: Callable
+    d: int
+    args: tuple
+
+
+def _family_draw(rng: np.random.Generator, trial: int) -> _FamilyDraw:
     # alternate PSD-derived and unconstrained centered families: the bounds
     # must hold for both
     if trial % 2 == 0:
-        return _psd_derived_family(rng)
-    return random_centered_family(rng)
+        args = _psd_draw(rng)
+        return _FamilyDraw(_psd_derived_families, args[0], args)
+    args = _centered_draw(rng)
+    return _FamilyDraw(_centered_families, args[1].shape[1], args)
+
+
+def _on_families(kernel):
+    """kernel, for a block of trials whose first inputs are family draws and last are delta
+    draws (value, per_m1): it builds the block's families, those of one kind together, then
+    sets delta = value / m1 where per_m1, as each trial would have on its own."""
+    def slacks(draws, *inputs):
+        *inputs, delta_draws = inputs
+        fams = [None] * len(draws)
+        for build in {draw.build: None for draw in draws}:
+            idx = [i for i, draw in enumerate(draws) if draw.build is build]
+            for i, fam in zip(idx, build([draws[i].args for i in idx])):
+                fams[i] = fam
+        deltas = [value / fam.m1 if per_m1 else value for (value, per_m1), fam in zip(delta_draws, fams)]
+        return kernel(fams, *inputs, deltas)
+    return slacks
 
 
 def _one_step_trial(rng: np.random.Generator, trial: int):
-    fam = _family_for_trial(rng, trial)
-    y = random_symmetric(rng, fam.d, scale=rng.uniform(0.0, 3.0))
+    draw = _family_draw(rng, trial)
+    y = random_symmetric(rng, draw.d, scale=rng.uniform(0.0, 3.0))
     if rng.random() < 0.1:
-        delta = 1e-6
-    else:
-        delta = rng.uniform(1e-6, 2.0) / fam.m1
-    return fam, y, delta
+        return draw, y, (1e-6, False)
+    return draw, y, (rng.uniform(1e-6, 2.0), True)
 
 
 def _mgf_trial(rng: np.random.Generator, trial: int):
-    fam = _family_for_trial(rng, trial)
-    return fam, rng.uniform(1e-6, 1.0) / fam.m1
+    return _family_draw(rng, trial), (rng.uniform(1e-6, 1.0), True)
 
 
 def _gt_trial(rng: np.random.Generator, trial: int):
@@ -283,7 +343,8 @@ def _scalar_trial(rng: np.random.Generator, trial: int) -> float:
         ]
     )
     scale = math.exp(delta * m1)
-    return float(np.min([scalar_exp_bound_gap(float(x), delta, m1) for x in xs])) / scale
+    p = psi_value(m1, delta)   # scalar_exp_bound_gap at each x, with psi computed once
+    return float(np.min([_exp_bound_gap(x, delta, p) for x in xs.tolist()])) / scale
 
 
 def _psi_trial(rng: np.random.Generator, trial: int) -> float:
@@ -307,8 +368,8 @@ def _psi_trial(rng: np.random.Generator, trial: int) -> float:
 # slacks. A suite's position keys its trials' Philox streams, so the order is part of
 # every recorded seed: new suites go at the end.
 _SUITES = {
-    "one-step": (_one_step_trial, _one_step_slacks, 1e-9),
-    "mgf": (_mgf_trial, _mgf_slacks, 1e-9),
+    "one-step": (_one_step_trial, _on_families(_one_step_slacks), 1e-9),
+    "mgf": (_mgf_trial, _on_families(_mgf_slacks), 1e-9),
     "gt": (_gt_trial, _gt_slacks, 1e-9),
     "interp": (_interp_trial, _interp_slacks, 1e-9),
     "lower": (_lower_trial, _lower_slacks, 1e-9),
@@ -325,8 +386,8 @@ BLOCK = 128
 def _block_slacks(suite: str, seed: int, trials: range) -> np.ndarray:
     """The slacks of a suite's trials in the given range, in trial order."""
     trial, kernel, _ = _SUITES[suite]
-    suite_index = SUITES.index(suite)
-    drawn = [trial(_rng(seed, suite_index, t), t) for t in trials]
+    rngs = _rngs(seed, (SUITES.index(suite),), trials)
+    drawn = [trial(rng, t) for rng, t in zip(rngs, trials)]
     if kernel is None:
         return np.array(drawn, dtype=np.float64)
     return kernel(*zip(*drawn))

@@ -750,23 +750,25 @@ def _repeat_family():
 
 # factor families all of whose rows fit one block (dense operands in run) and one above
 # that cap (factor operands), each scored from the Gram for its first gram_steps steps,
-# whose picks hold gram_distinct distinct members
+# whose picks hold gram_distinct distinct members. The decaying schedule does not depend
+# on k_max, so the first `steps` steps of the k_max-step run are checked against an
+# unpruned run of that many steps: 64 of bases64's 128, still past its 48 Gram steps.
 @pytest.mark.parametrize(
-    "source, k_max, gram_steps, gram_distinct",
+    "source, k_max, steps, gram_steps, gram_distinct",
     [
-        pytest.param("bases64-0 k=128", 128, 48, 48, id="bases-d64-b4-factor-operands"),
-        pytest.param("graph-n31-e120 k=300", 300, 22, 22, id="graph-n31-e120-dense-operands"),
-        pytest.param(_repeat_family, 64, 11, 6, id="repeat-d8-dense-operands"),
+        pytest.param("bases64-0 k=128", 128, 64, 48, 48, id="bases-d64-b4-factor-operands"),
+        pytest.param("graph-n31-e120 k=300", 300, 300, 22, 22, id="graph-n31-e120-dense-operands"),
+        pytest.param(_repeat_family, 64, 64, 11, 6, id="repeat-d8-dense-operands"),
     ],
 )
-def test_run_matches_exact_greedy_across_the_gram_switch(source, k_max, gram_steps, gram_distinct):
+def test_run_matches_exact_greedy_across_the_gram_switch(source, k_max, steps, gram_steps, gram_distinct):
     inst, sched, trace = _exact_run(source, None, k_max)
-    assert 0 < trace.gram_steps == gram_steps < k_max
+    assert 0 < trace.gram_steps == gram_steps < steps <= k_max
     assert len(set(trace.indices[:gram_steps])) == gram_distinct
-    indices, prev, current = _full_run(inst, sched, k_max)
-    assert trace.indices == indices
-    assert [r.prev_log_potential for r in trace.records] == prev
-    assert [r.log_potential for r in trace.records] == current
+    indices, prev, current = _full_run(inst, sched, steps)
+    assert trace.indices[:steps] == indices
+    assert [r.prev_log_potential for r in trace.records[:steps]] == prev
+    assert [r.log_potential for r in trace.records[:steps]] == current
 
 
 def _decompositions(monkeypatch):

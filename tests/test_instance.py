@@ -495,7 +495,7 @@ def test_each_factor_contract_check_runs(monkeypatch, name, value, error):
     [
         ("CENTER_MEAN_TOL", -1.0, "mean-zero"),
         ("CENTER_NORM_TOL", -1.5, "norm"),   # max ||X_i|| = 1 > M - 1.5 = 0.5
-        ("loewner_leq", lambda *args: False, "square-bound"),
+        ("CENTER_SQUARE_TOL", -1.0, "square-bound"),   # lambda_min(M Id - S) >= 1 + max |eig|
     ],
     ids=["mean-zero", "norm", "square-bound"],
 )
@@ -506,12 +506,95 @@ def test_each_centering_certificate_runs_on_factors(monkeypatch, name, value, wh
     assert info.value.which == which
 
 
+def _plane_family():
+    """d = 3, r = 2: 1.5 times each coordinate plane's projection, weights 1/3; M = 1.5 and
+    max_i ||X_i|| = 1, the least margin M - max_i ||X_i|| a family can have."""
+    planes = [np.delete(np.eye(3), j, axis=1) for j in range(3)]
+    return np.full(3, 1 / 3), math.sqrt(1.5) * np.stack(planes)
+
+
+def _spread_weights(weights, factors):
+    """The same members with weights that sum to 1 + 5e-11: isotropic, but not mean-zero
+    within 1e-11."""
+    return weights * (1 + 5e-11), factors / math.sqrt(1 + 5e-11)
+
+
+def _corrupt(change):
+    def make(weights, factors):
+        weights, factors = weights.copy(), factors.copy()
+        change(weights, factors)
+        return weights, factors
+    return make
+
+
+def _inflated_squares(middle):
+    """_factor_moments, with the squares of the family whose factors are middle's scaled up."""
+    exact = instance._factor_moments
+
+    def moments(weights, factors, gram, total):
+        mean, squares = exact(weights, factors, gram, total)
+        return mean, 1e3 * squares if factors is middle else squares
+    return moments
+
+
+def _family(inst):
+    return inst.weights, inst.factors
+
+
+# Each case makes only the middle family of a block fail one check: by its data, or
+# by a tolerance that the families on either side still meet.
+@pytest.mark.parametrize(
+    "patch, middle, error",
+    [
+        ({}, _corrupt(lambda w, f: f.__setitem__((0, 0, 0), math.nan)), ps.NonFinite),
+        ({}, _corrupt(lambda w, f: w.__setitem__(0, -w[0])), ps.WeightsNotSimplex),
+        ({"PSD_TOL": -0.5}, None, ps.NotPSD),   # lambda_min(G_i) < (1 + ||G_i||) / 2: rank 2 only
+        ({}, _corrupt(lambda w, f: f.__setitem__(0, 1.1 * f[0])), ps.NotIsotropic),
+        ({"NORM_FLOOR_TOL": -1.5}, lambda w, f: _family(ps.validate(_factored_raw())),
+         ps.InstanceError),   # M = 2 < 2.5 <= 4
+        ({"CENTER_MEAN_TOL": 1e-11}, _spread_weights, "mean-zero"),
+        ({"CENTER_NORM_TOL": -0.75}, lambda w, f: _plane_family(), "norm"),   # 1 > 1.5 - 0.75
+        ({"_factor_moments": "inflate"}, None, "square-bound"),
+    ],
+    ids=["finite", "simplex", "psd", "isotropy", "norm-floor", "mean-zero", "norm", "square-bound"],
+)
+def test_a_block_raises_the_error_of_the_family_that_fails(monkeypatch, patch, middle, error):
+    ends = [_family(ps.gen_bases(4, 2, 1)), _family(ps.gen_bases(5, 2, 2))]
+    psd = ps.gen_random_psd(4, 10, 2, 1e4, 3)
+    weights, factors = (middle or (lambda w, f: (w, f)))(psd.weights, psd.factors)
+    for name, value in patch.items():
+        monkeypatch.setattr(instance, name, _inflated_squares(factors) if value == "inflate" else value)
+    for w, f in ends:
+        ps.Instance(w, factors=f)   # each end family meets every check
+    with pytest.raises(ps.PsdSparseError) as alone:
+        ps.Instance(weights, factors=factors)
+    with pytest.raises(ps.PsdSparseError) as block:
+        instance._certify_factor_block([ends[0][0], weights, ends[1][0]], [ends[0][1], factors, ends[1][1]])
+    assert type(block.value) is type(alone.value) and str(block.value) == str(alone.value)
+    if isinstance(error, str):
+        assert block.value.which == error
+    else:
+        assert type(block.value) is error
+
+
+def test_a_block_certifies_each_family_as_instance_does():
+    fams = [_family(ps.gen_bases(4, 2, 1)), _plane_family(), _family(ps.gen_random_psd(6, 9, 4, 1e4, 2)),
+            _family(ps.gen_random_psd(3, 4, 5, 1e4, 0)), _family(ps.validate(_factored_raw()))]
+    bounds = instance._certify_factor_block(*zip(*fams))
+    assert bounds == [ps.Instance(w, factors=f).norm_bound for w, f in fams]
+
+
 def test_factor_square_certificate_matches_the_dense_sum(monkeypatch):
     # sum_i w_i X_i^2 as the square-bound certificate forms it from the factors;
     # the last family has r > d
     seen = []
-    exact = instance.loewner_leq
-    monkeypatch.setattr(instance, "loewner_leq", lambda a, b, tol: seen.append(a) or exact(a, b, tol))
+    exact = instance._factor_moments
+
+    def moments(*args):
+        mean, squares = exact(*args)
+        seen.append(squares)
+        return mean, squares
+    monkeypatch.setattr(instance, "_factor_moments", moments)
     for inst in (ps.gen_bases(5, 2, 1), ps.gen_random_psd(6, 9, 4, 1e4, 2), ps.gen_random_psd(3, 4, 5, 1e4, 0)):
         ps.Instance(inst.weights, factors=inst.factors)
         xs = ps.center(inst).xs
@@ -578,7 +661,7 @@ def test_a_hand_built_family_cannot_skip_the_contract():
     [
         ("CENTER_MEAN_TOL", -1.0, "mean-zero"),
         ("CENTER_NORM_TOL", -1.5, "norm"),   # max ||X_i|| = 1 > M - 1.5 = 0.5
-        ("loewner_leq", lambda *args: False, "square-bound"),
+        ("CENTER_SQUARE_TOL", -1.0, "square-bound"),   # lambda_min(M Id - S) >= 1 + max |eig|
     ],
     ids=["mean-zero", "norm", "square-bound"],
 )
@@ -600,7 +683,9 @@ def test_center_certifies_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(instance, "_eigvalsh", counting)
     inst = ps.gen_bases(4, 2, seed=0)
-    assert batches == [(inst.m, 1, 1)]   # construction's one batched eigvalsh, of the Grams V_i^T V_i
+    # construction's two batched eigvalsh: of the Grams V_i^T V_i, and of mean - Id,
+    # mean - (sum_i w_i) Id and M Id - sum_i w_i X_i^2
+    assert batches == [(inst.m, 1, 1), (3, inst.d, inst.d)]
     batches.clear()
     xs = [ps.center(inst).xs for _ in range(3)]
     ps.run(inst, ps.Schedule(inst.norm_bound, inst.d), k_max=8)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdsparse as ps
-from psdsparse import baseline, instance, symmat, verify
+from psdsparse import baseline, instance, symmat
 from psdsparse.symmat import _symmetrize
 
 from conftest import dense_mats, rng_for
@@ -379,12 +379,13 @@ def test_a_raise_inside_a_held_call_restores_the_count(start, monkeypatch):
 
 @needs_control
 def test_nested_holds_restore_the_count_at_the_last_exit(start, monkeypatch):
-    # run_suite holds, and so do gen_random_psd and the Instance it certifies inside it
-    # on trial 0; leaving the inner holds, before center, leaves the count at 1
+    # gen_random_psd holds inside the outer hold, and the Instance it certifies holds inside
+    # it; leaving the inner holds, before the outer one ends, leaves the count at 1
     reads = []
     monkeypatch.setattr(instance, "_certify_factors", _counting(reads, instance._certify_factors))
-    monkeypatch.setattr(verify, "center", _counting(reads, verify.center))
-    assert ps.run_suite("one-step", 2, 0).passed
+    with symmat._one_blas_thread():
+        ps.gen_random_psd(3, 6, 2, 1e4, 0)
+        reads.append(_blas_threads())
     assert reads == [1, 1] and _blas_threads() == start
 
 

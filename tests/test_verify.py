@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import psdsparse as ps
-from psdsparse import verify
+from psdsparse import instance, verify
 from psdsparse.symmat import _symmetrize
 
 from conftest import rng_for
@@ -324,10 +324,8 @@ def test_a_nan_in_the_mgf_reduction_fails_the_suite(monkeypatch, canonical):
 
 
 def test_a_nan_in_the_scalar_reduction_fails_the_suite(monkeypatch):
-    exact = verify.scalar_exp_bound_gap
-    # x = m1 comes last, after the finite gaps
-    monkeypatch.setattr(verify, "scalar_exp_bound_gap",
-                        lambda x, delta, m1: math.nan if x == m1 else exact(x, delta, m1))
+    # trial 0's 66th and last point is x = m1, after the finite gaps
+    monkeypatch.setattr(verify, "_exp_bound_gap", _nan_on_call(verify._exp_bound_gap, 65))
     rep = ps.run_suite("scalar", 3, 0)
     assert math.isnan(rep.worst_slack) and not rep.passed
 
@@ -337,3 +335,97 @@ def test_a_nan_in_the_psi_reduction_fails_the_suite(monkeypatch):
     monkeypatch.setattr(verify, "psi_value", _nan_on_call(verify.psi_value, 2))
     rep = ps.run_suite("psi", 1, 0)
     assert math.isnan(rep.worst_slack) and not rep.passed
+
+
+# --- building a block's families ---------------------------------------------------
+
+
+def _psd_draws() -> list[tuple[int, int, int, int]]:
+    """A PSD-derived family's draws (d, m, rank, seed) for every d in 1..16."""
+    rng = rng_for(41)
+    draws = []
+    for d in range(1, 17):
+        rank = int(rng.integers(1, d + 1))
+        m = int(rng.integers(-(-d // rank), 2 * d + 5))
+        draws.append((d, m, rank, int(rng.integers(0, 2**63))))
+    return draws
+
+
+def _bits(fam) -> tuple:
+    return fam.xs.shape, fam.xs.tobytes(), fam.weights.tobytes(), fam.m1, fam.m2
+
+
+# at the cap of 53, the d = 4 and d = 9 families whiten on their third and on a later attempt
+@pytest.mark.parametrize("cap, retried", [(verify._PSD_COND_CAP, 0), (53.0, 2)], ids=["default-cap", "cap-53"])
+def test_a_block_builds_psd_derived_families_with_their_own_bits(monkeypatch, cap, retried):
+    attempts = {}
+    exact = instance._rng
+    monkeypatch.setattr(instance, "_rng", lambda seed, *key: attempts.setdefault(seed, []).append(key)
+                        or exact(seed, *key))
+    monkeypatch.setattr(verify, "_PSD_COND_CAP", cap)
+    draws = _psd_draws()
+    got = verify._psd_derived_families(draws)
+    assert sum(len(keys) > 1 for keys in attempts.values()) == retried
+    for (d, m, rank, seed), fam in zip(draws, got):
+        assert _bits(fam) == _bits(ps.center(ps.gen_random_psd(d, m, rank, cap, seed)))
+
+
+def test_whitening_retries_keep_their_pinned_bits():
+    # the factors at the cap of 53, as gen_random_psd drew them one family at a time
+    digest = hashlib.sha256()
+    for d, m, rank, seed in _psd_draws():
+        digest.update(ps.gen_random_psd(d, m, rank, 53.0, seed).factors.tobytes())
+    assert digest.hexdigest() == "6e9ff59ff2a9a78b6f6811b9aa20033986847157073c29f592c7fbf47d6fe16d"
+
+
+def test_a_block_builds_centered_families_with_their_own_bits():
+    rng = rng_for(43)
+    draws = [verify._centered_draw(rng) for _ in range(128)]
+    assert sorted({xs.shape[1] for _, xs in draws}) == list(range(1, 17))
+    rng = rng_for(43)
+    for fam in verify._centered_families(draws):
+        assert _bits(fam) == _bits(ps.random_centered_family(rng))
+
+
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("PSD_TOL", -1.0, ps.NotPSD),
+        ("ISOTROPY_TOL", -1.0, ps.NotIsotropic),
+        ("NORM_FLOOR_TOL", -1e6, ps.InstanceError),
+        ("CENTER_MEAN_TOL", -1.0, "mean-zero"),
+        ("CENTER_NORM_TOL", -1e6, "norm"),
+        ("CENTER_SQUARE_TOL", -1.0, "square-bound"),
+    ],
+    ids=["psd", "isotropy", "norm-floor", "mean-zero", "norm", "square-bound"],
+)
+def test_a_block_of_psd_derived_families_runs_every_certificate(monkeypatch, name, value, error):
+    # every family fails, so the block raises the first family's error, as Instance does
+    monkeypatch.setattr(instance, name, value)
+    (d, m, rank, seed), *_ = draws = _psd_draws()
+    with pytest.raises(ps.InstanceError) as alone:
+        ps.gen_random_psd(d, m, rank, verify._PSD_COND_CAP, seed)
+    with pytest.raises(ps.InstanceError) as block:
+        verify._psd_derived_families(draws)
+    assert type(block.value) is type(alone.value) and str(block.value) == str(alone.value)
+    if isinstance(error, str):
+        assert block.value.which == error
+    else:
+        assert type(block.value) is error
+
+
+@pytest.mark.parametrize("start", [0, 128, 256])
+def test_a_block_draws_from_each_trials_own_stream(start):
+    for seed in (0, 7, 2**63 + 5):
+        got = instance._rngs(seed, (3,), range(start, start + 5))
+        assert len(got) == 5
+        for t, rng in zip(range(start, start + 5), got):
+            assert rng.random(4).tobytes() == instance._rng(seed, 3, t).random(4).tobytes()
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "nonnegative, got -1"), (1.5, "an integer, got 1.5"),
+                                           (True, "an integer, got True")], ids=["negative", "float", "bool"])
+def test_a_bad_seed_fails_naming_that_seed_alone(seed, message):
+    for suite in ("one-step", "psi"):
+        with pytest.raises(ps.DomainError, match=f"^seed must be {message}$"):
+            ps.run_suite(suite, 3, seed)
